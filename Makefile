@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-json bench-compare bench-vectorized bench-vectorized-compare bench-multiquery bench-multiquery-compare bench-recovery bench-cluster bench-failover bench-db bench-db-json bench-speculation perf-trajectory
+.PHONY: ci fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
 
-ci: fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke perf-trajectory
+ci: fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
 
 fmt-check:
 	@files=$$(gofmt -l .); \
@@ -77,119 +77,14 @@ spec-soak:
 	$(GO) run ./cmd/eslev chaos -events 500000 -consistency MIDDLE -late-heavy
 	$(GO) run ./cmd/eslev chaos -events 300000 -consistency FAST -late-heavy -kill-every 60000
 
-# Recovery overhead gate: steady-state throughput with the journal and
-# automatic checkpoints enabled must stay within 10% of the undurable
-# baseline at the default interval. Records the measurement (plus snapshot
-# size and restore latency) in BENCH_RECOVERY.json.
-bench-recovery:
-	$(GO) run ./cmd/eslev bench -recovery -events 50000 -max-overhead 10 \
-		-bench-json BENCH_RECOVERY.json
-
 # A fast pass over every benchmark family to catch bit-rot without paying
 # for full measurement runs.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 50x .
 
-# The sharded-scaling sweep as a machine-readable artifact.
-bench-json:
-	$(GO) run ./cmd/eslev bench -shards 1,2,4,8 -bench-json BENCH_SHARDED.json
-
-# Smoke-level regression gate: re-run the EX6/EX7 bench families on HEAD
-# and fail if ns/event regresses more than 15% against the recorded
-# BENCH_SHARDED.json baseline. Fewer events than the full sweep keeps it
-# fast enough for ci; ns/event is count-insensitive at this scale.
-bench-compare:
-	$(GO) run ./cmd/eslev bench -shards 1,2 -events 20000 \
-		-baseline BENCH_SHARDED.json -max-regress 15
-
-# The vectorized-ingestion sweep (batch size x shard count) as a
-# machine-readable artifact.
-bench-vectorized:
-	$(GO) run ./cmd/eslev bench -shards 1,4 -batch 1,32,256,1024 \
-		-bench-json BENCH_VECTORIZED.json
-
-# The multi-query fan-out sweep (registered-query count x prefix-share
-# ratio; merged vs independent plans, plus a scan-all dispatch control
-# below 1024 queries) as a machine-readable artifact.
-bench-multiquery:
-	$(GO) run ./cmd/eslev bench -multiquery -queries 1,64,256,1024 -share 0,50,90 \
-		-bench-json BENCH_MULTIQUERY.json
-
-# Regression gate for the multi-query dispatch paths: re-run the mid-size
-# tiers on HEAD — merged, independent, and scan-all arms at every recorded
-# share ratio — and fail if ns/event regresses more than 15% against the
-# recorded BENCH_MULTIQUERY.json baseline. Runs at the same event count as
-# the baseline — fan-out ns/event is scale-sensitive, so a reduced-scale
-# rerun would compare apples to oranges. queries=1 is excluded: it is the
-# shortest configuration and the noisiest, and the gate protects the
-# fan-out paths, which it does not exercise. queries=1024 is excluded for
-# run time (its independent arm alone is ~45s).
-bench-multiquery-compare:
-	$(GO) run ./cmd/eslev bench -multiquery -queries 64,256 -share 0,50,90 -events 50000 \
-		-baseline BENCH_MULTIQUERY.json -max-regress 15
-
-# Regression gate for batched ingestion: spot-check two batch sizes per
-# shard count against the recorded BENCH_VECTORIZED.json baseline. Runs at
-# the baseline's event count — ex6-seq ns/event is warm-up-sensitive, so a
-# reduced-scale rerun reads 15-30% high against a 50k-event recording.
-bench-vectorized-compare:
-	$(GO) run ./cmd/eslev bench -shards 1,4 -batch 32,256 -events 50000 \
-		-baseline BENCH_VECTORIZED.json -max-regress 15
-
-# Cluster scale-out gate: spawn loopback node processes and measure the
-# keyed fan-out workload (4096 reader-homed queries) at 1/2/4 nodes against
-# the best single-process arm. Fails below 2x aggregate throughput at 4
-# nodes or above 15% wire overhead at 1 node; records the measurement in
-# BENCH_CLUSTER.json. Best-of-3 passes per arm keep the gate stable on a
-# noisy box.
-bench-cluster:
-	$(GO) run ./cmd/eslev bench -cluster -events 60000 \
-		-min-speedup 2 -max-wire-overhead 15 -bench-json BENCH_CLUSTER.json
-
-# Fail-over gate: checkpoint shipping must cost at most 15% steady-state
-# throughput, and a SIGKILL of node 0 mid-feed must recover through the
-# snapshot-restore path with zero lost or duplicated rows (all three arms
-# report identical match counts). Records overhead, recovery time to the
-# first post-fail-over row, and the replay window in BENCH_FAILOVER.json.
-bench-failover:
-	$(GO) run ./cmd/eslev bench -failover -events 40000 \
-		-max-overhead 15 -bench-json BENCH_FAILOVER.json
-
-# The stream-DB join probe sweep (legacy vs MVCC arms at 1k/30k/300k rows)
-# as a machine-readable artifact. The MVCC indexed probe must measure zero
-# allocations per op or the run fails.
-bench-db-json:
-	$(GO) run ./cmd/eslev bench -db -bench-json BENCH_DB.json
-
-# Regression gate for the stream-DB join hot path: re-run on HEAD and fail
-# if the MVCC arm's indexed-probe ns/op regresses more than 15% against the
-# recorded BENCH_DB.json baseline (or if the MVCC probe allocates). Only
-# the live arm is gated — the legacy arm is frozen comparison code whose
-# alloc-heavy probes swing with GC/machine state. The 300k-row tier is
-# recorded by bench-db-json but not gated: probes there are
-# DRAM-latency-bound and swing ±40% run-to-run on a 1-CPU box. The margin
-# is 25%, not the usual 15%: even min-of-3 probe passes drift ~15-18%
-# between capture sessions on a shared single-CPU box, and the regression
-# this gate exists to catch — a reintroduced lock, allocation, or index
-# walk — costs well over 25%.
-bench-db:
-	$(GO) run ./cmd/eslev bench -db -db-sizes 1000,30000 -db-probes 100000 \
-		-baseline BENCH_DB.json -max-regress 25
-
-# Speculation latency/overhead gate: FAST first-answer p99 latency must be
-# at most half of STRICT's watermark wait, and the retraction path must
-# cost at most 15% wall time over a clean-feed FAST run. Records the
-# measurement in BENCH_SPECULATION.json.
-bench-speculation:
-	$(GO) run ./cmd/eslev bench -speculation -events 30000 \
-		-spec-max-p99-ratio 0.5 -spec-max-overhead 15 \
-		-bench-json BENCH_SPECULATION.json
-
-# Perf-trajectory check: every recorded BENCH_*.json baseline re-validated
-# on HEAD in one run — sharded scaling (BENCH_SHARDED), vectorized
-# ingestion (BENCH_VECTORIZED), multi-query dispatch incl. the merged path
-# (BENCH_MULTIQUERY), durability overhead (BENCH_RECOVERY), cluster
-# scale-out (BENCH_CLUSTER), fail-over recovery (BENCH_FAILOVER), the
-# stream-DB join probe hot path (BENCH_DB), and the consistency-level
-# latency/retraction gates (BENCH_SPECULATION).
-perf-trajectory: bench-compare bench-vectorized-compare bench-multiquery-compare bench-recovery bench-cluster bench-failover bench-db bench-speculation
+# The end-to-end benchmark's own tests (metric list in sync with
+# BENCHMARK.json, generator determinism, the -selfcheck run). bench/ is a
+# nested module, so neither `vet` nor `test` above reaches it; GOPROXY=off
+# keeps the run offline.
+bench-test:
+	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...

@@ -131,16 +131,6 @@ func WithMaxTupleBytes(n int) Option { return esl.WithMaxTupleBytes(n) }
 // horizon.
 func WithExactDedup() Option { return esl.WithExactDedup() }
 
-// WithoutRouteIndex disables the shared multi-query routing index, forcing
-// every tuple through every query reading its stream (debugging escape
-// hatch; routing is on by default and semantics-preserving).
-func WithoutRouteIndex() Option { return esl.WithoutRouteIndex() }
-
-// WithoutPlanMerge disables multi-query plan merging, running every SEQ
-// query on its own automaton (debugging escape hatch; merging is on by
-// default and semantics-preserving).
-func WithoutPlanMerge() Option { return esl.WithoutPlanMerge() }
-
 // ---- durability & recovery ----------------------------------------------------
 //
 // Durable state has two layers: versioned snapshots of all mutable engine

@@ -10,7 +10,6 @@ package eslev
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -633,262 +632,6 @@ func BenchmarkUDAOverhead(b *testing.B) {
 				TERMINATE : { INSERT INTO RETURN SELECT hi FROM state; }
 			};`, `SELECT mymax(bp) FROM vitals`)
 	})
-}
-
-// ---- Sharded scaling: the partition-parallel engine ---------------------------
-
-// benchSharded replays a keyed workload through a ShardedEngine at a given
-// shard count. The container this repo is benchmarked in is single-core
-// (see EXPERIMENTS.md), so shard counts > 1 measure the coordination
-// overhead the architecture adds when no extra cores exist; on multi-core
-// hardware the same benchmark exhibits the scaling curve.
-func benchShardedEX6(b *testing.B, shards int) {
-	e := NewSharded(shards)
-	defer e.Close()
-	if _, err := e.Exec(`
-		CREATE STREAM C1(readerid, tagid, tagtime);
-		CREATE STREAM C2(readerid, tagid, tagtime);
-		CREATE STREAM C3(readerid, tagid, tagtime);
-		CREATE STREAM C4(readerid, tagid, tagtime);`); err != nil {
-		b.Fatal(err)
-	}
-	var n int64
-	if _, err := e.RegisterQuery("bench", `
-		SELECT C1.tagid, C1.tagtime, C2.tagtime, C3.tagtime, C4.tagtime
-		FROM C1, C2, C3, C4
-		WHERE SEQ(C1, C2, C3, C4)
-		OVER [30 MINUTES PRECEDING C4] MODE CHRONICLE
-		AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid AND C1.tagid=C4.tagid`,
-		func(esl.Row) { atomic.AddInt64(&n, 1) }); err != nil {
-		b.Fatal(err)
-	}
-	trace, _ := rfid.QualityLine(rfid.QualityConfig{Items: 2000, DropRate: 0.1, Seed: 4})
-	f := newFeeder(trace)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, at := f.next()
-		if err := e.Push(r.Stream, at, stream.Str(r.ReaderID), stream.Str(r.TagID), stream.Null); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := e.Drain(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(atomic.LoadInt64(&n))/float64(b.N), "events/op")
-}
-
-// benchShardedContainment runs a multi-line variant of the Figure 1
-// containment query: 8 packing lines keyed by lineid, each staging cases of
-// three products. Intra-line product gaps stay under the 1-second chain
-// bound, so every case yields a containment event.
-func benchShardedContainment(b *testing.B, shards int) {
-	const lines = 8
-	e := NewSharded(shards)
-	defer e.Close()
-	if _, err := e.Exec(`
-		CREATE STREAM R1(lineid, tagid, tagtime);
-		CREATE STREAM R2(lineid, tagid, tagtime);`); err != nil {
-		b.Fatal(err)
-	}
-	var n int64
-	if _, err := e.RegisterQuery("bench", `
-		SELECT R2.lineid, COUNT(R1*), R2.tagid, R2.tagtime
-		FROM R1, R2
-		WHERE SEQ(R1*, R2) MODE CHRONICLE
-		AND R1.lineid = R2.lineid
-		AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-		AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS`,
-		func(esl.Row) { atomic.AddInt64(&n, 1) }); err != nil {
-		b.Fatal(err)
-	}
-	lineNames := make([]string, lines)
-	for l := range lineNames {
-		lineNames[l] = fmt.Sprintf("L%d", l)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		line := lineNames[i%lines]
-		pos := (i / lines) % 4 // three products then the case read
-		at := stream.TS(time.Duration(i) * 100 * time.Millisecond)
-		var err error
-		if pos < 3 {
-			err = e.Push("R1", at, stream.Str(line), stream.Str(fmt.Sprintf("p%d", i)), stream.Time(at))
-		} else {
-			err = e.Push("R2", at, stream.Str(line), stream.Str(fmt.Sprintf("case%d", i)), stream.Time(at))
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := e.Drain(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(atomic.LoadInt64(&n))/float64(b.N), "events/op")
-}
-
-func BenchmarkShardedScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("EX6/shards=%d", shards), func(b *testing.B) {
-			benchShardedEX6(b, shards)
-		})
-		b.Run(fmt.Sprintf("Containment/shards=%d", shards), func(b *testing.B) {
-			benchShardedContainment(b, shards)
-		})
-	}
-}
-
-// BenchmarkShardedBatchIngest measures the batched ingestion path head to
-// head against per-tuple pushes on the same keyed EX6 workload.
-func BenchmarkShardedBatchIngest(b *testing.B) {
-	for _, batch := range []int{1, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			e := NewSharded(2)
-			defer e.Close()
-			if _, err := e.Exec(`
-				CREATE STREAM C1(readerid, tagid, tagtime);
-				CREATE STREAM C2(readerid, tagid, tagtime);
-				CREATE STREAM C3(readerid, tagid, tagtime);
-				CREATE STREAM C4(readerid, tagid, tagtime);`); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.RegisterQuery("bench", `
-				SELECT C1.tagid FROM C1, C2, C3, C4
-				WHERE SEQ(C1, C2, C3, C4)
-				AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid AND C1.tagid=C4.tagid`,
-				func(esl.Row) {}); err != nil {
-				b.Fatal(err)
-			}
-			e.SetBatchSize(batch)
-			trace, _ := rfid.QualityLine(rfid.QualityConfig{Items: 2000, DropRate: 0.1, Seed: 4})
-			f := newFeeder(trace)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, at := f.next()
-				if err := e.Push(r.Stream, at, stream.Str(r.ReaderID), stream.Str(r.TagID), stream.Null); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := e.Drain(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// ---- multi-query fan-out: the shared routing index ---------------------------
-
-// BenchmarkMultiQueryFanout registers N keyed SEQ queries, each pinned to
-// its own reader id, and drives a feed whose reader ids cycle so every
-// tuple is relevant to exactly one query. With the routing index on,
-// per-tuple work stays near-flat as N grows; with it off (scan-all
-// dispatch), work grows linearly with N. `eslev bench -multiquery` runs
-// the same sweep as a wall-clock artifact (BENCH_MULTIQUERY.json).
-func BenchmarkMultiQueryFanout(b *testing.B) {
-	for _, nQueries := range []int{1, 4, 16, 64, 256} {
-		for _, route := range []bool{true, false} {
-			b.Run(fmt.Sprintf("queries=%d/route=%v", nQueries, route), func(b *testing.B) {
-				var opts []esl.Option
-				if !route {
-					opts = append(opts, esl.WithoutRouteIndex())
-				}
-				e := esl.New(opts...)
-				if _, err := e.Exec(`
-					CREATE STREAM C1(readerid, tagid, tagtime);
-					CREATE STREAM C2(readerid, tagid, tagtime);`); err != nil {
-					b.Fatal(err)
-				}
-				matches := 0
-				for qi := 0; qi < nQueries; qi++ {
-					reader := fmt.Sprintf("R%d", qi)
-					sql := fmt.Sprintf(`
-						SELECT C2.tagid, C2.tagtime FROM C1, C2
-						WHERE SEQ(C1, C2) OVER [1 SECONDS PRECEDING C2]
-						AND C1.readerid = '%s' AND C2.readerid = '%s'
-						AND C1.tagid = C2.tagid`, reader, reader)
-					if _, err := e.RegisterQuery(fmt.Sprintf("q%03d", qi), sql,
-						func(esl.Row) { matches++ }); err != nil {
-						b.Fatal(err)
-					}
-				}
-				const tags = 16
-				schemas := map[string]*stream.Schema{}
-				for _, s := range []string{"C1", "C2"} {
-					schemas[s], _ = e.StreamSchema(s)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pair := i / 2
-					name := "C1"
-					if i%2 == 1 {
-						name = "C2"
-					}
-					at := stream.TS(time.Duration(i+1) * 10 * time.Millisecond)
-					if err := e.Push(name, at,
-						stream.Str(fmt.Sprintf("R%d", pair%nQueries)),
-						stream.Str(fmt.Sprintf("t%d", pair%tags)),
-						stream.Null); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(matches)/float64(b.N), "events/op")
-			})
-		}
-	}
-}
-
-// ---- vectorized execution ---------------------------------------------------
-
-// BenchmarkFusedFilterProject measures the fused WHERE+projection kernel on
-// a stateless stream-to-stream query: tuple-at-a-time versus batch sizes
-// that let the kernel amortize the environment and output arena. Run with
-// -benchmem; the batch path's allocs/op is the headline number.
-func BenchmarkFusedFilterProject(b *testing.B) {
-	setup := func(b *testing.B) (*esl.Engine, *stream.Schema) {
-		e := mustEngine(b, `
-			CREATE STREAM readings(reader_id, tag_id, read_time);
-			INSERT INTO hot SELECT tag_id, reader_id FROM readings WHERE tag_id LIKE 'a%';`)
-		matched := 0
-		if err := e.Subscribe("hot", func(*stream.Tuple) { matched++ }); err != nil {
-			b.Fatal(err)
-		}
-		schema, _ := e.StreamSchema("readings")
-		return e, schema
-	}
-	tags := [...]stream.Value{stream.Str("a1"), stream.Str("b2"), stream.Str("a3"), stream.Str("c4")}
-
-	b.Run("tuple", func(b *testing.B) {
-		e, _ := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := e.Push("readings", stream.Timestamp(i+1), stream.Str("r1"), tags[i%len(tags)], stream.Null); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, batch := range []int{32, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			e, schema := setup(b)
-			buf := make([]stream.Item, 0, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tp, err := stream.NewTuple(schema, stream.Timestamp(i+1), stream.Str("r1"), tags[i%len(tags)], stream.Null)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = append(buf, stream.Of(tp))
-				if len(buf) == batch {
-					if err := e.PushBatch(buf); err != nil {
-						b.Fatal(err)
-					}
-					buf = buf[:0]
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSerialBatchIngest drives the EX6 keyed SEQ workload through the

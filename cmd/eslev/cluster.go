@@ -1,16 +1,14 @@
 package main
 
 // Cluster subcommands: `eslev node` hosts one engine node, `eslev feed`
-// runs a script over a node set, `eslev cluster-soak` certifies row-for-row
-// equivalence between a multi-process cluster and the serial engine, and
-// `eslev bench -cluster` measures the scale-out headline (see runBenchCluster).
-// Soak and bench spawn their node tier as real child processes of this
-// binary, so the TCP data plane is exercised across process boundaries, not
-// just goroutines.
+// runs a script over a node set, and `eslev cluster-soak` certifies
+// row-for-row equivalence between a multi-process cluster and the serial
+// engine, optionally SIGKILLing nodes mid-feed. The soak spawns its node
+// tier as real child processes of this binary, so the TCP data plane is
+// exercised across process boundaries, not just goroutines.
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,12 +16,10 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	eslev "repro"
@@ -93,6 +89,10 @@ func cmdFeed(args []string) error {
 	if *nodeList == "" || fs.NArg() < 1 {
 		return errors.New("usage: eslev feed -nodes host:port,host:port script.esl [stream=file.csv ...]")
 	}
+	feeds, err := parseFeeds(fs.Args()[1:])
+	if err != nil {
+		return err
+	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
@@ -108,14 +108,6 @@ func cmdFeed(args []string) error {
 	e := clusterEngine{c: client}
 	if _, err := e.Exec(string(src)); err != nil {
 		return err
-	}
-	var feeds []csvFeed
-	for _, f := range fs.Args()[1:] {
-		parts := strings.SplitN(f, "=", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("feed %q must be stream=file.csv", f)
-		}
-		feeds = append(feeds, csvFeed{stream: parts[0], file: parts[1]})
 	}
 	for _, name := range []string{"out", "out_alerts", "out_events", "out_rows"} {
 		_ = e.Subscribe(name, func(t *eslev.Tuple) { fmt.Println(t) })
@@ -272,16 +264,6 @@ func (f *nodeFleet) stop() error {
 	return firstErr
 }
 
-// spawnNodes launches n node child processes and returns their announced
-// addresses, for callers that never crash anything.
-func spawnNodes(n, shards int) ([]string, func() error, error) {
-	f, err := spawnFleet(n, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.addrs(), f.stop, nil
-}
-
 // ---- eslev cluster-soak -----------------------------------------------------
 
 // soakSink collects output fingerprints; callbacks arrive serialized by the
@@ -370,6 +352,77 @@ func soakRegister(exec func(string) error, register func(name, sql string, onRow
 		return err
 	}
 	return subscribe("C2", sink.tup("c2"))
+}
+
+// soakKillPlan schedules crash injection for the cluster soak: victim k is
+// killed after (k+1)*every feed events, with per-origin checkpoints every
+// ckpt accepted batches so the feed can re-home the victim's origins.
+// every==0 with ckpt>0 runs checkpoints without kills (overhead soak).
+type soakKillPlan struct {
+	every   int
+	victims []int
+	ckpt    int
+}
+
+func (p soakKillPlan) active() bool { return p.every > 0 && len(p.victims) > 0 }
+
+// parseSoakKillPlan builds the plan from the cluster-soak flags. The ckpt
+// cadence defaults to 8 batches when kills are requested: fail-over needs
+// checkpoints, and 8 keeps the replay window a few thousand events.
+func parseSoakKillPlan(killEvery int, killNodes string, ckptEvery int) (soakKillPlan, error) {
+	plan := soakKillPlan{ckpt: ckptEvery}
+	if killEvery <= 0 {
+		return plan, nil
+	}
+	victims, err := parseKillList("-kill-nodes", killNodes)
+	if err != nil {
+		return plan, err
+	}
+	plan.every, plan.victims = killEvery, victims
+	if plan.ckpt == 0 {
+		plan.ckpt = 8
+	}
+	return plan, nil
+}
+
+// validate rejects schedules that cannot certify anything: a victim outside
+// the smallest cluster, a repeated victim, a matrix that kills every node
+// (no survivor to adopt the origins), or a kill past the end of the feed.
+func (p soakKillPlan) validate(minNodes, events int) error {
+	if !p.active() {
+		return nil
+	}
+	seen := make(map[int]bool)
+	for _, v := range p.victims {
+		if v >= minNodes {
+			return fmt.Errorf("kill victim %d out of range for a %d-node cluster", v, minNodes)
+		}
+		if seen[v] {
+			return fmt.Errorf("kill victim %d listed twice", v)
+		}
+		seen[v] = true
+	}
+	if len(p.victims) >= minNodes {
+		return fmt.Errorf("killing %d of %d nodes leaves no survivor", len(p.victims), minNodes)
+	}
+	if last := p.every * len(p.victims); last >= events {
+		return fmt.Errorf("last kill at event %d is past the %d-event feed", last, events)
+	}
+	return nil
+}
+
+// parseKillList parses -kill-nodes: like parseIntList, but node 0 is a
+// legal (and important) victim — it anchors the exact-clock placement.
+func parseKillList(flagName, s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("bad %s entry %q", flagName, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // runClusterSoak replays one seeded workload on the serial engine and on
@@ -563,376 +616,4 @@ func parseIntList(flagName, s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// ---- eslev bench -cluster ---------------------------------------------------
-
-// The cluster bench measures the scale-out headline on the keyed fan-out
-// workload: Q reader-local SEQ queries (C1.readerid='Rq' AND
-// C2.readerid='Rq' AND C1.tagid=C2.tagid). Single-process, per-event cost
-// grows with the total registered query count; in the cluster every query
-// homes to one node, so each node carries ~Q/N queries and the aggregate
-// cost drops even though every byte crosses a real TCP connection. The
-// 1-node cluster isolates the wire tax: same query load as single-process,
-// plus the full encode/ship/decode/merge path.
-type clusterBenchResult struct {
-	Arm          string  `json:"arm"`
-	Nodes        int     `json:"nodes"`
-	Queries      int     `json:"queries"`
-	Events       int     `json:"events"`
-	Matches      int64   `json:"matches"`
-	WallMs       float64 `json:"wall_ms"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-type clusterBenchReport struct {
-	CPUs               int                  `json:"cpus"`
-	GoMaxProcs         int                  `json:"gomaxprocs"`
-	Queries            int                  `json:"queries"`
-	Events             int                  `json:"events"`
-	Reps               int                  `json:"reps_per_arm"`
-	Results            []clusterBenchResult `json:"results"`
-	BestSingle         string               `json:"best_single_arm"`
-	BestSingleNsPerEv  float64              `json:"best_single_ns_per_event"`
-	SpeedupAtMaxNodes  float64              `json:"speedup_at_max_nodes"`
-	WireOverheadPct    float64              `json:"wire_overhead_pct_at_1_node"`
-	MinSpeedupGate     float64              `json:"min_speedup_gate"`
-	MaxWireOverheadPct float64              `json:"max_wire_overhead_gate_pct"`
-}
-
-// clusterBenchFeed pre-builds the keyed fan-out event list: C1/C2 pairs per
-// query reader, tags cycling, strictly increasing timestamps.
-type clusterFeedEvent struct {
-	stream string
-	reader string
-	tag    string
-	at     eslev.Timestamp
-}
-
-func clusterBenchFeed(queries, events int) []clusterFeedEvent {
-	const tags = 16
-	out := make([]clusterFeedEvent, 0, events)
-	for i := 0; i < events; i++ {
-		pair := i / 2
-		name := "C1"
-		if i%2 == 1 {
-			name = "C2"
-		}
-		out = append(out, clusterFeedEvent{
-			stream: name,
-			reader: fmt.Sprintf("R%d", pair%queries),
-			tag:    fmt.Sprintf("t%d", pair%tags),
-			at:     eslev.TS(time.Duration(i+1) * 10 * time.Millisecond),
-		})
-	}
-	return out
-}
-
-const clusterBenchSQL = `
-	SELECT C2.tagid, C2.tagtime FROM C1, C2
-	WHERE SEQ(C1, C2) OVER [1 SECONDS PRECEDING C2]
-	AND C1.readerid='%[1]s' AND C2.readerid='%[1]s'
-	AND C1.tagid=C2.tagid`
-
-// benchClusterSingle times the workload on one in-process engine (serial
-// for shards=1, sharded otherwise).
-func benchClusterSingle(shards, queries int, feed []clusterFeedEvent) (clusterBenchResult, error) {
-	arm := "serial"
-	if shards > 1 {
-		arm = fmt.Sprintf("shards-%d", shards)
-	}
-	var matches int64
-	onRow := func(eslev.Row) { matches++ }
-	var e engineLike
-	finish := func() error { return nil }
-	if shards > 1 {
-		se := eslev.NewSharded(shards)
-		finish, e = se.Close, se
-	} else {
-		en := eslev.New()
-		finish, e = en.Drain, en
-	}
-	if _, err := e.Exec(`
-		CREATE STREAM C1(readerid, tagid, tagtime);
-		CREATE STREAM C2(readerid, tagid, tagtime);`); err != nil {
-		return clusterBenchResult{}, err
-	}
-	reg := e.(interface {
-		RegisterQuery(name, sql string, onRow func(eslev.Row)) (*eslev.Query, error)
-	})
-	for qi := 0; qi < queries; qi++ {
-		rd := fmt.Sprintf("R%d", qi)
-		if _, err := reg.RegisterQuery(fmt.Sprintf("q%04d", qi),
-			fmt.Sprintf(clusterBenchSQL, rd), onRow); err != nil {
-			return clusterBenchResult{}, err
-		}
-	}
-	// Pre-build the item runs and feed through PushBatch, mirroring how the
-	// cluster feed batches over the wire — the single-process arms get the
-	// same amortization the cluster gets, keeping the comparison honest.
-	schemas := map[string]*eslev.Schema{}
-	for _, s := range []string{"C1", "C2"} {
-		schemas[s], _ = e.StreamSchema(s)
-	}
-	items := make([]eslev.Item, 0, len(feed))
-	for _, ev := range feed {
-		tu, err := eslev.NewTuple(schemas[ev.stream], ev.at,
-			eslev.Str(ev.reader), eslev.Str(ev.tag), eslev.Null)
-		if err != nil {
-			return clusterBenchResult{}, err
-		}
-		items = append(items, eslev.Of(tu))
-	}
-	push := e.(interface{ PushBatch([]eslev.Item) error })
-	start := time.Now()
-	for off := 0; off < len(items); off += cluster.DefaultBatchSize {
-		hi := off + cluster.DefaultBatchSize
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := push.PushBatch(items[off:hi]); err != nil {
-			return clusterBenchResult{}, err
-		}
-	}
-	if err := finish(); err != nil {
-		return clusterBenchResult{}, err
-	}
-	wall := time.Since(start)
-	return clusterBenchResult{
-		Arm: arm, Nodes: 0, Queries: queries, Events: len(feed), Matches: matches,
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		NsPerEvent:   float64(wall) / float64(len(feed)),
-		EventsPerSec: float64(len(feed)) / wall.Seconds(),
-	}, nil
-}
-
-// benchClusterArm times the workload across n spawned node processes.
-func benchClusterArm(n, shards, queries, batch int, feed []clusterFeedEvent) (clusterBenchResult, error) {
-	addrs, stopNodes, err := spawnNodes(n, shards)
-	if err != nil {
-		return clusterBenchResult{}, err
-	}
-	fail := func(err error) (clusterBenchResult, error) {
-		stopNodes()
-		return clusterBenchResult{}, err
-	}
-	client, err := cluster.Dial(cluster.Config{Nodes: addrs, BatchSize: batch})
-	if err != nil {
-		return fail(err)
-	}
-	if _, err := client.Exec(`
-		CREATE STREAM C1(readerid, tagid, tagtime);
-		CREATE STREAM C2(readerid, tagid, tagtime);`); err != nil {
-		client.Close()
-		return fail(err)
-	}
-	var matches int64
-	onRow := func(eslev.Row) { atomic.AddInt64(&matches, 1) }
-	for qi := 0; qi < queries; qi++ {
-		rd := fmt.Sprintf("R%d", qi)
-		if _, err := client.RegisterQuery(fmt.Sprintf("q%04d", qi),
-			fmt.Sprintf(clusterBenchSQL, rd), onRow); err != nil {
-			client.Close()
-			return fail(err)
-		}
-	}
-	if err := client.Seal(); err != nil { // registration RTTs happen off the clock
-		client.Close()
-		return fail(err)
-	}
-	// Pre-build the item runs off the clock, exactly as the single-process
-	// arms do: the timed region measures routing + wire + remote execution,
-	// not input materialization, on both sides of the comparison.
-	schemas := map[string]*eslev.Schema{}
-	for _, s := range []string{"C1", "C2"} {
-		schemas[s], _ = client.StreamSchema(s)
-	}
-	items := make([]eslev.Item, 0, len(feed))
-	for _, ev := range feed {
-		tu, err := eslev.NewTuple(schemas[ev.stream], ev.at,
-			eslev.Str(ev.reader), eslev.Str(ev.tag), eslev.Null)
-		if err != nil {
-			client.Close()
-			return fail(err)
-		}
-		items = append(items, eslev.Of(tu))
-	}
-	start := time.Now()
-	for off := 0; off < len(items); off += cluster.DefaultBatchSize {
-		hi := off + cluster.DefaultBatchSize
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := client.PushBatch(items[off:hi]); err != nil {
-			client.Close()
-			return fail(err)
-		}
-	}
-	if err := client.Drain(); err != nil {
-		client.Close()
-		return fail(err)
-	}
-	wall := time.Since(start)
-	if err := client.Close(); err != nil {
-		return fail(err)
-	}
-	if err := stopNodes(); err != nil {
-		return clusterBenchResult{}, err
-	}
-	return clusterBenchResult{
-		Arm: fmt.Sprintf("cluster-%d", n), Nodes: n, Queries: queries, Events: len(feed),
-		Matches:      atomic.LoadInt64(&matches),
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		NsPerEvent:   float64(wall) / float64(len(feed)),
-		EventsPerSec: float64(len(feed)) / wall.Seconds(),
-	}, nil
-}
-
-// runBenchCluster sweeps single-process configurations and loopback cluster
-// sizes over the keyed fan-out workload, writes BENCH_CLUSTER-style JSON,
-// and gates the two scale-out promises: aggregate speedup at the largest
-// node count vs the best single-process arm, and wire overhead at 1 node.
-func runBenchCluster(queries, events, batch, reps int, nodeList string, jsonPath string,
-	minSpeedup, maxWireOverhead float64) error {
-	nodeCounts, err := parseIntList("-cluster-nodes", nodeList)
-	if err != nil {
-		return err
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	feed := clusterBenchFeed(queries, events)
-	report := clusterBenchReport{
-		CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		Queries: queries, Events: events, Reps: reps,
-		MinSpeedupGate: minSpeedup, MaxWireOverheadPct: maxWireOverhead,
-	}
-	fmt.Printf("cpus=%d gomaxprocs=%d queries=%d events=%d\n",
-		report.CPUs, report.GoMaxProcs, queries, events)
-
-	// Fixed warm-up: one untimed reduced pass per arm shape before anything
-	// is measured (JIT-free runtime, but page cache, connection setup, and
-	// allocator arenas all settle here).
-	warmFeed := clusterBenchFeed(queries, benchWarmupEvents(events))
-	if _, err := benchClusterSingle(1, queries, warmFeed); err != nil {
-		return err
-	}
-	if _, err := benchClusterArm(1, 1, queries, batch, warmFeed); err != nil {
-		return err
-	}
-
-	var expect int64 = -1
-	record := func(res clusterBenchResult) error {
-		report.Results = append(report.Results, res)
-		fmt.Printf("%-10s  %9.1f ms  %8.0f ns/event  %10.0f events/s  matches=%d\n",
-			res.Arm, res.WallMs, res.NsPerEvent, res.EventsPerSec, res.Matches)
-		if expect == -1 {
-			expect = res.Matches
-		} else if res.Matches != expect {
-			return fmt.Errorf("%s found %d matches, expected %d: cluster output diverged",
-				res.Arm, res.Matches, expect)
-		}
-		return nil
-	}
-
-	// Each arm runs reps times and reports its best pass: on a small shared
-	// machine, GC phase and scheduler luck swing any single pass by 2x, and
-	// the minimum is the standard estimator of an arm's intrinsic cost.
-	bestOf := func(run func() (clusterBenchResult, error)) (clusterBenchResult, error) {
-		var best clusterBenchResult
-		for r := 0; r < reps; r++ {
-			res, err := run()
-			if err != nil {
-				return clusterBenchResult{}, err
-			}
-			if best.Arm == "" || res.NsPerEvent < best.NsPerEvent {
-				best = res
-			}
-		}
-		return best, nil
-	}
-
-	best := clusterBenchResult{}
-	for _, shards := range []int{1, 2} {
-		shards := shards
-		res, err := bestOf(func() (clusterBenchResult, error) {
-			return benchClusterSingle(shards, queries, feed)
-		})
-		if err != nil {
-			return err
-		}
-		if err := record(res); err != nil {
-			return err
-		}
-		if best.Arm == "" || res.NsPerEvent < best.NsPerEvent {
-			best = res
-		}
-	}
-	report.BestSingle, report.BestSingleNsPerEv = best.Arm, best.NsPerEvent
-
-	var at1, atMax clusterBenchResult
-	for _, n := range nodeCounts {
-		n := n
-		res, err := bestOf(func() (clusterBenchResult, error) {
-			return benchClusterArm(n, 1, queries, batch, feed)
-		})
-		if err != nil {
-			return err
-		}
-		if err := record(res); err != nil {
-			return err
-		}
-		if n == 1 {
-			at1 = res
-		}
-		atMax = res
-	}
-
-	if at1.Arm != "" {
-		report.WireOverheadPct = (at1.NsPerEvent - best.NsPerEvent) / best.NsPerEvent * 100
-		fmt.Printf("wire overhead at 1 node vs %s: %+.1f%%\n", best.Arm, report.WireOverheadPct)
-	}
-	if atMax.Arm != "" && atMax.Nodes > 1 {
-		report.SpeedupAtMaxNodes = best.NsPerEvent / atMax.NsPerEvent
-		fmt.Printf("aggregate speedup at %d nodes vs %s: %.2fx\n",
-			atMax.Nodes, best.Arm, report.SpeedupAtMaxNodes)
-	}
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "eslev: wrote %s\n", jsonPath)
-	}
-	var gates []string
-	if minSpeedup > 0 && atMax.Nodes > 1 && report.SpeedupAtMaxNodes < minSpeedup {
-		gates = append(gates, fmt.Sprintf("speedup at %d nodes is %.2fx, need >= %.2fx",
-			atMax.Nodes, report.SpeedupAtMaxNodes, minSpeedup))
-	}
-	if maxWireOverhead > 0 && at1.Arm != "" && report.WireOverheadPct > maxWireOverhead {
-		gates = append(gates, fmt.Sprintf("wire overhead at 1 node is %.1f%%, limit %.1f%%",
-			report.WireOverheadPct, maxWireOverhead))
-	}
-	if len(gates) > 0 {
-		return fmt.Errorf("cluster bench gate failed:\n  %s", strings.Join(gates, "\n  "))
-	}
-	return nil
-}
-
-// benchWarmupEvents is the fixed untimed warm-up size: enough to touch every
-// code path and settle the allocator, small enough to stay cheap.
-func benchWarmupEvents(events int) int {
-	w := events / 5
-	if w > 10_000 {
-		w = 10_000
-	}
-	if w < 100 {
-		w = 100
-	}
-	return w
 }

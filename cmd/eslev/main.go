@@ -6,7 +6,7 @@
 //
 //	eslev demo modes                 reproduce the §3.1.1 walkthrough
 //	eslev demo examples              run paper examples 1-8 on simulated data
-//	eslev run [-shards N] [-stats] [-slack d] [-no-route-index] [-checkpoint-dir d]
+//	eslev run [-shards N] [-stats] [-slack d] [-checkpoint-dir d]
 //	          [-checkpoint-every N] [-restore] [-cpuprofile f] [-memprofile f]
 //	          [-trace f] script.esl [s=f.csv]
 //	                                 execute a script, feeding stream s
@@ -24,36 +24,6 @@
 //	                                 the run ends (plus every N records with
 //	                                 -checkpoint-every); -restore recovers
 //	                                 state from that directory first
-//	eslev bench [-shards 1,2,4] [-batch 1,256] [-events N] [-bench-json out.json]
-//	            [-baseline old.json -max-regress 15] [-cpuprofile f] [-memprofile f] [-trace f]
-//	                                 run the sharded-scaling workloads and
-//	                                 report throughput (optionally as JSON);
-//	                                 with -baseline, fail on ns/event regression
-//	eslev bench -multiquery [-queries 1,4,16,64,256] [-events N] [-bench-json out.json]
-//	                                 sweep registered-query fan-out with the
-//	                                 routing index on and off
-//	eslev bench -recovery [-events N] [-checkpoint-every N] [-max-overhead pct]
-//	            [-bench-json out.json]
-//	                                 measure journaling overhead vs an undurable
-//	                                 baseline, snapshot size, checkpoint latency,
-//	                                 and restore latency; -max-overhead turns the
-//	                                 measurement into a regression gate
-//	eslev bench -failover [-failover-nodes 2] [-failover-ckpt N] [-events N]
-//	            [-max-overhead pct] [-bench-json out.json]
-//	                                 measure the cluster availability layer:
-//	                                 checkpoint overhead vs a checkpoint-free
-//	                                 cluster, then kill a node mid-feed and
-//	                                 report recovery time to the first
-//	                                 post-fail-over row; all arms must agree
-//	                                 on the output row count (exactly-once)
-//	eslev bench -speculation [-events N] [-spec-reps N] [-spec-max-p99-ratio r]
-//	            [-spec-max-overhead pct] [-bench-json out.json]
-//	                                 measure consistency-level first-answer
-//	                                 latency (STRICT/MIDDLE/FAST arms over the
-//	                                 same disordered feed) and the wall-time
-//	                                 overhead of the retraction path vs a
-//	                                 clean-feed FAST run; both gates fail the
-//	                                 run when exceeded
 //	eslev chaos [-events N] [-shards N] [-fanout N] [-slack d] [-disorder f] [-dup f]
 //	            [-corrupt f] [-oversize f] [-late f] [-panic-every N] [-policy P]
 //	            [-extended] [-kill-every N] [-checkpoint-every N] [-journal-dir d]
@@ -77,12 +47,12 @@
 // CSV files carry a header row naming the stream's columns; a column named
 // read_time/tagtime/ts holds the event time as a Go duration ("1.5s") or
 // integer nanoseconds. Rows must be in non-decreasing time order unless
-// -slack covers the recorded disorder.
+// -slack covers the recorded disorder. Flags precede the script: every
+// argument after it is a stream=file.csv feed.
 package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -97,7 +67,6 @@ import (
 
 	eslev "repro"
 	"repro/internal/chaos"
-	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
 )
@@ -114,7 +83,7 @@ func main() {
 		}
 		switch os.Args[2] {
 		case "modes":
-			err = demoModes()
+			err = demoModes(os.Stdout)
 		case "examples":
 			err = demoExamples()
 		default:
@@ -125,8 +94,6 @@ func main() {
 		shards := fs.Int("shards", 1, "run on the partition-parallel engine with this many shards")
 		stats := fs.Bool("stats", false, "print per-query stats (emitted, routed/skipped, runs, speculation gauges) after the run")
 		slack := fs.Duration("slack", 0, "reorder slack for the ingest boundary; enables out-of-order feeds and CONSISTENCY FAST/MIDDLE queries")
-		noRoute := fs.Bool("no-route-index", false, "disable the multi-query routing index (scan-all dispatch)")
-		noMerge := fs.Bool("no-merge", false, "disable multi-query plan merging (every SEQ query runs its own automaton)")
 		ckptDir := fs.String("checkpoint-dir", "", "journal directory: every pushed item is logged and a snapshot is cut when the run ends")
 		ckptEvery := fs.Int("checkpoint-every", 0, "also cut an automatic snapshot every N journaled records (requires -checkpoint-dir)")
 		restore := fs.Bool("restore", false, "recover state from -checkpoint-dir (snapshot + journal replay) before feeding")
@@ -139,64 +106,7 @@ func main() {
 		}
 		var stop func() error
 		if stop, err = prof.start(); err == nil {
-			err = runScript(*shards, *stats, *noRoute, *noMerge, *slack, *ckptDir, *ckptEvery, *restore, *query, *asOf, fs.Arg(0), fs.Args()[1:])
-			if serr := stop(); err == nil {
-				err = serr
-			}
-		}
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		shards := fs.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
-		batches := fs.String("batch", "", "comma-separated ingestion batch sizes to sweep (default: engine default)")
-		events := fs.Int("events", 50000, "tuples to push per configuration")
-		clusterBench := fs.Bool("cluster", false, "sweep multi-process loopback cluster sizes on the keyed fan-out workload instead of the shard workloads")
-		clusterNodes := fs.String("cluster-nodes", "1,2,4", "comma-separated node counts for -cluster")
-		clusterQueries := fs.Int("cluster-queries", 4096, "registered reader-local queries for -cluster")
-		clusterBatch := fs.Int("cluster-batch", 1024, "feed flush threshold for -cluster (0 = transport default)")
-		clusterReps := fs.Int("cluster-reps", 3, "timed passes per arm for -cluster; each arm reports its best pass")
-		minSpeedup := fs.Float64("min-speedup", 2, "fail -cluster if aggregate speedup at the largest node count is below this (0 = report only)")
-		maxWire := fs.Float64("max-wire-overhead", 15, "fail -cluster if 1-node wire overhead exceeds this percent (0 = report only)")
-		failover := fs.Bool("failover", false, "measure checkpoint overhead and kill-a-node recovery on the cluster data plane instead of the shard workloads")
-		failoverNodes := fs.Int("failover-nodes", 2, "cluster size for -failover (the kill must leave a survivor)")
-		failoverQueries := fs.Int("failover-queries", 256, "registered reader-local queries for -failover")
-		failoverCkpt := fs.Int("failover-ckpt", 8, "per-origin checkpoint cadence in accepted batches for -failover")
-		multiquery := fs.Bool("multiquery", false, "sweep registered-query fan-out with routing on/off instead of the shard workloads")
-		queries := fs.String("queries", "1,64,256,1024", "comma-separated query counts for -multiquery")
-		share := fs.String("share", "0,50,90", "comma-separated prefix-share percentages for -multiquery")
-		dbBench := fs.Bool("db", false, "measure stream-DB join probe latency and throughput (legacy vs MVCC arms) instead of the shard workloads")
-		dbSizes := fs.String("db-sizes", "1000,30000,300000", "comma-separated table sizes for -db")
-		dbProbes := fs.Int("db-probes", 200_000, "indexed probes per arm per size for -db")
-		speculation := fs.Bool("speculation", false, "measure consistency-level emission latency and retraction overhead (STRICT/MIDDLE/FAST arms) instead of the shard workloads")
-		specReps := fs.Int("spec-reps", 3, "timed passes per arm for -speculation; each arm reports its best pass")
-		specMaxP99 := fs.Float64("spec-max-p99-ratio", 0.5, "fail -speculation if FAST p99 emission latency exceeds this fraction of STRICT p99 (0 = report only)")
-		specMaxOverhead := fs.Float64("spec-max-overhead", 15, "fail -speculation if the retraction-path overhead exceeds this percent (0 = report only)")
-		recovery := fs.Bool("recovery", false, "measure checkpoint/journal overhead, snapshot size, and restore latency instead of the shard workloads")
-		ckptEvery := fs.Int("checkpoint-every", 50_000, "automatic snapshot cadence for -recovery, in journaled records")
-		maxOverhead := fs.Float64("max-overhead", 0, "fail -recovery if journaling overhead exceeds this percent (0 = report only)")
-		jsonPath := fs.String("bench-json", "", "write machine-readable results to this file")
-		baseline := fs.String("baseline", "", "bench-json file to compare against; regressions fail the run")
-		maxRegress := fs.Float64("max-regress", 15, "max ns/event regression vs -baseline, in percent")
-		prof := profileFlags(fs)
-		_ = fs.Parse(os.Args[2:])
-		var stop func() error
-		if stop, err = prof.start(); err == nil {
-			switch {
-			case *failover:
-				err = runBenchFailover(*failoverNodes, *failoverQueries, *events, *clusterBatch,
-					*failoverCkpt, *clusterReps, *jsonPath, *maxOverhead)
-			case *clusterBench:
-				err = runBenchCluster(*clusterQueries, *events, *clusterBatch, *clusterReps, *clusterNodes, *jsonPath, *minSpeedup, *maxWire)
-			case *dbBench:
-				err = runBenchDB(*dbSizes, *dbProbes, *jsonPath, *baseline, *maxRegress)
-			case *speculation:
-				err = runBenchSpeculation(*events, *specReps, *jsonPath, *specMaxP99, *specMaxOverhead)
-			case *recovery:
-				err = runBenchRecovery(*events, *ckptEvery, *jsonPath, *maxOverhead)
-			case *multiquery:
-				err = runBenchMultiQuery(*queries, *share, *events, *jsonPath, *baseline, *maxRegress)
-			default:
-				err = runBench(*shards, *batches, *events, *jsonPath, *baseline, *maxRegress)
-			}
+			err = runScript(*shards, *stats, *slack, *ckptDir, *ckptEvery, *restore, *query, *asOf, fs.Arg(0), fs.Args()[1:])
 			if serr := stop(); err == nil {
 				err = serr
 			}
@@ -274,7 +184,7 @@ func main() {
 		if len(os.Args) < 3 {
 			usage()
 		}
-		err = explainScript(os.Args[2])
+		err = explainScript(os.Stdout, os.Args[2])
 	default:
 		usage()
 	}
@@ -288,53 +198,19 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   eslev demo modes                 reproduce the paper's §3.1.1 walkthrough
   eslev demo examples              run the paper's examples on simulated data
-  eslev run [-shards N] [-stats] [-no-route-index] [-no-merge]
+  eslev run [-shards N] [-stats] [-slack d]
             [-checkpoint-dir d] [-checkpoint-every N] [-restore]
             [-query "SELECT ..."] [-as-of "LSN n" | -as-of "30 SECONDS"]
             [-cpuprofile f] [-memprofile f] [-trace f] script.esl [s=f.csv]
-                                   execute a script over CSV streams; -stats
-                                   prints per-query routed/skipped counters and
-                                   the plan-merging report; -no-merge gives every
-                                   SEQ query its own automaton; -checkpoint-dir
+                                   execute a script over CSV streams (flags
+                                   must precede the script); -stats prints
+                                   per-query routed/skipped counters and the
+                                   plan-merging report; -checkpoint-dir
                                    journals every pushed item and cuts durable
                                    snapshots; -restore first recovers state from
                                    that directory; -query runs an ad-hoc
                                    snapshot SELECT after the feed, optionally
                                    AS OF a checkpointed LSN or event time
-  eslev bench [-shards 1,2,4] [-batch 1,256] [-events N] [-bench-json out.json]
-              [-baseline old.json -max-regress 15] [-cpuprofile f] [-memprofile f] [-trace f]
-                                   sweep the sharded-scaling workloads;
-                                   with -baseline, fail on ns/event regression
-  eslev bench -multiquery [-queries 1,64,256,1024] [-share 0,50,90] [-events N]
-              [-bench-json out.json]
-                                   sweep query fan-out and prefix-share ratio:
-                                   merged vs independent plans, plus a scan-all
-                                   control below 1024 queries
-  eslev bench -db [-db-sizes 1000,30000,300000] [-db-probes N]
-              [-bench-json out.json] [-baseline old.json -max-regress 15]
-                                   measure stream-DB join probes, legacy
-                                   (RWMutex + copy) vs MVCC (pinned version +
-                                   reused buffer) arms; the MVCC indexed probe
-                                   must be allocation-free, and -baseline
-                                   fails the run on probe ns/op regressions
-  eslev bench -recovery [-events N] [-checkpoint-every N] [-max-overhead pct]
-              [-bench-json out.json]
-                                   measure journaling overhead, snapshot size,
-                                   and restore latency; -max-overhead fails the
-                                   run past the given percent
-  eslev bench -cluster [-cluster-nodes 1,2,4] [-cluster-queries 4096] [-events N]
-              [-bench-json out.json] [-min-speedup 2] [-max-wire-overhead 15]
-                                   spawn loopback node processes and measure
-                                   scale-out on the keyed fan-out workload:
-                                   aggregate speedup at the largest cluster vs
-                                   the best single-process arm, and the wire
-                                   tax of a 1-node cluster
-  eslev bench -failover [-failover-nodes 2] [-failover-ckpt N] [-events N]
-              [-max-overhead pct] [-bench-json out.json]
-                                   measure the availability layer: checkpoint
-                                   overhead vs a checkpoint-free cluster, and
-                                   recovery time from a node kill to the first
-                                   post-fail-over output row
   eslev node [-listen 127.0.0.1:0] [-shards N] [-credit B]
                                    host one engine node: announce the bound
                                    address as "LISTENING addr", serve one feed
@@ -462,15 +338,15 @@ func (p *profiler) stop() error {
 // demoModes replays the paper's worked example — the joint tuple history
 // [t1:C1, t2:C1, t3:C2, t4:C3, t5:C3, t6:C2, t7:C4] — through
 // SEQ(C1, C2, C3, C4) under each Tuple Pairing Mode.
-func demoModes() error {
+func demoModes(w io.Writer) error {
 	history := []struct {
 		at     int
 		stream string
 	}{
 		{1, "C1"}, {2, "C1"}, {3, "C2"}, {4, "C3"}, {5, "C3"}, {6, "C2"}, {7, "C4"},
 	}
-	fmt.Println("joint tuple history: [t1:C1, t2:C1, t3:C2, t4:C3, t5:C3, t6:C2, t7:C4]")
-	fmt.Println("operator: SEQ(C1, C2, C3, C4)")
+	fmt.Fprintln(w, "joint tuple history: [t1:C1, t2:C1, t3:C2, t4:C3, t5:C3, t6:C2, t7:C4]")
+	fmt.Fprintln(w, "operator: SEQ(C1, C2, C3, C4)")
 	for _, mode := range []eslev.PairingMode{eslev.Unrestricted, eslev.Recent, eslev.Chronicle, eslev.Consecutive} {
 		m, err := eslev.NewMatcher(eslev.PatternDef{
 			Steps: []eslev.PatternStep{{Alias: "C1"}, {Alias: "C2"}, {Alias: "C3"}, {Alias: "C4"}},
@@ -499,13 +375,13 @@ func demoModes() error {
 				events = append(events, "("+strings.Join(parts, ", ")+")")
 			}
 		}
-		fmt.Printf("\nMODE %s:\n", mode)
+		fmt.Fprintf(w, "\nMODE %s:\n", mode)
 		if len(events) == 0 {
-			fmt.Println("  (no sequence returned)")
+			fmt.Fprintln(w, "  (no sequence returned)")
 		}
 		sort.Strings(events)
 		for _, ev := range events {
-			fmt.Println("  " + ev)
+			fmt.Fprintln(w, "  "+ev)
 		}
 	}
 	return nil
@@ -644,27 +520,22 @@ func demoExamples() error {
 	return nil
 }
 
-// explainScript applies a script's DDL and prints the plan of each query.
-func explainScript(path string) error {
+// explainScript applies a script statement by statement, writing the plan
+// of each query before registering it.
+func explainScript(w io.Writer, path string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	// Split on semicolons at statement level by re-parsing statement by
-	// statement: apply DDL, explain queries.
 	e := eslev.New()
-	stmts, err := splitStatements(string(src))
-	if err != nil {
-		return err
-	}
-	for _, stmt := range stmts {
+	for _, stmt := range eslev.SplitStatements(string(src)) {
 		up := strings.ToUpper(strings.TrimSpace(stmt))
 		if strings.HasPrefix(up, "SELECT") || strings.HasPrefix(up, "INSERT") {
 			plan, err := e.Explain(stmt)
 			if err != nil {
 				return fmt.Errorf("explain %q: %v", firstLine(stmt), err)
 			}
-			fmt.Printf("-- %s\n%s\n\n", firstLine(stmt), plan)
+			fmt.Fprintf(w, "-- %s\n%s\n\n", firstLine(stmt), plan)
 			// Also register it so later queries see derived streams.
 			if _, err := e.Exec(stmt + ";"); err != nil {
 				return err
@@ -676,12 +547,6 @@ func explainScript(path string) error {
 		}
 	}
 	return nil
-}
-
-// splitStatements splits a script into statements, respecting quoted
-// strings and line comments (delegates to the engine's splitter).
-func splitStatements(src string) ([]string, error) {
-	return eslev.SplitStatements(src), nil
 }
 
 func firstLine(s string) string {
@@ -711,7 +576,11 @@ type engineLike interface {
 // checkpoint directory, every pushed item is journaled and a durable
 // snapshot is cut when the run ends; -restore recovers the previous run's
 // state (snapshot + journal suffix) before any CSV row is fed.
-func runScript(shards int, stats, noRoute, noMerge bool, slack time.Duration, ckptDir string, ckptEvery int, restore bool, query, asOf string, path string, feeds []string) error {
+func runScript(shards int, stats bool, slack time.Duration, ckptDir string, ckptEvery int, restore bool, query, asOf string, path string, args []string) error {
+	feeds, err := parseFeeds(args)
+	if err != nil {
+		return err
+	}
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -732,12 +601,6 @@ func runScript(shards int, stats, noRoute, noMerge bool, slack time.Duration, ck
 	if slack > 0 {
 		opts = append(opts, eslev.WithSlack(slack))
 	}
-	if noRoute {
-		opts = append(opts, eslev.WithoutRouteIndex())
-	}
-	if noMerge {
-		opts = append(opts, eslev.WithoutPlanMerge())
-	}
 	if ckptDir != "" {
 		opts = append(opts, eslev.WithJournal(ckptDir))
 		if ckptEvery > 0 {
@@ -756,14 +619,6 @@ func runScript(shards int, stats, noRoute, noMerge bool, slack time.Duration, ck
 	if _, err := e.Exec(string(src)); err != nil {
 		return err
 	}
-	var fs []csvFeed
-	for _, f := range feeds {
-		parts := strings.SplitN(f, "=", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("feed %q must be stream=file.csv", f)
-		}
-		fs = append(fs, csvFeed{stream: parts[0], file: parts[1]})
-	}
 	// Echo derived streams prefixed "out" so scripts have a place to send
 	// results: INSERT INTO out_alerts SELECT ...
 	for _, name := range []string{"out", "out_alerts", "out_events", "out_rows"} {
@@ -775,7 +630,7 @@ func runScript(shards int, stats, noRoute, noMerge bool, slack time.Duration, ck
 		}
 		fmt.Fprintf(os.Stderr, "eslev: restored state from %s\n", ckptDir)
 	}
-	rows, err := loadCSVs(e, fs, slack > 0)
+	rows, err := loadCSVs(e, feeds, slack > 0)
 	if err != nil {
 		return err
 	}
@@ -813,7 +668,7 @@ func runScript(shards int, stats, noRoute, noMerge bool, slack time.Duration, ck
 	if err := finish(); err != nil { // sharded: drain merged output first
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "eslev: processed %d tuples from %d streams\n", rows, len(fs))
+	fmt.Fprintf(os.Stderr, "eslev: processed %d tuples from %d streams\n", rows, len(feeds))
 	return nil
 }
 
@@ -883,6 +738,24 @@ func printQueryStats(e engineLike) {
 type csvFeed struct {
 	stream string
 	file   string
+}
+
+// parseFeeds reads the stream=file.csv arguments that follow a script. The
+// flag package stops at the script path, so a flag placed after it lands
+// here; it is rejected by name rather than reported as a malformed feed.
+func parseFeeds(args []string) ([]csvFeed, error) {
+	var feeds []csvFeed
+	for _, a := range args {
+		if strings.HasPrefix(a, "-") {
+			return nil, fmt.Errorf("%s after the script: flags must precede the script", a)
+		}
+		name, file, ok := strings.Cut(a, "=")
+		if !ok || name == "" || file == "" {
+			return nil, fmt.Errorf("feed %q must be stream=file.csv", a)
+		}
+		feeds = append(feeds, csvFeed{stream: name, file: file})
+	}
+	return feeds, nil
 }
 
 type csvRow struct {
@@ -995,664 +868,4 @@ func parseCSVValue(s string) eslev.Value {
 		return eslev.Bool(s == "true")
 	}
 	return eslev.Str(s)
-}
-
-// ---- bench: sharded-scaling sweep -------------------------------------------
-
-type benchResult struct {
-	Workload     string  `json:"workload"`
-	Shards       int     `json:"shards"`
-	Batch        int     `json:"batch,omitempty"`   // 0 = engine default
-	Queries      int     `json:"queries,omitempty"` // multiquery sweep only
-	SharePct     int     `json:"share_pct,omitempty"`
-	RouteIndex   bool    `json:"route_index,omitempty"`
-	Merged       bool    `json:"merged,omitempty"`
-	Events       int     `json:"events"`
-	Matches      int64   `json:"matches"`
-	WallMs       float64 `json:"wall_ms"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-type benchReport struct {
-	CPUs       int           `json:"cpus"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Results    []benchResult `json:"results"`
-}
-
-// runBench sweeps the two keyed workloads of EXPERIMENTS.md over the given
-// shard counts (and optionally ingestion batch sizes), printing and
-// optionally emitting throughput per configuration as JSON. Matches are
-// also reported so runs can be checked for output equivalence across
-// configurations. With baselinePath set, results are compared to a prior
-// bench-json capture and the run fails on ns/event regressions beyond
-// maxRegress percent.
-func runBench(shardList, batchList string, events int, jsonPath, baselinePath string, maxRegress float64) error {
-	parseInts := func(flag, s string) ([]int, error) {
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad %s entry %q", flag, part)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	counts, err := parseInts("-shards", shardList)
-	if err != nil {
-		return err
-	}
-	batches := []int{0} // engine default
-	if batchList != "" {
-		if batches, err = parseInts("-batch", batchList); err != nil {
-			return err
-		}
-	}
-	report := benchReport{CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	fmt.Printf("cpus=%d gomaxprocs=%d events=%d\n", report.CPUs, report.GoMaxProcs, events)
-	for _, workload := range []string{"ex6-seq", "containment"} {
-		// Fixed untimed warm-up per workload family before any timed run.
-		if _, err := benchWorkload(workload, counts[0], batches[0], benchWarmupEvents(events)); err != nil {
-			return err
-		}
-		for _, n := range counts {
-			for _, batch := range batches {
-				res, err := benchWorkload(workload, n, batch, events)
-				if err != nil {
-					return err
-				}
-				report.Results = append(report.Results, res)
-				label := ""
-				if batch > 0 {
-					label = fmt.Sprintf(" batch=%-4d", batch)
-				}
-				fmt.Printf("%-12s shards=%d%s  %9.1f ms  %10.0f events/s  matches=%d\n",
-					res.Workload, res.Shards, label, res.WallMs, res.EventsPerSec, res.Matches)
-			}
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "eslev: wrote %s\n", jsonPath)
-	}
-	if baselinePath != "" {
-		return compareBaseline(report, baselinePath, maxRegress)
-	}
-	return nil
-}
-
-// compareBaseline checks every result against the matching
-// (workload, shards) entry of a previous bench-json capture. Batch-swept
-// results only compare when the baseline recorded the same batch size.
-func compareBaseline(report benchReport, baselinePath string, maxRegress float64) error {
-	buf, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base benchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("%s: %v", baselinePath, err)
-	}
-	find := func(r benchResult) *benchResult {
-		for i := range base.Results {
-			b := &base.Results[i]
-			if b.Workload == r.Workload && b.Shards == r.Shards && b.Batch == r.Batch &&
-				b.Queries == r.Queries && b.SharePct == r.SharePct &&
-				b.RouteIndex == r.RouteIndex && b.Merged == r.Merged {
-				return b
-			}
-		}
-		return nil
-	}
-	var regressions []string
-	compared := 0
-	for _, r := range report.Results {
-		b := find(r)
-		if b == nil || b.NsPerEvent <= 0 {
-			continue
-		}
-		compared++
-		label := fmt.Sprintf("%s shards=%d", r.Workload, r.Shards)
-		if r.Queries > 0 {
-			label = fmt.Sprintf("%s queries=%d share=%d route=%v merged=%v",
-				r.Workload, r.Queries, r.SharePct, r.RouteIndex, r.Merged)
-		}
-		deltaPct := (r.NsPerEvent - b.NsPerEvent) / b.NsPerEvent * 100
-		verdict := "ok"
-		if deltaPct > maxRegress {
-			verdict = "REGRESSION"
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%%)",
-				label, b.NsPerEvent, r.NsPerEvent, deltaPct))
-		}
-		fmt.Printf("vs %s: %-32s  %8.0f -> %8.0f ns/event  %+6.1f%%  %s\n",
-			baselinePath, label, b.NsPerEvent, r.NsPerEvent, deltaPct, verdict)
-	}
-	if compared == 0 {
-		return fmt.Errorf("no comparable (workload, shards) entries in %s", baselinePath)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("ns/event regressed beyond %.0f%%:\n  %s", maxRegress, strings.Join(regressions, "\n  "))
-	}
-	return nil
-}
-
-func benchWorkload(name string, shards, batch, events int) (benchResult, error) {
-	e := eslev.NewSharded(shards)
-	defer e.Close()
-	if batch > 0 {
-		e.SetBatchSize(batch)
-	}
-	matches := int64(0)
-	onRow := func(eslev.Row) { matches++ } // combiner serializes callbacks
-	var push func(i int) error
-	switch name {
-	case "ex6-seq":
-		if _, err := e.Exec(`
-			CREATE STREAM C1(readerid, tagid, tagtime);
-			CREATE STREAM C2(readerid, tagid, tagtime);
-			CREATE STREAM C3(readerid, tagid, tagtime);
-			CREATE STREAM C4(readerid, tagid, tagtime);`); err != nil {
-			return benchResult{}, err
-		}
-		if _, err := e.RegisterQuery("bench", `
-			SELECT C1.tagid, C1.tagtime, C2.tagtime, C3.tagtime, C4.tagtime
-			FROM C1, C2, C3, C4
-			WHERE SEQ(C1, C2, C3, C4)
-			OVER [30 MINUTES PRECEDING C4] MODE CHRONICLE
-			AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid AND C1.tagid=C4.tagid`, onRow); err != nil {
-			return benchResult{}, err
-		}
-		trace, _ := eslev.QualityLine(eslev.QualityConfig{Items: 2000, DropRate: 0.1, Seed: 4})
-		readings := trace.Readings
-		last := readings[len(readings)-1].At
-		span := last + eslev.TS(time.Minute)
-		push = func(i int) error {
-			r := readings[i%len(readings)]
-			at := r.At + eslev.Timestamp(i/len(readings))*span
-			return e.Push(r.Stream, at, eslev.Str(r.ReaderID), eslev.Str(r.TagID), eslev.Null)
-		}
-	case "containment":
-		const lines = 8
-		if _, err := e.Exec(`
-			CREATE STREAM R1(lineid, tagid, tagtime);
-			CREATE STREAM R2(lineid, tagid, tagtime);`); err != nil {
-			return benchResult{}, err
-		}
-		if _, err := e.RegisterQuery("bench", `
-			SELECT R2.lineid, COUNT(R1*), R2.tagid, R2.tagtime
-			FROM R1, R2
-			WHERE SEQ(R1*, R2) MODE CHRONICLE
-			AND R1.lineid = R2.lineid
-			AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-			AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS`, onRow); err != nil {
-			return benchResult{}, err
-		}
-		push = func(i int) error {
-			line := fmt.Sprintf("L%d", i%lines)
-			at := eslev.TS(time.Duration(i) * 100 * time.Millisecond)
-			if (i/lines)%4 < 3 {
-				return e.Push("R1", at, eslev.Str(line), eslev.Str(fmt.Sprintf("p%d", i)), eslev.Time(at))
-			}
-			return e.Push("R2", at, eslev.Str(line), eslev.Str(fmt.Sprintf("case%d", i)), eslev.Time(at))
-		}
-	default:
-		return benchResult{}, fmt.Errorf("unknown workload %q", name)
-	}
-	start := time.Now()
-	for i := 0; i < events; i++ {
-		if err := push(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	if err := e.Drain(); err != nil {
-		return benchResult{}, err
-	}
-	wall := time.Since(start)
-	return benchResult{
-		Workload:     name,
-		Shards:       shards,
-		Batch:        batch,
-		Events:       events,
-		Matches:      matches,
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		NsPerEvent:   float64(wall) / float64(events),
-		EventsPerSec: float64(events) / wall.Seconds(),
-	}, nil
-}
-
-// ---- bench -multiquery: registered-query fan-out sweep ----------------------
-
-// multiQueryBatch is the ingestion batch size of the fan-out sweep; routing
-// gains show on both the per-tuple and batched paths, so one size suffices.
-const multiQueryBatch = 256
-
-// multiQueryReps is how many times each fan-out configuration is timed;
-// the best run is reported, which keeps the regression gate stable on
-// noisy single-core machines.
-const multiQueryReps = 3
-
-// runBenchMultiQuery sweeps registered-query fan-out crossed with the
-// prefix-share ratio: at share=S, S percent of the queries open with an
-// identical first SEQ step (same stream, predicate, key, and window) so the
-// planner folds them into one shared automaton. Each configuration runs
-// three arms over an identical pre-built feed — merged (default engine),
-// independent (plan merging off), and a scan-all control (routing index
-// off, skipped at >=1024 queries where it is pathological) — and the
-// merged-vs-independent throughput ratio is the headline number. Merged
-// and independent arms must report identical match counts; a mismatch
-// fails the run.
-func runBenchMultiQuery(queriesList, shareList string, events int, jsonPath, baselinePath string, maxRegress float64) error {
-	parseInts := func(flag, s string, min int) ([]int, error) {
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < min || n > 100 && flag == "-share" {
-				return nil, fmt.Errorf("bad %s entry %q", flag, part)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	counts, err := parseInts("-queries", queriesList, 1)
-	if err != nil {
-		return err
-	}
-	shares, err := parseInts("-share", shareList, 0)
-	if err != nil {
-		return err
-	}
-	report := benchReport{CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	fmt.Printf("cpus=%d gomaxprocs=%d events=%d batch=%d\n",
-		report.CPUs, report.GoMaxProcs, events, multiQueryBatch)
-	for _, n := range counts {
-		for _, share := range shares {
-			if share > 0 && n*share/100 == 0 {
-				continue // rounds to zero shared queries: identical to share=0
-			}
-			type armSpec struct {
-				name         string
-				route, merge bool
-			}
-			arms := []armSpec{{"merged", true, true}, {"independent", true, false}}
-			if n < 1024 {
-				arms = append(arms, armSpec{"scan-all", false, true})
-			}
-			// Fixed untimed warm-up per configuration before any timed arm.
-			if _, err := benchMultiQueryFanout(n, share, true, true, benchWarmupEvents(events)); err != nil {
-				return err
-			}
-			byName := map[string]benchResult{}
-			for _, a := range arms {
-				// Best of multiQueryReps runs: single runs of the small
-				// configurations finish in tens of milliseconds and jitter
-				// more than the regression-gate threshold.
-				var res benchResult
-				for rep := 0; rep < multiQueryReps; rep++ {
-					r, err := benchMultiQueryFanout(n, share, a.route, a.merge, events)
-					if err != nil {
-						return err
-					}
-					if rep == 0 || r.NsPerEvent < res.NsPerEvent {
-						res = r
-					}
-				}
-				report.Results = append(report.Results, res)
-				byName[a.name] = res
-				fmt.Printf("%-14s queries=%-4d share=%-2d route=%-5v merged=%-5v  %9.1f ms  %10.0f events/s  matches=%d\n",
-					res.Workload, res.Queries, res.SharePct, res.RouteIndex, res.Merged,
-					res.WallMs, res.EventsPerSec, res.Matches)
-			}
-			merged, indep := byName["merged"], byName["independent"]
-			if merged.Matches != indep.Matches {
-				return fmt.Errorf("queries=%d share=%d: merged arm found %d matches, independent %d",
-					n, share, merged.Matches, indep.Matches)
-			}
-			fmt.Printf("%-14s queries=%-4d share=%-2d merge speedup: %.2fx\n",
-				"", n, share, indep.NsPerEvent/merged.NsPerEvent)
-			if sa, ok := byName["scan-all"]; ok {
-				fmt.Printf("%-14s queries=%-4d share=%-2d route speedup: %.2fx\n",
-					"", n, share, sa.NsPerEvent/merged.NsPerEvent)
-			}
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "eslev: wrote %s\n", jsonPath)
-	}
-	if baselinePath != "" {
-		return compareBaseline(report, baselinePath, maxRegress)
-	}
-	return nil
-}
-
-// benchMultiQueryFanout times one fan-out configuration: nQueries keyed SEQ
-// queries over a feed whose reader ids cycle so every C2 tuple is relevant
-// to exactly one query. The first sharePct percent of the queries open with
-// the same first step — C1 at the shared 'DOCK' reader, keyed on tagid,
-// under the same window — so the planner merges them into one automaton
-// with per-query acceptance; the rest pin C1 to their own reader and stay
-// independent. The feed sends C1 through DOCK for pairs aimed at shared
-// queries, which is exactly the fan-out merging collapses: unmerged, every
-// shared query's matcher consumes each DOCK tuple; merged, one does. The
-// feed is built before the clock starts; only engine work is measured.
-func benchMultiQueryFanout(nQueries, sharePct int, route, merge bool, events int) (benchResult, error) {
-	nShared := nQueries * sharePct / 100
-	var opts []eslev.Option
-	if !route {
-		opts = append(opts, eslev.WithoutRouteIndex())
-	}
-	if !merge {
-		opts = append(opts, eslev.WithoutPlanMerge())
-	}
-	e := eslev.New(opts...)
-	if _, err := e.Exec(`
-		CREATE STREAM C1(readerid, tagid, tagtime);
-		CREATE STREAM C2(readerid, tagid, tagtime);`); err != nil {
-		return benchResult{}, err
-	}
-	var matches int64
-	onRow := func(eslev.Row) { matches++ }
-	for qi := 0; qi < nQueries; qi++ {
-		c1Reader := fmt.Sprintf("R%d", qi)
-		if qi < nShared {
-			c1Reader = "DOCK"
-		}
-		sql := fmt.Sprintf(`
-			SELECT C2.tagid, C2.tagtime FROM C1, C2
-			WHERE SEQ(C1, C2) OVER [1 SECONDS PRECEDING C2]
-			AND C1.readerid = '%s' AND C2.readerid = 'R%d'
-			AND C1.tagid = C2.tagid`, c1Reader, qi)
-		if _, err := e.RegisterQuery(fmt.Sprintf("q%04d", qi), sql, onRow); err != nil {
-			return benchResult{}, err
-		}
-	}
-	const tags = 16
-	schemas := map[string]*eslev.Schema{}
-	for _, s := range []string{"C1", "C2"} {
-		schemas[s], _ = e.StreamSchema(s)
-	}
-	items := make([]eslev.Item, 0, events)
-	for i := 0; i < events; i++ {
-		pair := i / 2
-		q := pair % nQueries
-		name := "C1"
-		reader := fmt.Sprintf("R%d", q)
-		if i%2 == 0 && q < nShared {
-			reader = "DOCK"
-		}
-		if i%2 == 1 {
-			name = "C2"
-		}
-		at := eslev.TS(time.Duration(i+1) * 10 * time.Millisecond)
-		tu, err := eslev.NewTuple(schemas[name], at,
-			eslev.Str(reader),
-			eslev.Str(fmt.Sprintf("t%d", pair%tags)),
-			eslev.Null)
-		if err != nil {
-			return benchResult{}, err
-		}
-		items = append(items, eslev.Of(tu))
-	}
-	start := time.Now()
-	for off := 0; off < len(items); off += multiQueryBatch {
-		hi := off + multiQueryBatch
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := e.PushBatch(items[off:hi]); err != nil {
-			return benchResult{}, err
-		}
-	}
-	wall := time.Since(start)
-	return benchResult{
-		Workload:     "multiquery-seq",
-		Shards:       1,
-		Batch:        multiQueryBatch,
-		Queries:      nQueries,
-		SharePct:     sharePct,
-		RouteIndex:   route,
-		Merged:       merge,
-		Events:       events,
-		Matches:      matches,
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		NsPerEvent:   float64(wall) / float64(events),
-		EventsPerSec: float64(events) / wall.Seconds(),
-	}, nil
-}
-
-// ---- bench -recovery: checkpoint/journal overhead ---------------------------
-
-// recoveryReport is the machine-readable result of `bench -recovery`:
-// journaling overhead on the hot path, the size of one full snapshot, and
-// the latency of cutting a checkpoint and of recovering from one.
-type recoveryReport struct {
-	CPUs                int     `json:"cpus"`
-	Events              int     `json:"events"`
-	CheckpointEvery     int     `json:"checkpoint_every"`
-	BaselineNsPerEvent  float64 `json:"baseline_ns_per_event"`
-	JournaledNsPerEvent float64 `json:"journaled_ns_per_event"`
-	OverheadPct         float64 `json:"overhead_pct"`
-	SnapshotBytes       int64   `json:"snapshot_bytes"`
-	CheckpointMs        float64 `json:"checkpoint_ms"`
-	RestoreMs           float64 `json:"restore_ms"`
-}
-
-// recoveryWorkload builds a serial engine running the representative
-// steady-state query mix the kill/recover chaos matrix certifies: stateless
-// filter, DISTINCT, time- and rows-windowed grouped aggregates, SEQ in all
-// four pairing modes, a star sequence, and EXCEPTION_SEQ timers. Both the
-// baseline and the journaled engine run with the fault-tolerant ingest
-// boundary, the configuration recovery is designed around, so the measured
-// delta isolates the durability cost.
-func recoveryWorkload(opts ...eslev.Option) (*eslev.Engine, error) {
-	e := eslev.New(append([]eslev.Option{
-		eslev.WithSlack(100 * time.Millisecond),
-		eslev.WithLateness(eslev.LateDeadLetter),
-	}, opts...)...)
-	if _, err := e.Exec(`CREATE STREAM A(tagid, n); CREATE STREAM B(tagid, n);`); err != nil {
-		return nil, err
-	}
-	for _, q := range []struct{ name, sql string }{
-		{"filter", `SELECT tagid, n FROM A WHERE n % 3 = 0`},
-		{"distinct", `SELECT DISTINCT tagid FROM A`},
-		{"aggtime", `SELECT tagid, COUNT(*), SUM(n), AVG(n) FROM B
-			OVER (RANGE 200 MILLISECONDS PRECEDING CURRENT) GROUP BY tagid`},
-		{"aggrows", `SELECT MIN(n), MAX(n) FROM A OVER (ROWS 5 PRECEDING)`},
-		{"seq", `SELECT A.tagid, B.n FROM A, B
-			WHERE SEQ(A, B) OVER [15 MILLISECONDS PRECEDING B] AND A.tagid = B.tagid`},
-		{"recent", `SELECT A.tagid, B.n FROM A, B
-			WHERE SEQ(A, B) OVER [300 MILLISECONDS PRECEDING B] MODE RECENT
-			AND A.tagid = B.tagid`},
-		{"chronicle", `SELECT A.tagid, B.n FROM A, B
-			WHERE SEQ(A, B) OVER [15 MILLISECONDS PRECEDING B] MODE CHRONICLE
-			AND B.n = A.n + 1`},
-		{"consecutive", `SELECT A.tagid, B.n FROM A, B
-			WHERE SEQ(A, B) OVER [300 MILLISECONDS PRECEDING B] MODE CONSECUTIVE
-			AND A.tagid = B.tagid`},
-		{"star", `SELECT COUNT(A*), B.tagid FROM A, B
-			WHERE SEQ(A*, B) MODE CHRONICLE AND B.n = A.n + 1`},
-		{"exc", `SELECT A.tagid FROM A, B
-			WHERE EXCEPTION_SEQ(A, B) OVER [25 MILLISECONDS FOLLOWING A]
-			AND B.n = A.n + 1`},
-	} {
-		if _, err := e.RegisterQuery(q.name, q.sql, func(eslev.Row) {}); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-// recoveryItems generates the feed: readings alternate streams A and B at a
-// 10ms cadence, each consecutive (A, B) pair sharing one of 64 tags so the
-// keyed SEQ queries pair them; every 11th B reading is withheld so
-// EXCEPTION_SEQ has real timers to fire.
-func recoveryItems(e *eslev.Engine, events int) ([]eslev.Item, error) {
-	sa, _ := e.StreamSchema("A")
-	sb, _ := e.StreamSchema("B")
-	items := make([]eslev.Item, 0, events)
-	for i := 0; len(items) < events; i++ {
-		s := sa
-		if i%2 == 1 {
-			s = sb
-			if i%11 == 0 {
-				continue // missing B reading: lets an exception timer fire
-			}
-		}
-		tu, err := eslev.NewTuple(s, eslev.TS(time.Duration(i+1)*10*time.Millisecond),
-			eslev.Str(fmt.Sprintf("tag%02d", (i/2)%64)), eslev.Int(int64(i)))
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, eslev.Of(tu))
-	}
-	return items, nil
-}
-
-// feedRecoveryItems pushes the feed in 256-item batches and drains.
-func feedRecoveryItems(e *eslev.Engine, items []eslev.Item) (time.Duration, error) {
-	const batch = 256
-	start := time.Now()
-	for off := 0; off < len(items); off += batch {
-		hi := off + batch
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if err := e.PushBatch(items[off:hi]); err != nil {
-			return 0, err
-		}
-	}
-	if err := e.Drain(); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// runBenchRecovery times the same workload with and without the journal
-// (automatic checkpoints at the given cadence), then measures one forced
-// checkpoint, its snapshot size, and a full Recover into a fresh engine.
-// The best of three repetitions is reported per mode, which keeps the
-// overhead figure stable on noisy machines.
-func runBenchRecovery(events, ckptEvery int, jsonPath string, maxOverhead float64) error {
-	const reps = 3
-	probe, err := recoveryWorkload()
-	if err != nil {
-		return err
-	}
-	items, err := recoveryItems(probe, events)
-	if err != nil {
-		return err
-	}
-	root, err := os.MkdirTemp("", "eslev-bench-recovery-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-
-	var baseWall time.Duration
-	for r := 0; r < reps; r++ {
-		e, err := recoveryWorkload()
-		if err != nil {
-			return err
-		}
-		wall, err := feedRecoveryItems(e, items)
-		if err != nil {
-			return err
-		}
-		if baseWall == 0 || wall < baseWall {
-			baseWall = wall
-		}
-	}
-
-	var jWall, ckptDur time.Duration
-	var dir string // journal dir of the best journaled rep, kept for restore
-	for r := 0; r < reps; r++ {
-		d := fmt.Sprintf("%s/rep%d", root, r)
-		e, err := recoveryWorkload(eslev.WithJournal(d), eslev.WithCheckpointEvery(ckptEvery))
-		if err != nil {
-			return err
-		}
-		wall, err := feedRecoveryItems(e, items)
-		if err != nil {
-			return err
-		}
-		ckStart := time.Now()
-		if err := e.CheckpointNow(); err != nil {
-			return err
-		}
-		ck := time.Since(ckStart)
-		if err := e.CloseJournal(); err != nil {
-			return err
-		}
-		if jWall == 0 || wall < jWall {
-			jWall, ckptDur, dir = wall, ck, d
-		}
-	}
-
-	path, _, ok, err := snapshot.LatestSnapshot(dir)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("no snapshot found in %s", dir)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fresh, err := recoveryWorkload(eslev.WithJournal(dir))
-	if err != nil {
-		return err
-	}
-	restoreStart := time.Now()
-	if err := fresh.Recover(dir); err != nil {
-		return err
-	}
-	restoreDur := time.Since(restoreStart)
-	if err := fresh.CloseJournal(); err != nil {
-		return err
-	}
-
-	rep := recoveryReport{
-		CPUs:                runtime.NumCPU(),
-		Events:              events,
-		CheckpointEvery:     ckptEvery,
-		BaselineNsPerEvent:  float64(baseWall) / float64(events),
-		JournaledNsPerEvent: float64(jWall) / float64(events),
-		OverheadPct:         (float64(jWall) - float64(baseWall)) / float64(baseWall) * 100,
-		SnapshotBytes:       info.Size(),
-		CheckpointMs:        float64(ckptDur) / float64(time.Millisecond),
-		RestoreMs:           float64(restoreDur) / float64(time.Millisecond),
-	}
-	fmt.Printf("events=%d checkpoint-every=%d\n", events, ckptEvery)
-	fmt.Printf("baseline:   %8.0f ns/event\n", rep.BaselineNsPerEvent)
-	fmt.Printf("journaled:  %8.0f ns/event  (%+.1f%% overhead)\n", rep.JournaledNsPerEvent, rep.OverheadPct)
-	fmt.Printf("checkpoint: %8.2f ms  snapshot %d bytes\n", rep.CheckpointMs, rep.SnapshotBytes)
-	fmt.Printf("restore:    %8.2f ms  (snapshot + journal suffix replay)\n", rep.RestoreMs)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "eslev: wrote %s\n", jsonPath)
-	}
-	if maxOverhead > 0 && rep.OverheadPct > maxOverhead {
-		return fmt.Errorf("journaling overhead %.1f%% exceeds budget %.0f%%", rep.OverheadPct, maxOverhead)
-	}
-	return nil
 }
