@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
+.PHONY: ci fmt-check vet build test fuzz-smoke chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
 
-ci: fmt-check vet build test chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
+ci: fmt-check vet build test fuzz-smoke chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
 
 fmt-check:
 	@files=$$(gofmt -l .); \
@@ -18,6 +18,17 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Fuzz smoke: `test` replays the checked-in corpora; this also mutates them
+# for a few seconds per target, so every decoder of outside input — snapshot
+# bodies, journal records and segments, wire frames, MVCC table sections —
+# sees fresh hostile bytes on every run. -fuzz takes one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 5s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 5s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 5s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzTableLoad$$' -fuzztime 5s ./internal/db
 
 # Fault-injection soak: 1M events through the serial and sharded engines
 # with disorder, duplication, corruption, late tuples, and injected UDF

@@ -353,7 +353,7 @@ func Dial(cfg Config) (*Client, error) {
 		c.conns = append(c.conns, nc)
 		nc.enc.reset()
 		encodeHello(nc.enc, i)
-		if err := nc.snd.send(frameHello, nc.enc.bytes()); err != nil {
+		if err := nc.snd.send(frameHello, nc.enc.Buf); err != nil {
 			c.teardown()
 			return nil, fmt.Errorf("cluster: node %d (%s): %w", i, addr, err)
 		}
@@ -370,7 +370,7 @@ func Dial(cfg Config) (*Client, error) {
 			c.teardown()
 			return nil, fmt.Errorf("cluster: node %d (%s): %w: expected hello ack, got frame %d", i, addr, ErrProtocol, typ)
 		}
-		nc.dec.reset(payload)
+		nc.dec.Reset(payload)
 		credit, reorders, err := decodeHelloAck(nc.dec)
 		if err != nil {
 			c.teardown()
@@ -622,7 +622,7 @@ func (nc *nodeConn) sendSpec(origin int, spec regSpec, slot *feedSlot) error {
 	switch spec.kind {
 	case specDDL:
 		encodeFor(nc.enc, origin, frameExec)
-		nc.enc.rawstr(spec.script)
+		nc.enc.String(spec.script)
 	case specQuery:
 		encodeFor(nc.enc, origin, frameRegister)
 		wantRows := slot != nil && slot.deliverRow != nil
@@ -631,7 +631,7 @@ func (nc *nodeConn) sendSpec(origin int, spec regSpec, slot *feedSlot) error {
 		encodeFor(nc.enc, origin, frameSub)
 		encodeSubscribe(nc.enc, spec.slot, spec.stream)
 	}
-	if err := nc.snd.send(frameFor, nc.enc.bytes()); err != nil {
+	if err := nc.snd.send(frameFor, nc.enc.Buf); err != nil {
 		return fmt.Errorf("cluster: node %d: %w", nc.id, err)
 	}
 	return nil
@@ -654,8 +654,8 @@ func (nc *nodeConn) registerSync(origin int, spec regSpec, slot *feedSlot) error
 	case frameOK:
 		return nil
 	case frameError:
-		nc.dec.reset(payload)
-		msg, derr := nc.dec.rawstr()
+		nc.dec.Reset(payload)
+		msg, derr := nc.dec.String()
 		if derr != nil {
 			msg = "unreadable error frame"
 		}
@@ -893,11 +893,11 @@ func (nc *nodeConn) sendBatchFor(o *originState, items []stream.Item) error {
 	nc.enc.reset()
 	encodeFor(nc.enc, o.id, frameBatch)
 	encodeBatch(nc.enc, items)
-	wire := nc.enc.len() + 1 + frameOverhead
+	wire := len(nc.enc.Buf) + 1 + frameOverhead
 	if err := nc.gate.spend(wire); err != nil {
 		return err
 	}
-	return nc.snd.send(frameFor, nc.enc.bytes())
+	return nc.snd.send(frameFor, nc.enc.Buf)
 }
 
 // afterBatchLocked records one accepted batch: transport accounting, the
@@ -941,7 +941,7 @@ func (nc *nodeConn) sendFor(origin int, inner byte, build func(*wireEnc)) error 
 	if build != nil {
 		build(nc.enc)
 	}
-	return nc.snd.send(frameFor, nc.enc.bytes())
+	return nc.snd.send(frameFor, nc.enc.Buf)
 }
 
 func (c *Client) nodeForLocked(t *stream.Tuple) (int, error) {
@@ -980,7 +980,7 @@ func (nc *nodeConn) readFrames() error {
 		if err != nil {
 			return err
 		}
-		nc.dec.reset(payload)
+		nc.dec.Reset(payload)
 		switch typ {
 		case frameFor:
 			origin, inner, err := decodeFor(nc.dec)
@@ -1000,7 +1000,7 @@ func (nc *nodeConn) readFrames() error {
 				return protof("unsolicited control reply")
 			}
 		case frameError:
-			msg, derr := nc.dec.rawstr()
+			msg, derr := nc.dec.String()
 			if derr != nil {
 				msg = "unreadable error frame"
 			}

@@ -607,7 +607,7 @@ func TestClusterNodeErrorPropagates(t *testing.T) {
 	defer conn.Close()
 	enc := newWireEnc()
 	encodeHello(enc, 0)
-	if _, err := conn.Write(appendFrame(nil, frameHello, enc.bytes())); err != nil {
+	if _, err := conn.Write(appendFrame(nil, frameHello, enc.Buf)); err != nil {
 		t.Fatal(err)
 	}
 	fr := frameReader{r: conn}
@@ -617,8 +617,8 @@ func TestClusterNodeErrorPropagates(t *testing.T) {
 	}
 	enc.reset()
 	encodeFor(enc, 0, frameExec)
-	enc.rawstr("CREATE NONSENSE;")
-	if _, err := conn.Write(appendFrame(nil, frameFor, enc.bytes())); err != nil {
+	enc.String("CREATE NONSENSE;")
+	if _, err := conn.Write(appendFrame(nil, frameFor, enc.Buf)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := fr.next()
@@ -629,8 +629,8 @@ func TestClusterNodeErrorPropagates(t *testing.T) {
 		t.Fatalf("got frame %d, want error frame", typ)
 	}
 	dec := newWireDec()
-	dec.reset(payload)
-	msg, err := dec.rawstr()
+	dec.Reset(payload)
+	msg, err := dec.String()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,19 +56,18 @@ func TestSenderOrderAndFraming(t *testing.T) {
 	if err := s.close(); err != nil {
 		t.Fatal(err)
 	}
-	raw := w.bytes()
+	fr := frameReader{r: bytes.NewReader(w.bytes())}
 	for i := range payloads {
-		typ, payload, n, err := decodeFrame(raw)
+		typ, payload, err := fr.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if typ != frameBatch || !bytes.Equal(payload, payloads[i]) {
 			t.Fatalf("frame %d out of order or corrupted", i)
 		}
-		raw = raw[n:]
 	}
-	if len(raw) != 0 {
-		t.Fatalf("%d trailing bytes after all frames", len(raw))
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Fatalf("trailing bytes after all frames: %v", err)
 	}
 }
 
@@ -91,13 +90,11 @@ func TestSenderCoalesces(t *testing.T) {
 	if err := s.close(); err != nil {
 		t.Fatal(err)
 	}
-	raw := w.bytes()
+	fr := frameReader{r: bytes.NewReader(w.bytes())}
 	for i := 0; i < 4; i++ {
-		_, _, n, err := decodeFrame(raw)
-		if err != nil {
+		if _, _, err := fr.next(); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		raw = raw[n:]
 	}
 	w.mu.Lock()
 	writes := w.writes

@@ -558,11 +558,11 @@ func stallServer(t *testing.T) string {
 			case frameHello:
 				enc.reset()
 				encodeHelloAck(enc, DefaultCredit, false)
-				conn.Write(appendFrame(nil, frameHelloAck, enc.bytes()))
+				conn.Write(appendFrame(nil, frameHelloAck, enc.Buf))
 			case frameFor:
 				// Registration frames need OKs for Seal to complete; data
 				// frames (and pings) are swallowed whole — the stall.
-				dec.reset(payload)
+				dec.Reset(payload)
 				if _, inner, err := decodeFor(dec); err == nil {
 					switch inner {
 					case frameExec, frameRegister, frameSub:
@@ -677,7 +677,7 @@ func TestNodeSessionOutlivesFeedTimesOut(t *testing.T) {
 	defer conn.Close()
 	enc := newWireEnc()
 	encodeHello(enc, 0)
-	if _, err := conn.Write(appendFrame(nil, frameHello, enc.bytes())); err != nil {
+	if _, err := conn.Write(appendFrame(nil, frameHello, enc.Buf)); err != nil {
 		t.Fatal(err)
 	}
 	fr := frameReader{r: conn}

@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/esl"
@@ -33,30 +34,30 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames of every payload-bearing type.
 	enc := newWireEnc()
 	encodeHello(enc, 1)
-	f.Add(appendFrame(nil, frameHello, enc.bytes()))
+	f.Add(appendFrame(nil, frameHello, enc.Buf))
 	enc.reset()
 	encodeHelloAck(enc, DefaultCredit, true)
-	f.Add(appendFrame(nil, frameHelloAck, enc.bytes()))
+	f.Add(appendFrame(nil, frameHelloAck, enc.Buf))
 	enc.reset()
-	enc.rawstr("CREATE STREAM readings(readerid, tagid, tagtime);")
-	f.Add(appendFrame(nil, frameExec, enc.bytes()))
+	enc.String("CREATE STREAM readings(readerid, tagid, tagtime);")
+	f.Add(appendFrame(nil, frameExec, enc.Buf))
 	enc.reset()
 	encodeRegister(enc, 0, "q1", "SELECT tagid FROM readings", true)
-	f.Add(appendFrame(nil, frameRegister, enc.bytes()))
+	f.Add(appendFrame(nil, frameRegister, enc.Buf))
 	enc.reset()
 	encodeSubscribe(enc, 1, "readings")
-	f.Add(appendFrame(nil, frameSub, enc.bytes()))
+	f.Add(appendFrame(nil, frameSub, enc.Buf))
 
 	schema, _ := stream.NewSchema("readings",
 		stream.Field{Name: "readerid"}, stream.Field{Name: "tagid"}, stream.Field{Name: "tagtime"})
 	tp, _ := stream.NewTuple(schema, ts(1), stream.Str("R1"), stream.Str("t1"), stream.Time(ts(1)))
 	enc.reset()
 	encodeBatch(enc, []stream.Item{stream.Of(tp), stream.Heartbeat(ts(2))})
-	f.Add(appendFrame(nil, frameBatch, enc.bytes()))
+	f.Add(appendFrame(nil, frameBatch, enc.Buf))
 
 	enc.reset()
 	encodeRows(enc, []outEvent{{slot: 0, tup: tp}}, map[int]*string{})
-	f.Add(appendFrame(nil, frameRows, enc.bytes()))
+	f.Add(appendFrame(nil, frameRows, enc.Buf))
 
 	// Polarity-tagged rows (wire v3): an assertion and its retraction.
 	enc.reset()
@@ -65,29 +66,29 @@ func FuzzDecodeFrame(f *testing.F) {
 		{slot: 0, row: esl.TagRecord(specRow, spec.Assert, 1, 0xfeed)},
 		{slot: 0, row: esl.TagRecord(specRow, spec.Retract, 1, 0xfeed)},
 	}, map[int]*string{})
-	f.Add(appendFrame(nil, frameRows, enc.bytes()))
+	f.Add(appendFrame(nil, frameRows, enc.Buf))
 
 	enc.reset()
 	encodeAck(enc, 4096, ts(3))
-	f.Add(appendFrame(nil, frameAck, enc.bytes()))
+	f.Add(appendFrame(nil, frameAck, enc.Buf))
 	enc.reset()
 	encodeDrainAck(enc, ts(9), NodeCounters{Tuples: 7, Beats: 2, Rows: 3})
-	f.Add(appendFrame(nil, frameDrainAck, enc.bytes()))
+	f.Add(appendFrame(nil, frameDrainAck, enc.Buf))
 
 	// Availability-layer frames: origin wrapper, checkpoint request, and a
 	// shipped snapshot (opaque blob trailer).
 	enc.reset()
 	encodeFor(enc, 2, frameBatch)
 	encodeBatch(enc, []stream.Item{stream.Of(tp)})
-	f.Add(appendFrame(nil, frameFor, enc.bytes()))
+	f.Add(appendFrame(nil, frameFor, enc.Buf))
 	enc.reset()
 	encodeFor(enc, 0, frameCkptReq)
 	encodeCkptReq(enc, 42)
-	f.Add(appendFrame(nil, frameFor, enc.bytes()))
+	f.Add(appendFrame(nil, frameFor, enc.Buf))
 	enc.reset()
 	encodeFor(enc, 1, frameCkpt)
 	encodeSnap(enc, 7, NodeCounters{Tuples: 9, Beats: 1, Rows: 4}, []byte("snapshot-bytes"))
-	f.Add(appendFrame(nil, frameFor, enc.bytes()))
+	f.Add(appendFrame(nil, frameFor, enc.Buf))
 
 	// Degenerate shapes.
 	f.Add([]byte{})
@@ -100,15 +101,20 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	resolve := fuzzResolve()
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		typ, payload, n, err := decodeFrame(raw)
+		fr := frameReader{r: bytes.NewReader(raw)}
+		typ, payload, err := fr.next()
 		if err != nil {
+			if err == io.EOF && len(raw) == 0 {
+				return // a clean close between frames
+			}
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTooBig) {
 				t.Fatalf("untyped framing error: %v", err)
 			}
 			return
 		}
-		if n > len(raw) || len(payload) > n {
-			t.Fatalf("frame accounting: consumed %d of %d, payload %d", n, len(raw), len(payload))
+		n := 4 + 1 + len(payload) + 4
+		if n > len(raw) {
+			t.Fatalf("frame accounting: %d-byte frame from %d bytes of input", n, len(raw))
 		}
 		// A structurally valid frame must re-encode to the same bytes.
 		if re := appendFrame(nil, typ, payload); !bytes.Equal(re, raw[:n]) {
@@ -125,7 +131,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 		dec := newWireDec()
-		dec.reset(payload)
+		dec.Reset(payload)
 		switch typ {
 		case frameHello:
 			_, err := decodeHello(dec)
@@ -134,7 +140,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _, err := decodeHelloAck(dec)
 			check(err)
 		case frameExec, frameError:
-			_, err := dec.rawstr()
+			_, err := dec.String()
 			check(err)
 		case frameRegister:
 			_, _, _, _, err := decodeRegister(dec)
@@ -143,7 +149,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _, err := decodeSubscribe(dec)
 			check(err)
 		case frameBatch:
-			_, err := decodeBatch(dec, resolve, nil)
+			_, err := decodeBatch(dec, resolve, nil, &tupleArena{})
 			check(err)
 		case frameRows:
 			_, err := decodeRows(dec, resolve, map[int][]string{})
@@ -162,7 +168,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			switch inner {
 			case frameBatch:
-				_, err := decodeBatch(dec, resolve, nil)
+				_, err := decodeBatch(dec, resolve, nil, &tupleArena{})
 				check(err)
 			case frameRows:
 				_, err := decodeRows(dec, resolve, map[int][]string{})

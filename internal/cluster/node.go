@@ -201,7 +201,7 @@ func (s *nodeSession) run() error {
 	if typ != frameHello {
 		return protof("expected hello, got frame type %d", typ)
 	}
-	s.dec.reset(payload)
+	s.dec.Reset(payload)
 	id, err := decodeHello(s.dec)
 	if err != nil {
 		return s.fatal(err)
@@ -219,7 +219,7 @@ func (s *nodeSession) run() error {
 	}
 	s.enc.reset()
 	encodeHelloAck(s.enc, s.node.cfg.Credit, reorders)
-	if err := s.snd.send(frameHelloAck, s.enc.bytes()); err != nil {
+	if err := s.snd.send(frameHelloAck, s.enc.Buf); err != nil {
 		return err
 	}
 
@@ -231,7 +231,7 @@ func (s *nodeSession) run() error {
 			}
 			return err
 		}
-		s.dec.reset(payload)
+		s.dec.Reset(payload)
 		switch typ {
 		case frameFor:
 			origin, inner, err := decodeFor(s.dec)
@@ -272,7 +272,7 @@ func (s *nodeSession) originFrame(origin int, inner byte, payload []byte) error 
 	}
 	switch inner {
 	case frameExec:
-		script, err := s.dec.rawstr()
+		script, err := s.dec.String()
 		if err != nil {
 			return s.fatal(err)
 		}
@@ -313,12 +313,12 @@ func (s *nodeSession) originFrame(origin int, inner byte, payload []byte) error 
 	case frameBatch:
 		wireBytes := len(payload) + 1 + frameOverhead
 		h.scratch = h.scratch[:0]
-		items, err := decodeBatchArena(s.dec, h.eng.StreamSchema, h.scratch, &h.arena)
+		items, err := decodeBatch(s.dec, h.eng.StreamSchema, h.scratch, &h.arena)
 		h.scratch = items
 		if err != nil {
 			return s.fatal(err)
 		}
-		if err := s.dec.finish(); err != nil {
+		if err := s.dec.Finish(); err != nil {
 			return s.fatal(err)
 		}
 		for _, it := range items {
@@ -402,7 +402,7 @@ func (s *nodeSession) sendFor(origin int, inner byte, fn func(*wireEnc)) error {
 	if fn != nil {
 		fn(s.enc)
 	}
-	return s.snd.send(frameFor, s.enc.bytes())
+	return s.snd.send(frameFor, s.enc.Buf)
 }
 
 // shipRows encodes and sends the buffered output events, if any.
@@ -432,8 +432,8 @@ func (s *nodeSession) control(typ byte, payload []byte) error {
 // fatal reports err to the feed on a best-effort Error frame and returns it.
 func (s *nodeSession) fatal(err error) error {
 	s.enc.reset()
-	s.enc.rawstr(err.Error())
-	if serr := s.snd.send(frameError, s.enc.bytes()); serr == nil {
+	s.enc.String(err.Error())
+	if serr := s.snd.send(frameError, s.enc.Buf); serr == nil {
 		s.snd.flush()
 	}
 	return fmt.Errorf("cluster node: %w", err)

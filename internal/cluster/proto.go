@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/esl"
+	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
 )
@@ -19,27 +20,27 @@ import (
 // connection — it names the connection's *self origin* and lets adopted
 // engines (fail-over) be addressed relative to it.
 func encodeHello(e *wireEnc, id int) {
-	e.buf = append(e.buf, helloMagic...)
-	e.uvarint(Version)
-	e.uvarint(uint64(id))
+	e.Buf = append(e.Buf, helloMagic...)
+	e.Uvarint(Version)
+	e.Uvarint(uint64(id))
 }
 
 func decodeHello(d *wireDec) (id int, err error) {
-	if d.remaining() < len(helloMagic) {
-		return 0, ErrTruncated
+	m, err := d.Fixed(len(helloMagic))
+	if err != nil {
+		return 0, err
 	}
-	if string(d.buf[d.off:d.off+len(helloMagic)]) != helloMagic {
-		return 0, corruptf("bad hello magic")
+	if string(m) != helloMagic {
+		return 0, snapshot.Corruptf("bad hello magic")
 	}
-	d.off += len(helloMagic)
-	ver, err := d.uvarint()
+	ver, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
 	if ver != Version {
 		return 0, fmt.Errorf("%w: peer speaks v%d, this end v%d", ErrVersion, ver, Version)
 	}
-	id64, err := d.uvarint()
+	id64, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -55,26 +56,26 @@ func decodeHello(d *wireDec) (id int, err error) {
 // that is what lets node-side CONSISTENCY speculation see real disorder.
 func encodeHelloAck(e *wireEnc, credit int, reorders bool) {
 	encodeHello(e, 0)
-	e.uvarint(uint64(credit))
-	e.bool(reorders)
+	e.Uvarint(uint64(credit))
+	e.Bool(reorders)
 }
 
 func decodeHelloAck(d *wireDec) (credit int, reorders bool, err error) {
 	if _, err := decodeHello(d); err != nil {
 		return 0, false, err
 	}
-	c, err := d.uvarint()
+	c, err := d.Uvarint()
 	if err != nil {
 		return 0, false, err
 	}
 	if c > MaxFrame<<8 {
 		return 0, false, protof("absurd credit grant %d", c)
 	}
-	ro, err := d.bool()
+	ro, err := d.Bool()
 	if err != nil {
 		return 0, false, err
 	}
-	return int(c), ro, d.finish()
+	return int(c), ro, d.Finish()
 }
 
 // ---- batches ----------------------------------------------------------------
@@ -84,22 +85,19 @@ func decodeHelloAck(d *wireDec) (credit int, reorders bool, err error) {
 // previous item in the frame, stream names and string values as interned
 // references — the steady-state cost of a tuple is a few bytes.
 func encodeBatch(e *wireEnc, items []stream.Item) {
-	e.uvarint(uint64(len(items)))
+	e.Uvarint(uint64(len(items)))
 	prev := int64(0)
 	for _, it := range items {
 		ts := int64(it.TS)
 		if it.IsHeartbeat() {
-			e.byte(0)
-			e.varint(ts - prev)
+			e.Byte(0)
+			e.Varint(ts - prev)
 		} else {
-			e.byte(1)
-			e.varint(ts - prev)
+			e.Byte(1)
+			e.Varint(ts - prev)
 			t := it.Tuple
 			e.str(t.Schema.Name())
-			e.uvarint(uint64(len(t.Vals)))
-			for _, v := range t.Vals {
-				e.value(v)
-			}
+			e.values(t.Vals)
 		}
 		prev = ts
 	}
@@ -146,23 +144,18 @@ func (a *tupleArena) values(n int) []stream.Value {
 // the tuples themselves come from the arena — they outlive the frame
 // inside the engine). resolve maps stream names to the receiving engine's
 // schemas.
-func decodeBatch(d *wireDec, resolve func(string) (*stream.Schema, bool), scratch []stream.Item) ([]stream.Item, error) {
-	var arena tupleArena
-	return decodeBatchArena(d, resolve, scratch, &arena)
-}
-
-func decodeBatchArena(d *wireDec, resolve func(string) (*stream.Schema, bool), scratch []stream.Item, arena *tupleArena) ([]stream.Item, error) {
-	count, err := d.length()
+func decodeBatch(d *wireDec, resolve func(string) (*stream.Schema, bool), scratch []stream.Item, arena *tupleArena) ([]stream.Item, error) {
+	count, err := d.Len()
 	if err != nil {
 		return scratch, err
 	}
 	prev := int64(0)
 	for i := 0; i < count; i++ {
-		tag, err := d.readByte()
+		tag, err := d.Byte()
 		if err != nil {
 			return scratch, err
 		}
-		delta, err := d.varint()
+		delta, err := d.Varint()
 		if err != nil {
 			return scratch, err
 		}
@@ -180,15 +173,9 @@ func decodeBatchArena(d *wireDec, resolve func(string) (*stream.Schema, bool), s
 			if !ok {
 				return scratch, protof("batch references unknown stream %q", name)
 			}
-			nvals, err := d.length()
+			vals, err := d.values(arena)
 			if err != nil {
 				return scratch, err
-			}
-			vals := arena.values(nvals)
-			for j := range vals {
-				if vals[j], err = d.value(); err != nil {
-					return scratch, err
-				}
 			}
 			// Materialized verbatim, like snapshot restore: the feed's
 			// boundary already screened the tuple once.
@@ -196,7 +183,7 @@ func decodeBatchArena(d *wireDec, resolve func(string) (*stream.Schema, bool), s
 			*t = stream.Tuple{Schema: schema, Vals: vals, TS: stream.Timestamp(ts)}
 			scratch = append(scratch, stream.Of(t))
 		default:
-			return scratch, corruptf("unknown batch item tag %d", tag)
+			return scratch, snapshot.Corruptf("unknown batch item tag %d", tag)
 		}
 	}
 	return scratch, nil
@@ -219,60 +206,54 @@ type outEvent struct {
 // every row a query emits, so pointer identity is a reliable cache key);
 // steady state ships values only.
 func encodeRows(e *wireEnc, events []outEvent, shapes map[int]*string) {
-	e.uvarint(uint64(len(events)))
+	e.Uvarint(uint64(len(events)))
 	prev := int64(0)
 	for _, ev := range events {
-		e.uvarint(uint64(ev.slot))
+		e.Uvarint(uint64(ev.slot))
 		if ev.tup != nil {
-			e.byte(1)
-			e.varint(int64(ev.tup.TS) - prev)
+			e.Byte(1)
+			e.Varint(int64(ev.tup.TS) - prev)
 			prev = int64(ev.tup.TS)
 			e.str(ev.tup.Schema.Name())
-			e.uvarint(uint64(len(ev.tup.Vals)))
-			for _, v := range ev.tup.Vals {
-				e.value(v)
-			}
+			e.values(ev.tup.Vals)
 			continue
 		}
-		e.byte(0)
-		e.varint(int64(ev.row.TS) - prev)
+		e.Byte(0)
+		e.Varint(int64(ev.row.TS) - prev)
 		prev = int64(ev.row.TS)
 		// Record tag (wire v3): 0 = plain strict final (nothing follows),
 		// else polarity + MatchID so the feed reconstructs the speculative
 		// record stream exactly.
 		pol, mseq, mhash := esl.RecordTags(ev.row)
 		if pol == spec.Final && mseq == 0 && mhash == 0 {
-			e.byte(0)
+			e.Byte(0)
 		} else {
 			switch pol {
 			case spec.Assert:
-				e.byte(1)
+				e.Byte(1)
 			case spec.Retract:
-				e.byte(2)
+				e.Byte(2)
 			default:
-				e.byte(3) // tagged final (late final of a speculative query)
+				e.Byte(3) // tagged final (late final of a speculative query)
 			}
-			e.uvarint(mseq)
-			e.uvarint(mhash)
+			e.Uvarint(mseq)
+			e.Uvarint(mhash)
 		}
 		var key *string
 		if len(ev.row.Names) > 0 {
 			key = &ev.row.Names[0]
 		}
 		if cached, ok := shapes[ev.slot]; ok && cached == key {
-			e.byte(0) // same shape as this slot's previous row
+			e.Byte(0) // same shape as this slot's previous row
 		} else {
-			e.byte(1)
-			e.uvarint(uint64(len(ev.row.Names)))
+			e.Byte(1)
+			e.Uvarint(uint64(len(ev.row.Names)))
 			for _, n := range ev.row.Names {
 				e.str(n)
 			}
 			shapes[ev.slot] = key
 		}
-		e.uvarint(uint64(len(ev.row.Vals)))
-		for _, v := range ev.row.Vals {
-			e.value(v)
-		}
+		e.values(ev.row.Vals)
 	}
 }
 
@@ -280,7 +261,7 @@ func encodeRows(e *wireEnc, events []outEvent, shapes map[int]*string) {
 // column-name slice (shared across rows, mirroring the planner); resolve
 // maps subscribed tuple streams to the feed-side planning schemas.
 func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes map[int][]string) ([]outEvent, error) {
-	count, err := d.length()
+	count, err := d.Len()
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +276,7 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 	var arena tupleArena
 	prev := int64(0)
 	for i := 0; i < count; i++ {
-		slot64, err := d.uvarint()
+		slot64, err := d.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -303,11 +284,11 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			return nil, protof("slot %d out of range", slot64)
 		}
 		slot := int(slot64)
-		kind, err := d.readByte()
+		kind, err := d.Byte()
 		if err != nil {
 			return nil, err
 		}
-		delta, err := d.varint()
+		delta, err := d.Varint()
 		if err != nil {
 			return nil, err
 		}
@@ -323,21 +304,15 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			if !ok {
 				return nil, protof("rows frame references unknown stream %q", name)
 			}
-			nvals, err := d.length()
+			vals, err := d.values(&arena)
 			if err != nil {
 				return nil, err
-			}
-			vals := arena.values(nvals)
-			for j := range vals {
-				if vals[j], err = d.value(); err != nil {
-					return nil, err
-				}
 			}
 			t := arena.tuple()
 			*t = stream.Tuple{Schema: schema, Vals: vals, TS: stream.Timestamp(ts)}
 			events = append(events, outEvent{slot: slot, tup: t})
 		case 0:
-			tag, err := d.readByte()
+			tag, err := d.Byte()
 			if err != nil {
 				return nil, err
 			}
@@ -347,10 +322,10 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			case 0:
 				// plain strict final: no record identity travels
 			case 1, 2, 3:
-				if mseq, err = d.uvarint(); err != nil {
+				if mseq, err = d.Uvarint(); err != nil {
 					return nil, err
 				}
-				if mhash, err = d.uvarint(); err != nil {
+				if mhash, err = d.Uvarint(); err != nil {
 					return nil, err
 				}
 				switch tag {
@@ -360,14 +335,14 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 					pol = spec.Retract
 				}
 			default:
-				return nil, corruptf("unknown record tag %d", tag)
+				return nil, snapshot.Corruptf("unknown record tag %d", tag)
 			}
-			shaped, err := d.readByte()
+			shaped, err := d.Byte()
 			if err != nil {
 				return nil, err
 			}
 			if shaped == 1 {
-				n, err := d.length()
+				n, err := d.Len()
 				if err != nil {
 					return nil, err
 				}
@@ -379,15 +354,9 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 				}
 				shapes[slot] = names
 			}
-			nvals, err := d.length()
+			vals, err := d.values(&arena)
 			if err != nil {
 				return nil, err
-			}
-			vals := arena.values(nvals)
-			for j := range vals {
-				if vals[j], err = d.value(); err != nil {
-					return nil, err
-				}
 			}
 			row := esl.Row{Names: shapes[slot], Vals: vals, TS: stream.Timestamp(ts)}
 			if tag != 0 {
@@ -395,7 +364,7 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			}
 			events = append(events, outEvent{slot: slot, row: row})
 		default:
-			return nil, corruptf("unknown rows event kind %d", kind)
+			return nil, snapshot.Corruptf("unknown rows event kind %d", kind)
 		}
 	}
 	return events, nil
@@ -421,21 +390,21 @@ const maxOrigins = 1 << 16
 // encodeFor begins a For payload; the caller appends the inner payload to
 // the same encoder immediately after.
 func encodeFor(e *wireEnc, origin int, inner byte) {
-	e.uvarint(uint64(origin))
-	e.byte(inner)
+	e.Uvarint(uint64(origin))
+	e.Byte(inner)
 }
 
 // decodeFor reads the For header; the decoder is left positioned at the
 // inner payload.
 func decodeFor(d *wireDec) (origin int, inner byte, err error) {
-	o, err := d.uvarint()
+	o, err := d.Uvarint()
 	if err != nil {
 		return 0, 0, err
 	}
 	if o > uint64(maxOrigins) {
 		return 0, 0, protof("origin %d out of range", o)
 	}
-	if inner, err = d.readByte(); err != nil {
+	if inner, err = d.Byte(); err != nil {
 		return 0, 0, err
 	}
 	if inner == frameFor {
@@ -450,14 +419,14 @@ func decodeFor(d *wireDec) (origin int, inner byte, err error) {
 // so a drifted cut surfaces as a protocol error instead of silent row loss
 // after a later restore.
 func encodeCkptReq(e *wireEnc, lsn uint64) {
-	e.uvarint(lsn)
+	e.Uvarint(lsn)
 }
 
 func decodeCkptReq(d *wireDec) (lsn uint64, err error) {
-	if lsn, err = d.uvarint(); err != nil {
+	if lsn, err = d.Uvarint(); err != nil {
 		return 0, err
 	}
-	return lsn, d.finish()
+	return lsn, d.Finish()
 }
 
 // encodeSnap carries a snapshot blob with its cut coordinates: the batch
@@ -465,51 +434,43 @@ func decodeCkptReq(d *wireDec) (lsn uint64, err error) {
 // and the engine snapshot itself. The same payload shape serves Ckpt
 // (node -> feed, shipping) and Restore (feed -> node, re-homing).
 func encodeSnap(e *wireEnc, lsn uint64, c NodeCounters, blob []byte) {
-	e.uvarint(lsn)
-	e.uvarint(c.Tuples)
-	e.uvarint(c.Beats)
-	e.uvarint(c.Rows)
-	e.buf = append(e.buf, blob...)
+	e.Uvarint(lsn)
+	encodeCounters(e, c)
+	e.Buf = append(e.Buf, blob...)
 }
 
 // decodeSnap parses a Ckpt/Restore payload. The returned blob aliases the
 // frame buffer — callers that keep it past the frame must copy.
 func decodeSnap(d *wireDec) (lsn uint64, c NodeCounters, blob []byte, err error) {
-	if lsn, err = d.uvarint(); err != nil {
+	if lsn, err = d.Uvarint(); err != nil {
 		return 0, c, nil, err
 	}
-	if c.Tuples, err = d.uvarint(); err != nil {
+	if c, err = decodeCounters(d); err != nil {
 		return 0, c, nil, err
 	}
-	if c.Beats, err = d.uvarint(); err != nil {
-		return 0, c, nil, err
-	}
-	if c.Rows, err = d.uvarint(); err != nil {
-		return 0, c, nil, err
-	}
-	return lsn, c, d.rest(), nil
+	return lsn, c, d.Rest(), nil
 }
 
 // ---- control payloads -------------------------------------------------------
 
 func encodeAck(e *wireEnc, credit int, wm stream.Timestamp) {
-	e.uvarint(uint64(credit))
-	e.varint(int64(wm))
+	e.Uvarint(uint64(credit))
+	e.Varint(int64(wm))
 }
 
 func decodeAck(d *wireDec) (credit int, wm stream.Timestamp, err error) {
-	c, err := d.uvarint()
+	c, err := d.Uvarint()
 	if err != nil {
 		return 0, 0, err
 	}
 	if c > MaxFrame<<8 {
 		return 0, 0, protof("absurd credit return %d", c)
 	}
-	w, err := d.varint()
+	w, err := d.Varint()
 	if err != nil {
 		return 0, 0, err
 	}
-	return int(c), stream.Timestamp(w), d.finish()
+	return int(c), stream.Timestamp(w), d.Finish()
 }
 
 // NodeCounters is a node's accounting for one session, shipped in DrainAck
@@ -521,75 +482,81 @@ type NodeCounters struct {
 	Rows   uint64 // output events shipped back
 }
 
+func encodeCounters(e *wireEnc, c NodeCounters) {
+	e.Uvarint(c.Tuples)
+	e.Uvarint(c.Beats)
+	e.Uvarint(c.Rows)
+}
+
+func decodeCounters(d *wireDec) (c NodeCounters, err error) {
+	for _, p := range []*uint64{&c.Tuples, &c.Beats, &c.Rows} {
+		if *p, err = d.Uvarint(); err != nil {
+			return c, err
+		}
+	}
+	return c, nil
+}
+
 func encodeDrainAck(e *wireEnc, wm stream.Timestamp, c NodeCounters) {
-	e.varint(int64(wm))
-	e.uvarint(c.Tuples)
-	e.uvarint(c.Beats)
-	e.uvarint(c.Rows)
+	e.TS(wm)
+	encodeCounters(e, c)
 }
 
 func decodeDrainAck(d *wireDec) (wm stream.Timestamp, c NodeCounters, err error) {
-	w, err := d.varint()
-	if err != nil {
+	if wm, err = d.TS(); err != nil {
 		return 0, c, err
 	}
-	if c.Tuples, err = d.uvarint(); err != nil {
+	if c, err = decodeCounters(d); err != nil {
 		return 0, c, err
 	}
-	if c.Beats, err = d.uvarint(); err != nil {
-		return 0, c, err
-	}
-	if c.Rows, err = d.uvarint(); err != nil {
-		return 0, c, err
-	}
-	return stream.Timestamp(w), c, d.finish()
+	return wm, c, d.Finish()
 }
 
 // encodeRegister carries a continuous-query registration. wantRows=false
 // means the feed has no callback for this query — the node still runs it
 // (it may write derived streams others read) but ships no rows back.
 func encodeRegister(e *wireEnc, slot int, name, sql string, wantRows bool) {
-	e.uvarint(uint64(slot))
-	e.rawstr(name)
-	e.rawstr(sql)
-	e.bool(wantRows)
+	e.Uvarint(uint64(slot))
+	e.String(name)
+	e.String(sql)
+	e.Bool(wantRows)
 }
 
 func decodeRegister(d *wireDec) (slot int, name, sql string, wantRows bool, err error) {
-	s, err := d.uvarint()
+	s, err := d.Uvarint()
 	if err != nil {
 		return 0, "", "", false, err
 	}
 	if s > uint64(maxSlots) {
 		return 0, "", "", false, protof("slot %d out of range", s)
 	}
-	if name, err = d.rawstr(); err != nil {
+	if name, err = d.String(); err != nil {
 		return 0, "", "", false, err
 	}
-	if sql, err = d.rawstr(); err != nil {
+	if sql, err = d.String(); err != nil {
 		return 0, "", "", false, err
 	}
-	if wantRows, err = d.bool(); err != nil {
+	if wantRows, err = d.Bool(); err != nil {
 		return 0, "", "", false, err
 	}
-	return int(s), name, sql, wantRows, d.finish()
+	return int(s), name, sql, wantRows, d.Finish()
 }
 
 func encodeSubscribe(e *wireEnc, slot int, streamName string) {
-	e.uvarint(uint64(slot))
-	e.rawstr(streamName)
+	e.Uvarint(uint64(slot))
+	e.String(streamName)
 }
 
 func decodeSubscribe(d *wireDec) (slot int, streamName string, err error) {
-	s, err := d.uvarint()
+	s, err := d.Uvarint()
 	if err != nil {
 		return 0, "", err
 	}
 	if s > uint64(maxSlots) {
 		return 0, "", protof("slot %d out of range", s)
 	}
-	if streamName, err = d.rawstr(); err != nil {
+	if streamName, err = d.String(); err != nil {
 		return 0, "", err
 	}
-	return int(s), streamName, d.finish()
+	return int(s), streamName, d.Finish()
 }

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -83,10 +83,12 @@ const (
 // on malformed input and never allocates more than the input could justify.
 var (
 	// ErrTruncated reports a frame or payload that ends before its encoded
-	// structure does.
-	ErrTruncated = errors.New("cluster: truncated frame")
-	// ErrCorrupt reports framing or checksum violations.
-	ErrCorrupt = errors.New("cluster: corrupt frame")
+	// structure does. It is the shared codec's sentinel (snapshot.Reader
+	// decodes every payload), so errors.Is matches either name.
+	ErrTruncated = snapshot.ErrTruncated
+	// ErrCorrupt reports framing or checksum violations and payload bytes no
+	// encoder produces; shared with the codec like ErrTruncated.
+	ErrCorrupt = snapshot.ErrCorrupt
 	// ErrTooBig reports a frame whose declared length exceeds MaxFrame.
 	ErrTooBig = errors.New("cluster: frame exceeds size limit")
 	// ErrVersion reports a peer speaking an incompatible protocol version.
@@ -95,11 +97,6 @@ var (
 	// unknown interning reference, control frame out of order).
 	ErrProtocol = errors.New("cluster: protocol violation")
 )
-
-// corruptf wraps ErrCorrupt with context.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-}
 
 // protof wraps ErrProtocol with context.
 func protof(format string, args ...any) error {
@@ -130,36 +127,11 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// decodeFrame parses one frame from the front of raw, returning its type,
-// its payload (aliasing raw — valid until raw is reused), and the total
-// bytes consumed. It is the single validation point for framing: length
-// bounds, truncation, and checksum.
-func decodeFrame(raw []byte) (typ byte, payload []byte, n int, err error) {
-	if len(raw) < 4 {
-		return 0, nil, 0, ErrTruncated
-	}
-	size := binary.LittleEndian.Uint32(raw)
-	if size < 1 {
-		return 0, nil, 0, corruptf("empty frame body")
-	}
-	if size > MaxFrame {
-		return 0, nil, 0, fmt.Errorf("%w: %d bytes (max %d)", ErrTooBig, size, MaxFrame)
-	}
-	total := 4 + int(size) + 4
-	if len(raw) < total {
-		return 0, nil, 0, ErrTruncated
-	}
-	body := raw[4 : 4+size]
-	want := binary.LittleEndian.Uint32(raw[4+size:])
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, nil, 0, corruptf("checksum mismatch")
-	}
-	return body[0], body[1:], total, nil
-}
-
 // frameReader reads frames off a connection one at a time, reusing one
 // buffer sized to the largest frame seen (and shedding it after a burst so
 // one oversized frame does not pin memory for the connection's lifetime).
+// next is the single validation point for framing: length bounds,
+// truncation, and checksum.
 type frameReader struct {
 	r   io.Reader
 	buf []byte
@@ -169,14 +141,21 @@ type frameReader struct {
 // frames.
 const frameReaderKeepCap = 1 << 20
 
+// next reads one frame, returning its type and its payload (aliasing the
+// reader's buffer — valid until the next call). io.EOF before the first
+// header byte is a clean between-frames close; input that ends anywhere
+// later is ErrTruncated.
 func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	var head [4]byte
 	if _, err := io.ReadFull(fr.r, head[:]); err != nil {
-		return 0, nil, err // io.EOF here is a clean between-frames close
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: %v", ErrTruncated, err)
+		}
+		return 0, nil, err
 	}
 	size := binary.LittleEndian.Uint32(head[:])
 	if size < 1 {
-		return 0, nil, corruptf("empty frame body")
+		return 0, nil, snapshot.Corruptf("empty frame body")
 	}
 	if size > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes (max %d)", ErrTooBig, size, MaxFrame)
@@ -195,7 +174,7 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	body := fr.buf[:size]
 	want := binary.LittleEndian.Uint32(fr.buf[size:])
 	if crc32.ChecksumIEEE(body) != want {
-		return 0, nil, corruptf("checksum mismatch")
+		return 0, nil, snapshot.Corruptf("checksum mismatch")
 	}
 	typ, payload = body[0], body[1:]
 	if cap(fr.buf) > frameReaderKeepCap {
@@ -204,7 +183,11 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	return typ, payload, nil
 }
 
-// ---- payload encoder --------------------------------------------------------
+// ---- payload codec ----------------------------------------------------------
+//
+// Payloads are built from the shared codec's primitives (snapshot.Writer /
+// snapshot.Reader). What is specific to the wire is the lockstep
+// string-interning table each direction of a connection keeps.
 
 // wireEnc builds frame payloads for one direction of one connection. Its
 // interning table persists across frames: the first time a string travels
@@ -212,7 +195,7 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 // it costs one varint. Stream names, column-bounded identifiers (reader
 // ids, tag EPCs), and row column names all collapse this way.
 type wireEnc struct {
-	buf []byte
+	snapshot.Writer
 	ids map[string]uint64
 }
 
@@ -220,43 +203,18 @@ func newWireEnc() *wireEnc {
 	return &wireEnc{ids: make(map[string]uint64)}
 }
 
-func (e *wireEnc) reset()        { e.buf = e.buf[:0] }
-func (e *wireEnc) len() int      { return len(e.buf) }
-func (e *wireEnc) bytes() []byte { return e.buf }
-
-func (e *wireEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *wireEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *wireEnc) byte(b byte)      { e.buf = append(e.buf, b) }
-
-func (e *wireEnc) bool(b bool) {
-	if b {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-}
-
-func (e *wireEnc) float(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
-
-// rawstr appends a length-prefixed string without interning (scripts, error
-// text — long, unrepeated payloads).
-func (e *wireEnc) rawstr(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *wireEnc) reset() { e.Buf = e.Buf[:0] }
 
 // str appends an interned string reference: id (1-based) when the string
 // has traveled before, else 0 followed by the raw bytes, registering it in
 // the lockstep table while capacity remains.
 func (e *wireEnc) str(s string) {
 	if id, ok := e.ids[s]; ok {
-		e.uvarint(id)
+		e.Uvarint(id)
 		return
 	}
-	e.uvarint(0)
-	e.rawstr(s)
+	e.Uvarint(0)
+	e.String(s)
 	if uint64(len(e.ids)) < maxIntern {
 		e.ids[s] = uint64(len(e.ids)) + 1
 	}
@@ -264,133 +222,27 @@ func (e *wireEnc) str(s string) {
 
 // value appends one SQL value: kind byte + kind payload, strings interned.
 func (e *wireEnc) value(v stream.Value) {
-	k := v.Kind()
-	e.byte(byte(k))
-	switch k {
-	case stream.KindNull:
-	case stream.KindInt:
-		i, _ := v.AsInt()
-		e.varint(i)
-	case stream.KindFloat:
-		f, _ := v.AsFloat()
-		e.float(f)
-	case stream.KindString:
-		s, _ := v.AsString()
+	if s, ok := e.ValueHead(v); ok {
 		e.str(s)
-	case stream.KindBool:
-		b, _ := v.AsBool()
-		e.bool(b)
-	case stream.KindTime:
-		ts, _ := v.AsTime()
-		e.varint(int64(ts))
-	default:
-		// Unreachable for values built by the engine; encode as null so the
-		// wire never carries an undecodable kind.
-		e.buf[len(e.buf)-1] = byte(stream.KindNull)
 	}
 }
 
-// ---- payload decoder --------------------------------------------------------
+// values appends a length-prefixed value row, strings interned.
+func (e *wireEnc) values(vals []stream.Value) {
+	e.Uvarint(uint64(len(vals)))
+	for _, v := range vals {
+		e.value(v)
+	}
+}
 
 // wireDec decodes frame payloads for one direction of one connection,
-// holding the receive side of the lockstep interning table. Every read is
-// bounds-checked against the remaining payload, so malformed input yields
-// typed errors — never a panic or an allocation larger than the input.
+// holding the receive side of the lockstep interning table.
 type wireDec struct {
-	buf []byte
-	off int
+	snapshot.Reader
 	tab []string
 }
 
 func newWireDec() *wireDec { return &wireDec{} }
-
-func (d *wireDec) reset(payload []byte) {
-	d.buf = payload
-	d.off = 0
-}
-
-func (d *wireDec) remaining() int { return len(d.buf) - d.off }
-
-func (d *wireDec) finish() error {
-	if d.off != len(d.buf) {
-		return corruptf("%d trailing bytes in frame payload", d.remaining())
-	}
-	return nil
-}
-
-// rest consumes and returns every remaining payload byte. The slice aliases
-// the frame buffer — callers that keep it past the frame must copy.
-func (d *wireDec) rest() []byte {
-	b := d.buf[d.off:]
-	d.off = len(d.buf)
-	return b
-}
-
-func (d *wireDec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *wireDec) varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *wireDec) readByte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, ErrTruncated
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *wireDec) bool() (bool, error) {
-	b, err := d.readByte()
-	return b != 0, err
-}
-
-func (d *wireDec) float() (float64, error) {
-	if d.remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	bits := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-// length reads a collection length and screens it against the bytes
-// actually remaining (every element costs at least one byte), so hostile
-// lengths cannot trigger giant allocations.
-func (d *wireDec) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(d.remaining()) {
-		return 0, corruptf("collection length %d exceeds remaining payload", v)
-	}
-	return int(v), nil
-}
-
-// rawstr reads a length-prefixed string without interning.
-func (d *wireDec) rawstr() (string, error) {
-	n, err := d.length()
-	if err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
 
 // str reads an interned string reference (the counterpart of wireEnc.str).
 // New strings are routed through the engine-wide interning pool so the
@@ -398,12 +250,12 @@ func (d *wireDec) rawstr() (string, error) {
 // the "zero-copy" property: one allocation per distinct identifier per
 // process, not per frame.
 func (d *wireDec) str() (string, error) {
-	id, err := d.uvarint()
+	id, err := d.Uvarint()
 	if err != nil {
 		return "", err
 	}
 	if id == 0 {
-		raw, err := d.rawstr()
+		raw, err := d.String()
 		if err != nil {
 			return "", err
 		}
@@ -419,30 +271,28 @@ func (d *wireDec) str() (string, error) {
 	return d.tab[id-1], nil
 }
 
+// value reads one SQL value, strings interned.
 func (d *wireDec) value() (stream.Value, error) {
-	k, err := d.readByte()
+	v, isStr, err := d.ValueHead()
+	if isStr {
+		var s string
+		s, err = d.str()
+		v = stream.Str(s)
+	}
+	return v, err
+}
+
+// values reads a length-prefixed value row into arena storage.
+func (d *wireDec) values(arena *tupleArena) ([]stream.Value, error) {
+	n, err := d.Len()
 	if err != nil {
-		return stream.Value{}, err
+		return nil, err
 	}
-	switch stream.Kind(k) {
-	case stream.KindNull:
-		return stream.Value{}, nil
-	case stream.KindInt:
-		i, err := d.varint()
-		return stream.Int(i), err
-	case stream.KindFloat:
-		f, err := d.float()
-		return stream.Float(f), err
-	case stream.KindString:
-		s, err := d.str()
-		return stream.Str(s), err
-	case stream.KindBool:
-		b, err := d.bool()
-		return stream.Bool(b), err
-	case stream.KindTime:
-		ts, err := d.varint()
-		return stream.Time(stream.Timestamp(ts)), err
-	default:
-		return stream.Value{}, corruptf("unknown value kind %d", k)
+	vals := arena.values(n)
+	for j := range vals {
+		if vals[j], err = d.value(); err != nil {
+			return nil, err
+		}
 	}
+	return vals, nil
 }

@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/esl"
+	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
 )
 
 func ts(d int) stream.Timestamp { return stream.TS(time.Duration(d) * time.Second) }
+
+// readOne validates the front of raw through frameReader, the single
+// framing validator.
+func readOne(raw []byte) (byte, []byte, error) {
+	fr := frameReader{r: bytes.NewReader(raw)}
+	return fr.next()
+}
 
 func TestFrameRoundtrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, []byte("hello cluster"), bytes.Repeat([]byte{0xAB}, 4096)}
@@ -20,9 +29,9 @@ func TestFrameRoundtrip(t *testing.T) {
 	for i, p := range payloads {
 		buf = appendFrame(buf, byte(i+1), p)
 	}
-	off := 0
+	fr := frameReader{r: bytes.NewReader(buf)}
 	for i, p := range payloads {
-		typ, payload, n, err := decodeFrame(buf[off:])
+		typ, payload, err := fr.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -32,17 +41,19 @@ func TestFrameRoundtrip(t *testing.T) {
 		if !bytes.Equal(payload, p) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
-		off += n
 	}
-	if off != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", off, len(buf))
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
 
 func TestDecodeFrameTruncated(t *testing.T) {
 	full := appendFrame(nil, frameBatch, []byte("payload bytes"))
-	for cut := 0; cut < len(full); cut++ {
-		_, _, _, err := decodeFrame(full[:cut])
+	if _, _, err := readOne(nil); err != io.EOF {
+		t.Fatalf("empty input: got %v, want the clean-close io.EOF", err)
+	}
+	for cut := 1; cut < len(full); cut++ {
+		_, _, err := readOne(full[:cut])
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: got %v, want ErrTruncated", cut, err)
 		}
@@ -54,7 +65,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 	for i := 4; i < len(full); i++ { // every body/CRC byte position
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x40
-		_, _, _, err := decodeFrame(mut)
+		_, _, err := readOne(mut)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: got %v, want ErrCorrupt", i, err)
 		}
@@ -62,7 +73,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 	// Zero-length body is corrupt framing, not truncation.
 	zero := binary.LittleEndian.AppendUint32(nil, 0)
 	zero = append(zero, 0, 0, 0, 0)
-	if _, _, _, err := decodeFrame(zero); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readOne(zero); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("zero body: got %v, want ErrCorrupt", err)
 	}
 }
@@ -70,7 +81,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 func TestDecodeFrameTooBig(t *testing.T) {
 	raw := binary.LittleEndian.AppendUint32(nil, MaxFrame+1)
 	raw = append(raw, bytes.Repeat([]byte{0}, 16)...)
-	if _, _, _, err := decodeFrame(raw); !errors.Is(err, ErrTooBig) {
+	if _, _, err := readOne(raw); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("got %v, want ErrTooBig", err)
 	}
 }
@@ -89,7 +100,7 @@ func TestValueRoundtrip(t *testing.T) {
 		enc.value(v)
 	}
 	dec := newWireDec()
-	dec.reset(enc.bytes())
+	dec.Reset(enc.Buf)
 	for i, want := range vals {
 		got, err := dec.value()
 		if err != nil {
@@ -99,7 +110,7 @@ func TestValueRoundtrip(t *testing.T) {
 			t.Fatalf("value %d: got %v, want %v", i, got, want)
 		}
 	}
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,14 +125,14 @@ func TestInterningLockstep(t *testing.T) {
 	for _, s := range names {
 		enc.reset()
 		enc.str(s)
-		frames = append(frames, append([]byte(nil), enc.bytes()...))
+		frames = append(frames, append([]byte(nil), enc.Buf...))
 	}
 	if len(frames[0]) <= len(frames[2]) {
 		t.Fatalf("interned reference (%d bytes) should beat the raw string (%d bytes)",
 			len(frames[2]), len(frames[0]))
 	}
 	for i, f := range frames {
-		dec.reset(f)
+		dec.Reset(f)
 		got, err := dec.str()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -129,7 +140,7 @@ func TestInterningLockstep(t *testing.T) {
 		if got != names[i] {
 			t.Fatalf("frame %d: got %q, want %q", i, got, names[i])
 		}
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -137,9 +148,9 @@ func TestInterningLockstep(t *testing.T) {
 
 func TestInternedReferenceOutOfRange(t *testing.T) {
 	enc := newWireEnc()
-	enc.uvarint(42) // reference into an empty table
+	enc.Uvarint(42) // reference into an empty table
 	dec := newWireDec()
-	dec.reset(enc.bytes())
+	dec.Reset(enc.Buf)
 	if _, err := dec.str(); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol", err)
 	}
@@ -147,10 +158,10 @@ func TestInternedReferenceOutOfRange(t *testing.T) {
 
 func TestLengthScreensAllocation(t *testing.T) {
 	enc := newWireEnc()
-	enc.uvarint(1 << 40) // collection "length" far beyond the payload
+	enc.Uvarint(1 << 40) // collection "length" far beyond the payload
 	dec := newWireDec()
-	dec.reset(enc.bytes())
-	if _, err := dec.length(); !errors.Is(err, ErrCorrupt) {
+	dec.Reset(enc.Buf)
+	if _, err := dec.Len(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }
@@ -184,12 +195,12 @@ func TestBatchRoundtrip(t *testing.T) {
 	enc := newWireEnc()
 	encodeBatch(enc, items)
 	dec := newWireDec()
-	dec.reset(enc.bytes())
-	got, err := decodeBatch(dec, resolve, nil)
+	dec.Reset(enc.Buf)
+	got, err := decodeBatch(dec, resolve, nil, &tupleArena{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(items) {
@@ -217,8 +228,8 @@ func TestBatchUnknownStream(t *testing.T) {
 	enc := newWireEnc()
 	encodeBatch(enc, []stream.Item{stream.Of(tp)})
 	dec := newWireDec()
-	dec.reset(enc.bytes())
-	_, err := decodeBatch(dec, func(string) (*stream.Schema, bool) { return nil, false }, nil)
+	dec.Reset(enc.Buf)
+	_, err := decodeBatch(dec, func(string) (*stream.Schema, bool) { return nil, false }, nil, &tupleArena{})
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol", err)
 	}
@@ -233,14 +244,14 @@ func TestBatchPayloadTruncated(t *testing.T) {
 	tp, _ := stream.NewTuple(schema, ts(3), stream.Str("R1"), stream.Str("t9"))
 	enc := newWireEnc()
 	encodeBatch(enc, []stream.Item{stream.Of(tp), stream.Heartbeat(ts(4))})
-	full := enc.bytes()
+	full := enc.Buf
 	for cut := 0; cut < len(full); cut++ {
 		dec := newWireDec()
-		dec.reset(full[:cut])
-		if _, err := decodeBatch(dec, resolve, nil); err == nil {
+		dec.Reset(full[:cut])
+		if _, err := decodeBatch(dec, resolve, nil, &tupleArena{}); err == nil {
 			// A prefix may parse fewer complete items only if finish() then
 			// flags the remainder — but cutting mid-structure must error.
-			if ferr := dec.finish(); ferr == nil && cut != len(full) {
+			if ferr := dec.Finish(); ferr == nil && cut != len(full) {
 				t.Fatalf("cut at %d decoded cleanly", cut)
 			}
 		} else if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrProtocol) {
@@ -266,7 +277,7 @@ func TestRowsRecordTagRoundtrip(t *testing.T) {
 	enc := newWireEnc()
 	encodeRows(enc, in, map[int]*string{})
 	dec := newWireDec()
-	dec.reset(enc.bytes())
+	dec.Reset(enc.Buf)
 	out, err := decodeRows(dec, func(string) (*stream.Schema, bool) { return nil, false }, map[int][]string{})
 	if err != nil {
 		t.Fatal(err)
@@ -286,5 +297,41 @@ func TestRowsRecordTagRoundtrip(t *testing.T) {
 	}
 	if pol, seq, hash := esl.RecordTags(out[3].row); pol != spec.Final || seq != 0 || hash != 0 {
 		t.Fatalf("strict final grew tags: (%v,%d,%x)", pol, seq, hash)
+	}
+}
+
+// TestPayloadFailureRules: wire payloads decode through the shared codec,
+// so they follow its one rule per failure — a bool byte above 1 and a
+// string length beyond the payload are ErrCorrupt (as in snapshots and the
+// journal), input ending inside a primitive is ErrTruncated — and the wire
+// sentinels are the codec's.
+func TestPayloadFailureRules(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []byte
+		read func(d *wireDec) error
+		want error
+	}{
+		{"bool above 1", []byte{2}, func(d *wireDec) error { _, err := d.Bool(); return err }, ErrCorrupt},
+		{"bool value above 1", []byte{byte(stream.KindBool), 2}, func(d *wireDec) error { _, err := d.value(); return err }, ErrCorrupt},
+		{"raw string beyond payload", []byte{9, 'x'}, func(d *wireDec) error { _, err := d.String(); return err }, ErrCorrupt},
+		{"interned string beyond payload", []byte{0, 9, 'x'}, func(d *wireDec) error { _, err := d.str(); return err }, ErrCorrupt},
+		{"unknown value kind", []byte{0x7f}, func(d *wireDec) error { _, err := d.value(); return err }, ErrCorrupt},
+		{"non-minimal varint", []byte{0x80, 0x00}, func(d *wireDec) error { _, err := d.Uvarint(); return err }, ErrCorrupt},
+		{"varint cut", []byte{0x80}, func(d *wireDec) error { _, err := d.Varint(); return err }, ErrTruncated},
+		{"float value cut", []byte{byte(stream.KindFloat), 1, 2}, func(d *wireDec) error { _, err := d.value(); return err }, ErrTruncated},
+		{"hello magic cut", []byte("ESL"), func(d *wireDec) error { _, err := decodeHello(d); return err }, ErrTruncated},
+		{"trailing payload", []byte{1, 2}, func(d *wireDec) error { _, err := decodeCkptReq(d); return err }, ErrCorrupt},
+	}
+	for _, c := range cases {
+		dec := newWireDec()
+		dec.Reset(c.in)
+		err := c.read(dec)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if !errors.Is(ErrTruncated, snapshot.ErrTruncated) || !errors.Is(ErrCorrupt, snapshot.ErrCorrupt) {
+		t.Fatal("wire sentinels must be the shared codec's")
 	}
 }

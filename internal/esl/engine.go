@@ -129,18 +129,9 @@ type Engine struct {
 	spc       *speculator
 	specSlack time.Duration
 
-	// Durability (snapshot.go). journalDir enables the write-ahead event
-	// journal, opened lazily on first journaled item; lsn is the last
-	// journaled (or replayed) record's sequence number; replaying suppresses
-	// journaling and checkpoint cadence while Recover re-applies the suffix.
-	journalDir string
-	jcfg       snapshot.JournalConfig
-	ckptEvery  int
-	journal    *snapshot.Journal
-	journalErr error
-	lsn        uint64
-	sinceCkpt  int
-	replaying  bool
+	// Durability (snapshot.go): dur journals offered items, keeps the LSN,
+	// and runs checkpoints and recovery.
+	dur *snapshot.Lifecycle
 	// retainVers bounds the named table versions kept for AS OF reads
 	// (Config.RetainVersions); ckptLSNs lists the checkpoint LSNs that cut
 	// versions, newest last, so retention can find the release watermark.
@@ -295,9 +286,14 @@ func New(opts ...Option) *Engine {
 	}
 	e.noRoute = cfg.NoRouteIndex
 	e.noMerge = cfg.NoPlanMerge
-	e.journalDir = cfg.JournalDir
-	e.jcfg = cfg.Journal
-	e.ckptEvery = cfg.CheckpointEvery
+	e.dur = snapshot.NewLifecycle(cfg.JournalDir, cfg.Journal, cfg.CheckpointEvery, snapshot.Hooks{
+		Name:    "esl",
+		Save:    e.saveStateLocked,
+		Load:    e.loadStateLocked,
+		Resolve: e.resolverLocked(),
+		Apply:   e.offerItemLocked,
+		Cut:     e.cutVersionsLocked,
+	})
 	e.retainVers = cfg.RetainVersions
 	if !cfg.Ingest.IsZero() {
 		cfg.Ingest.OnDead = e.dispatchDeadLocked
@@ -721,27 +717,14 @@ func (e *Engine) Push(streamName string, ts stream.Timestamp, vals ...stream.Val
 	return e.pushOneLocked(si, t)
 }
 
-// pushOneLocked is the shared single-tuple tail of Push and PushTuple:
-// journal, offer (or route), group-commit the journal at the call boundary
-// — even on a processing error, so the log holds exactly the offered items —
-// then run the checkpoint cadence.
+// pushOneLocked is the shared single-tuple tail of Push and PushTuple.
 func (e *Engine) pushOneLocked(si *streamInfo, t *stream.Tuple) error {
-	if err := e.journalItemLocked(stream.Of(t)); err != nil {
-		return err
-	}
-	var perr error
-	if e.ingest != nil {
-		perr = e.offerLocked(stream.Of(t))
-	} else {
-		perr = e.routeLocked(si, t)
-	}
-	if ferr := e.flushJournalLocked(); perr == nil {
-		perr = ferr
-	}
-	if perr != nil {
-		return perr
-	}
-	return e.maybeCheckpointLocked()
+	return e.dur.Offer([]stream.Item{stream.Of(t)}, func(it stream.Item) error {
+		if e.ingest != nil {
+			return e.offerLocked(it)
+		}
+		return e.routeLocked(si, it.Tuple)
+	})
 }
 
 // PushBatch processes a run of merged items — tuples and heartbeats in
@@ -752,56 +735,29 @@ func (e *Engine) pushOneLocked(si *streamInfo, t *stream.Tuple) error {
 // consecutive same-stream tuples flow through the readers' vectorized batch
 // kernels with clock, heartbeat and eviction work coalesced to run
 // boundaries; otherwise every item is processed at its exact position.
+// Journaled engines and engines with an ingest boundary offer item by item,
+// so on a mid-batch rejection the journal holds exactly the offered items.
 func (e *Engine) PushBatch(items []stream.Item) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refreshRoutesLocked()
-	if e.ingest != nil {
-		// Journal interleaved with the offer: on a mid-batch rejection the
-		// journal holds exactly the items that were offered. Records stage
-		// in the group-commit buffer and flush once at the call boundary —
-		// including on error, so the offered-iff-journaled invariant holds.
-		var perr error
-		for _, it := range items {
-			if perr = e.journalItemLocked(it); perr != nil {
-				break
-			}
-			if perr = e.offerLocked(it); perr != nil {
-				break
-			}
-		}
-		if ferr := e.flushJournalLocked(); perr == nil {
-			perr = ferr
-		}
-		if perr != nil {
-			return perr
-		}
-		return e.maybeCheckpointLocked()
-	}
-	if e.journalDir != "" {
-		// Journaled engines without an ingest boundary take the per-item
-		// path for the same offered-iff-journaled guarantee.
-		var perr error
-		for i := range items {
-			if perr = e.journalItemLocked(items[i]); perr != nil {
-				break
-			}
-			if perr = e.pushItemsExactLocked(items[i : i+1]); perr != nil {
-				break
-			}
-		}
-		if ferr := e.flushJournalLocked(); perr == nil {
-			perr = ferr
-		}
-		if perr != nil {
-			return perr
-		}
-		return e.maybeCheckpointLocked()
-	}
-	if e.sensitive {
+	switch {
+	case e.ingest != nil || e.dur.Journaling():
+		return e.dur.Offer(items, e.offerItemLocked)
+	case e.sensitive:
 		return e.pushItemsExactLocked(items)
+	default:
+		return e.pushItemsBatchedLocked(items)
 	}
-	return e.pushItemsBatchedLocked(items)
+}
+
+// offerItemLocked admits one item: through the ingest boundary when one is
+// configured, else at its exact position on the per-item path.
+func (e *Engine) offerItemLocked(it stream.Item) error {
+	if e.ingest != nil {
+		return e.offerLocked(it)
+	}
+	return e.pushItemsExactLocked([]stream.Item{it})
 }
 
 // pushItemsExactLocked replays the per-item ingestion path: each tuple and
@@ -1126,29 +1082,14 @@ func (e *Engine) routeBuf() []int {
 }
 
 // Heartbeat advances event time without a tuple (punctuation), firing
-// expirations — Active Expiration per §3.1.3.
+// expirations — Active Expiration per §3.1.3. Behind an ingest boundary the
+// beat advances the high-water mark, and the clock follows the watermark (ts
+// minus slack) once held-back tuples are released.
 func (e *Engine) Heartbeat(ts stream.Timestamp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refreshRoutesLocked()
-	if err := e.journalItemLocked(stream.Heartbeat(ts)); err != nil {
-		return err
-	}
-	if e.ingest != nil {
-		// Punctuation advances the high-water mark; the clock follows the
-		// watermark (ts minus slack) once held-back tuples are released.
-		if err := e.offerLocked(stream.Heartbeat(ts)); err != nil {
-			return err
-		}
-		return e.maybeCheckpointLocked()
-	}
-	if ts > e.now {
-		e.now = ts
-	}
-	if err := e.advanceLocked(e.now); err != nil {
-		return err
-	}
-	return e.maybeCheckpointLocked()
+	return e.dur.Offer([]stream.Item{stream.Heartbeat(ts)}, e.offerItemLocked)
 }
 
 func (e *Engine) advanceLocked(ts stream.Timestamp) error {

@@ -434,13 +434,13 @@ func (e *Engine) resolveAsOfLocked(tbl *db.Table, ao *AsOfClause) (*db.Version, 
 		return tbl.Head(), nil
 	}
 	if ao.HasLSN {
-		if ao.LSN > e.lsn {
+		if ao.LSN > e.dur.LSN() {
 			return tbl.Head(), nil
 		}
 		if v, ok := tbl.AsOf(ao.LSN); ok {
 			return v, nil
 		}
-		if ao.LSN >= e.lsn {
+		if ao.LSN >= e.dur.LSN() {
 			return tbl.Head(), nil // anchor is "now" and nothing was ever cut
 		}
 	} else {

@@ -3,7 +3,6 @@ package esl
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -536,7 +535,7 @@ func (e *Engine) resolverLocked() snapshot.SchemaResolver {
 
 func (e *Engine) saveStateLocked(enc *snapshot.Encoder) error {
 	enc.Uvarint(snapshot.SnapSerial)
-	enc.Uvarint(e.lsn)
+	enc.Uvarint(e.dur.LSN())
 	enc.TS(e.now)
 	enc.Uvarint(e.seq)
 	enc.Int(e.nquarantined)
@@ -629,9 +628,11 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 	if kind != snapshot.SnapSerial {
 		return fmt.Errorf("%w: snapshot was written by a sharded engine (kind %d)", snapshot.ErrShardMismatch, kind)
 	}
-	if e.lsn, err = dec.Uvarint(); err != nil {
+	lsn, err := dec.Uvarint()
+	if err != nil {
 		return err
 	}
+	e.dur.SetLSN(lsn)
 	if e.now, err = dec.TS(); err != nil {
 		return err
 	}
@@ -875,11 +876,7 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	enc := snapshot.NewEncoder()
-	if err := e.saveStateLocked(enc); err != nil {
-		return err
-	}
-	return enc.Finish(w)
+	return e.dur.Checkpoint(w)
 }
 
 // Restore replaces the engine's mutable state with a snapshot written by
@@ -890,115 +887,21 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 func (e *Engine) Restore(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	dec, err := snapshot.NewDecoder(r, e.resolverLocked())
-	if err != nil {
-		return err
-	}
-	if err := e.loadStateLocked(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return e.dur.Restore(r)
 }
 
 // --- journal + recovery ---
 
-// journalLocked opens the journal on first use (New cannot fail, so the
-// directory is created lazily); the error is sticky.
-func (e *Engine) journalLocked() (*snapshot.Journal, error) {
-	if e.journal == nil && e.journalErr == nil {
-		j, err := snapshot.OpenJournal(e.journalDir, e.jcfg)
-		if err != nil {
-			e.journalErr = err
-		} else {
-			e.journal = j
-			if last := j.LastLSN(); last > e.lsn {
-				e.lsn = last
-			}
-		}
-	}
-	return e.journal, e.journalErr
-}
-
-// journalItemLocked appends one offered item to the event journal before it
-// enters the ingest boundary, so replay re-screens it identically. A no-op
-// unless WithJournal configured a directory, and during replay.
-func (e *Engine) journalItemLocked(it stream.Item) error {
-	if e.journalDir == "" || e.replaying {
-		return nil
-	}
-	j, err := e.journalLocked()
-	if err != nil {
-		return err
-	}
-	e.lsn++
-	if err := j.AppendItemAt(e.lsn, it); err != nil {
-		return err
-	}
-	e.sinceCkpt++
-	return nil
-}
-
-// flushJournalLocked group-commits staged journal records: one write
-// syscall for everything appended since the last flush. The push paths call
-// it at every call boundary, so a successful Push/PushBatch return means
-// the records reached the OS.
-func (e *Engine) flushJournalLocked() error {
-	if e.journal == nil {
-		return nil
-	}
-	return e.journal.Flush()
-}
-
-// maybeCheckpointLocked writes a periodic snapshot once CheckpointEvery
-// journaled items have accumulated since the last one.
-func (e *Engine) maybeCheckpointLocked() error {
-	if e.ckptEvery <= 0 || e.journalDir == "" || e.replaying || e.sinceCkpt < e.ckptEvery {
-		return nil
-	}
-	return e.checkpointDirLocked()
-}
-
-// checkpointDirLocked writes snap-<lsn> into the journal directory, syncing
-// the journal first so the (snapshot, journal suffix) pair on disk is
-// consistent at the cut point.
-func (e *Engine) checkpointDirLocked() error {
-	if e.journalDir == "" {
-		return fmt.Errorf("esl: no journal directory configured (use WithJournal)")
-	}
-	if e.journal != nil {
-		if err := e.journal.Sync(); err != nil {
-			return err
-		}
-	}
-	// Name every table's current state as the version at this checkpoint's
-	// LSN *before* encoding, so the snapshot carries the cut and a restored
-	// replica can serve AS OF reads at it too.
-	e.cutVersionsLocked()
-	enc := snapshot.NewEncoder()
-	if err := e.saveStateLocked(enc); err != nil {
-		return err
-	}
-	blob, err := enc.Bytes()
-	if err != nil {
-		return err
-	}
-	if _, err := snapshot.WriteSnapshot(e.journalDir, e.lsn, blob); err != nil {
-		return err
-	}
-	e.sinceCkpt = 0
-	return nil
-}
-
 // cutVersionsLocked names the current state of every store table as the
-// version at the current LSN and applies the RetainVersions bound: once
-// more than retainVers checkpoints have cut versions, the watermark
-// advances past the oldest and unpinned history is released.
-func (e *Engine) cutVersionsLocked() {
-	e.store.CutVersions(e.lsn, e.now)
-	for n := len(e.ckptLSNs); n > 0 && e.ckptLSNs[n-1] >= e.lsn; n = len(e.ckptLSNs) {
+// version at lsn and applies the RetainVersions bound: once more than
+// retainVers checkpoints have cut versions, the watermark advances past the
+// oldest and unpinned history is released.
+func (e *Engine) cutVersionsLocked(lsn uint64) {
+	e.store.CutVersions(lsn, e.now)
+	for n := len(e.ckptLSNs); n > 0 && e.ckptLSNs[n-1] >= lsn; n = len(e.ckptLSNs) {
 		e.ckptLSNs = e.ckptLSNs[:n-1]
 	}
-	e.ckptLSNs = append(e.ckptLSNs, e.lsn)
+	e.ckptLSNs = append(e.ckptLSNs, lsn)
 	if e.retainVers > 0 && len(e.ckptLSNs) > e.retainVers {
 		drop := len(e.ckptLSNs) - e.retainVers
 		e.store.ReleaseBefore(e.ckptLSNs[drop])
@@ -1006,12 +909,31 @@ func (e *Engine) cutVersionsLocked() {
 	}
 }
 
+// CutVersions moves the engine's log position to lsn and names every
+// table's current state as the version at lsn. It is the checkpoint cut for
+// a replica whose input a coordinator journals on its behalf (the sharded
+// engine's shard 0, home of every table-touching query).
+func (e *Engine) CutVersions(lsn uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.dur.SetLSN(lsn)
+	e.cutVersionsLocked(lsn)
+}
+
+// SetLSN moves the log position AS OF anchors resolve against, for a replica
+// whose input a coordinator journals on its behalf.
+func (e *Engine) SetLSN(lsn uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.dur.SetLSN(lsn)
+}
+
 // CheckpointNow forces a durable snapshot into the journal directory,
 // independent of the CheckpointEvery cadence.
 func (e *Engine) CheckpointNow() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.checkpointDirLocked()
+	return e.dur.CheckpointNow()
 }
 
 // LastLSN reports the sequence number of the last journaled (or replayed)
@@ -1019,7 +941,7 @@ func (e *Engine) CheckpointNow() error {
 func (e *Engine) LastLSN() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lsn
+	return e.dur.LSN()
 }
 
 // SyncJournal forces buffered journal records to stable storage (useful
@@ -1027,10 +949,7 @@ func (e *Engine) LastLSN() uint64 {
 func (e *Engine) SyncJournal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.journal == nil {
-		return nil
-	}
-	return e.journal.Sync()
+	return e.dur.Sync()
 }
 
 // CloseJournal syncs and closes the journal file. Subsequent journaled
@@ -1038,12 +957,7 @@ func (e *Engine) SyncJournal() error {
 func (e *Engine) CloseJournal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.journal == nil {
-		return nil
-	}
-	err := e.journal.Close()
-	e.journal = nil
-	return err
+	return e.dur.Close()
 }
 
 // Recover rebuilds engine state from dir (default: the WithJournal
@@ -1057,69 +971,6 @@ func (e *Engine) CloseJournal() error {
 func (e *Engine) Recover(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if dir == "" {
-		dir = e.journalDir
-	}
-	if dir == "" {
-		return fmt.Errorf("esl: no recovery directory (pass one or use WithJournal)")
-	}
-	path, _, ok, err := snapshot.LatestSnapshot(dir)
-	if err != nil {
-		return err
-	}
-	if ok {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		dec, derr := snapshot.NewDecoder(f, e.resolverLocked())
-		if derr == nil {
-			derr = e.loadStateLocked(dec)
-		}
-		if derr == nil {
-			derr = dec.Finish()
-		}
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("esl: restore %s: %w", path, derr)
-		}
-	}
-	e.replaying = true
-	defer func() { e.replaying = false }()
-	return snapshot.Replay(dir, e.lsn, func(lsn uint64, body []byte) error {
-		it, derr := snapshot.DecodeItem(body, e.resolverLocked())
-		if derr != nil {
-			return derr
-		}
-		e.lsn = lsn
-		e.applyReplayLocked(it)
-		return nil
-	})
-}
-
-// applyReplayLocked re-offers one journaled item. Errors are deterministic
-// re-manifestations of rejections the original run already returned to its
-// caller (the journal holds exactly the items that were offered), so they
-// are not propagated.
-func (e *Engine) applyReplayLocked(it stream.Item) {
 	e.refreshRoutesLocked()
-	if e.ingest != nil {
-		_ = e.offerLocked(it)
-		return
-	}
-	if it.IsHeartbeat() {
-		if it.TS > e.now {
-			e.now = it.TS
-		}
-		_ = e.advanceLocked(e.now)
-		return
-	}
-	if it.Tuple == nil || it.Tuple.Schema == nil {
-		return
-	}
-	si, ok := e.streams[strings.ToLower(it.Tuple.Schema.Name())]
-	if !ok {
-		return
-	}
-	_ = e.routeLocked(si, it.Tuple)
+	return e.dur.Recover(dir)
 }

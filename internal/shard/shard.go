@@ -10,6 +10,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -23,6 +24,9 @@ import (
 
 // Row re-exports the engine row type for sharded callbacks.
 type Row = esl.Row
+
+// errClosed rejects calls on a closed (or killed) engine.
+var errClosed = errors.New("shard: engine closed")
 
 // DefaultBatchSize is the ingestion buffer length at which pending items
 // flush to the workers.
@@ -149,14 +153,7 @@ type Engine struct {
 	// Durability (snapshot.go): the journal and checkpoint cadence live at
 	// the sharded boundary — items are logged before routing, and snapshots
 	// stitch one section per shard — so the replicas stay journal-free.
-	journalDir string
-	jcfg       snapshot.JournalConfig
-	ckptEvery  int
-	journal    *snapshot.Journal
-	journalErr error
-	lsn        uint64
-	sinceCkpt  int
-	replaying  bool
+	dur *snapshot.Lifecycle
 }
 
 // New builds a sharded engine over n independent replicas. n must be >= 1;
@@ -181,16 +178,25 @@ func New(n int, opts ...esl.Option) *Engine {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	e.journalDir = cfg.JournalDir
-	e.jcfg = cfg.Journal
-	e.ckptEvery = cfg.CheckpointEvery
+	e.dur = snapshot.NewLifecycle(cfg.JournalDir, cfg.Journal, cfg.CheckpointEvery, snapshot.Hooks{
+		Name:    "shard",
+		Save:    e.saveStateLocked,
+		Load:    e.loadStateLocked,
+		Resolve: e.StreamSchema,
+		Apply:   e.applyReplayLocked,
+		Quiesce: e.quiesceLocked,
+		// Shard 0 is home of every table-touching query, so its store is the
+		// authoritative copy the checkpoint names as the version at lsn.
+		Cut: func(lsn uint64) { e.replicas[0].CutVersions(lsn) },
+	})
 	if !cfg.Ingest.IsZero() {
 		cfg.Ingest.OnDead = e.dispatchDead
 		e.ingest = stream.NewIngest(cfg.Ingest)
 	}
-	// The execution escape hatches propagate to the replicas; the ingest and
-	// durability knobs are consumed at the sharded boundary above.
-	var ropts []esl.Option
+	// The execution escape hatches and the version-retention bound propagate
+	// to the replicas; the ingest and durability knobs are consumed at the
+	// sharded boundary above.
+	ropts := []esl.Option{esl.WithRetainVersions(cfg.RetainVersions)}
 	if cfg.NoRouteIndex {
 		ropts = append(ropts, esl.WithoutRouteIndex())
 	}
@@ -291,7 +297,7 @@ func (e *Engine) SetBatchSize(k int) {
 // drained its queue, returning the first sticky worker error.
 func (e *Engine) barrierLocked() error {
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
 	if err := e.flushLocked(); err != nil {
 		return err
@@ -495,13 +501,16 @@ func (e *Engine) ForEachReplica(fn func(*esl.Engine) error) error {
 func (e *Engine) Store() *db.Store { return e.replicas[0].Store() }
 
 // Query runs an ad-hoc snapshot SELECT against shard 0 after a full
-// barrier, so retained history and tables reflect everything pushed.
+// barrier, so retained history and tables reflect everything pushed. AS OF
+// anchors resolve against the boundary's LSN, exactly as on a serial engine
+// fed the same items.
 func (e *Engine) Query(sql string) ([]Row, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.barrierLocked(); err != nil {
 		return nil, err
 	}
+	e.replicas[0].SetLSN(e.dur.LSN())
 	return e.replicas[0].Query(sql)
 }
 
@@ -560,59 +569,38 @@ func (e *Engine) PushBatch(items []stream.Item) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
-	if e.ingest != nil {
-		// Journal before the offer: on a mid-batch rejection the journal
-		// holds exactly the offered items, so replay reproduces the
-		// identical boundary state. Records stage in the group-commit
-		// buffer and flush once at the call boundary — including on error.
-		var perr error
-		for _, it := range items {
-			if perr = e.journalItemLocked(it); perr != nil {
-				break
-			}
-			out, lateErr := e.ingest.Offer(it, e.ingestScratch[:0])
-			perr = e.enqueueRunLocked(out)
-			e.ingestScratch = out[:0]
-			if perr == nil {
-				perr = lateErr
-			}
-			if perr != nil {
-				break
-			}
-		}
-		if ferr := e.flushJournalLocked(); perr == nil {
-			perr = ferr
-		}
-		if perr != nil {
-			return perr
-		}
-	} else if e.journalDir != "" {
-		var perr error
-		for _, it := range items {
-			if perr = e.journalItemLocked(it); perr != nil {
-				break
-			}
-			if perr = e.enqueueRunLocked([]stream.Item{it}); perr != nil {
-				break
-			}
-		}
-		if ferr := e.flushJournalLocked(); perr == nil {
-			perr = ferr
-		}
-		if perr != nil {
-			return perr
-		}
-	} else if err := e.enqueueRunLocked(items); err != nil {
+	var err error
+	if e.ingest == nil && !e.dur.Journaling() {
+		err = e.enqueueRunLocked(items)
+	} else {
+		// Item by item, so on a mid-batch rejection the journal holds exactly
+		// the offered items and replay rebuilds the identical boundary state.
+		err = e.dur.Offer(items, e.offerLocked)
+	}
+	if err != nil {
 		return err
 	}
 	if len(e.pending) >= e.batchSize {
-		if err := e.flushLocked(); err != nil {
-			return err
-		}
+		return e.flushLocked()
 	}
-	return e.maybeCheckpointLocked()
+	return nil
+}
+
+// offerLocked admits one item: through the ingest stage when one is
+// configured, then into the pending buffer.
+func (e *Engine) offerLocked(it stream.Item) error {
+	if e.ingest == nil {
+		return e.enqueueRunLocked([]stream.Item{it})
+	}
+	out, lateErr := e.ingest.Offer(it, e.ingestScratch[:0])
+	err := e.enqueueRunLocked(out)
+	e.ingestScratch = out[:0]
+	if err == nil {
+		err = lateErr
+	}
+	return err
 }
 
 // enqueueRunLocked appends an ordered run of items to the pending buffer,
@@ -722,7 +710,7 @@ func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
 	return e.flushLocked()
 }
@@ -773,11 +761,8 @@ func (e *Engine) Close() error {
 	for _, w := range e.workers {
 		<-w.done
 	}
-	if e.journal != nil {
-		if jerr := e.journal.Close(); err == nil {
-			err = jerr
-		}
-		e.journal = nil
+	if jerr := e.dur.Close(); err == nil {
+		err = jerr
 	}
 	return err
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 
@@ -34,7 +33,7 @@ func (e *Engine) quiesceLocked() error {
 func (e *Engine) saveStateLocked(enc *snapshot.Encoder) error {
 	enc.Uvarint(snapshot.SnapSharded)
 	enc.Int(e.n)
-	enc.Uvarint(e.lsn)
+	enc.Uvarint(e.dur.LSN())
 	enc.TS(e.lastTS)
 	enc.Int(e.rr)
 	enc.Bool(e.ingest != nil)
@@ -82,9 +81,11 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 	if n != e.n {
 		return fmt.Errorf("%w: snapshot has %d shards, engine has %d", snapshot.ErrShardMismatch, n, e.n)
 	}
-	if e.lsn, err = dec.Uvarint(); err != nil {
+	lsn, err := dec.Uvarint()
+	if err != nil {
 		return err
 	}
+	e.dur.SetLSN(lsn)
 	if e.lastTS, err = dec.TS(); err != nil {
 		return err
 	}
@@ -126,16 +127,9 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
-	if err := e.quiesceLocked(); err != nil {
-		return err
-	}
-	enc := snapshot.NewEncoder()
-	if err := e.saveStateLocked(enc); err != nil {
-		return err
-	}
-	return enc.Finish(w)
+	return e.dur.Checkpoint(w)
 }
 
 // Restore replaces all mutable state with a snapshot written by Checkpoint.
@@ -145,99 +139,12 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
-	if err := e.quiesceLocked(); err != nil {
-		return err
-	}
-	dec, err := snapshot.NewDecoder(r, snapshot.SchemaResolver(e.StreamSchema))
-	if err != nil {
-		return err
-	}
-	if err := e.loadStateLocked(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
+	return e.dur.Restore(r)
 }
 
 // --- journal + recovery ---
-
-func (e *Engine) journalLocked() (*snapshot.Journal, error) {
-	if e.journal == nil && e.journalErr == nil {
-		j, err := snapshot.OpenJournal(e.journalDir, e.jcfg)
-		if err != nil {
-			e.journalErr = err
-		} else {
-			e.journal = j
-			if last := j.LastLSN(); last > e.lsn {
-				e.lsn = last
-			}
-		}
-	}
-	return e.journal, e.journalErr
-}
-
-func (e *Engine) journalItemLocked(it stream.Item) error {
-	if e.journalDir == "" || e.replaying {
-		return nil
-	}
-	j, err := e.journalLocked()
-	if err != nil {
-		return err
-	}
-	e.lsn++
-	if err := j.AppendItemAt(e.lsn, it); err != nil {
-		return err
-	}
-	e.sinceCkpt++
-	return nil
-}
-
-// flushJournalLocked group-commits staged journal records with one write
-// syscall; the push path calls it at every call boundary.
-func (e *Engine) flushJournalLocked() error {
-	if e.journal == nil {
-		return nil
-	}
-	return e.journal.Flush()
-}
-
-func (e *Engine) maybeCheckpointLocked() error {
-	if e.ckptEvery <= 0 || e.journalDir == "" || e.replaying || e.sinceCkpt < e.ckptEvery {
-		return nil
-	}
-	return e.checkpointDirLocked()
-}
-
-// checkpointDirLocked quiesces and writes snap-<lsn> into the journal
-// directory, syncing the journal first so the durable (snapshot, suffix)
-// pair is consistent at the cut point.
-func (e *Engine) checkpointDirLocked() error {
-	if e.journalDir == "" {
-		return fmt.Errorf("shard: no journal directory configured (use esl.WithJournal)")
-	}
-	if err := e.quiesceLocked(); err != nil {
-		return err
-	}
-	if e.journal != nil {
-		if err := e.journal.Sync(); err != nil {
-			return err
-		}
-	}
-	enc := snapshot.NewEncoder()
-	if err := e.saveStateLocked(enc); err != nil {
-		return err
-	}
-	blob, err := enc.Bytes()
-	if err != nil {
-		return err
-	}
-	if _, err := snapshot.WriteSnapshot(e.journalDir, e.lsn, blob); err != nil {
-		return err
-	}
-	e.sinceCkpt = 0
-	return nil
-}
 
 // CheckpointNow forces a durable snapshot into the journal directory,
 // independent of the CheckpointEvery cadence.
@@ -245,9 +152,9 @@ func (e *Engine) CheckpointNow() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
-	return e.checkpointDirLocked()
+	return e.dur.CheckpointNow()
 }
 
 // LastLSN reports the sequence number of the last journaled (or replayed)
@@ -255,17 +162,14 @@ func (e *Engine) CheckpointNow() error {
 func (e *Engine) LastLSN() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lsn
+	return e.dur.LSN()
 }
 
 // SyncJournal forces buffered journal records to stable storage.
 func (e *Engine) SyncJournal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.journal == nil {
-		return nil
-	}
-	return e.journal.Sync()
+	return e.dur.Sync()
 }
 
 // Recover rebuilds state from dir (default: the configured journal
@@ -278,68 +182,20 @@ func (e *Engine) Recover(dir string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
-	if dir == "" {
-		dir = e.journalDir
-	}
-	if dir == "" {
-		return fmt.Errorf("shard: no recovery directory (pass one or use esl.WithJournal)")
-	}
-	path, _, ok, err := snapshot.LatestSnapshot(dir)
-	if err != nil {
-		return err
-	}
-	if ok {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		derr := e.quiesceLocked()
-		var dec *snapshot.Decoder
-		if derr == nil {
-			dec, derr = snapshot.NewDecoder(f, snapshot.SchemaResolver(e.StreamSchema))
-		}
-		if derr == nil {
-			derr = e.loadStateLocked(dec)
-		}
-		if derr == nil {
-			derr = dec.Finish()
-		}
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("shard: restore %s: %w", path, derr)
-		}
-	}
-	e.replaying = true
-	defer func() { e.replaying = false }()
-	return snapshot.Replay(dir, e.lsn, func(lsn uint64, body []byte) error {
-		it, derr := snapshot.DecodeItem(body, snapshot.SchemaResolver(e.StreamSchema))
-		if derr != nil {
-			return derr
-		}
-		e.lsn = lsn
-		e.applyReplayLocked(it)
-		return nil
-	})
+	return e.dur.Recover(dir)
 }
 
 // applyReplayLocked re-offers one journaled item through the boundary.
-// Errors are deterministic re-manifestations of rejections the original run
-// already returned (the journal holds exactly the offered items), so they
-// are not propagated; flush boundaries may differ from the original run,
-// which only moves heartbeat coalescing points, not output content.
-func (e *Engine) applyReplayLocked(it stream.Item) {
-	if e.ingest != nil {
-		out, _ := e.ingest.Offer(it, e.ingestScratch[:0])
-		_ = e.enqueueRunLocked(out)
-		e.ingestScratch = out[:0]
-	} else {
-		_ = e.enqueueRunLocked([]stream.Item{it})
-	}
+// Flush boundaries may differ from the original run, which only moves
+// heartbeat coalescing points, not output content.
+func (e *Engine) applyReplayLocked(it stream.Item) error {
+	err := e.offerLocked(it)
 	if len(e.pending) >= e.batchSize {
-		_ = e.flushLocked()
+		_ = e.flushLocked() // dispatch only; it cannot fail
 	}
+	return err
 }
 
 // Kill abandons the engine without draining: buffered input, reorder-stage
@@ -363,8 +219,5 @@ func (e *Engine) Kill() {
 	// leak descriptors. Close flushes the group-commit buffer, but every
 	// acknowledged push call already flushed its records, so this only
 	// formalizes what a crash between calls would leave behind.
-	if e.journal != nil {
-		_ = e.journal.Close()
-		e.journal = nil
-	}
+	_ = e.dur.Close()
 }

@@ -291,3 +291,75 @@ func fixupCRC(blob []byte) []byte {
 	out[len(out)-1] = byte(crc >> 24)
 	return out
 }
+
+// TestReaderFailureRules pins one typed error per decode failure, for every
+// layout built on Reader (snapshot bodies, journal records, wire payloads):
+// input ending inside a primitive is ErrTruncated; a declared length beyond
+// the remaining input, and every byte sequence no Writer produces, is
+// ErrCorrupt.
+func TestReaderFailureRules(t *testing.T) {
+	overflow := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+	cases := []struct {
+		name string
+		in   []byte
+		read func(r *Reader) error
+		want error
+	}{
+		{"uvarint empty", nil, func(r *Reader) error { _, err := r.Uvarint(); return err }, ErrTruncated},
+		{"uvarint cut", []byte{0x80}, func(r *Reader) error { _, err := r.Uvarint(); return err }, ErrTruncated},
+		{"uvarint non-minimal", []byte{0x80, 0x00}, func(r *Reader) error { _, err := r.Uvarint(); return err }, ErrCorrupt},
+		{"uvarint overflow", overflow, func(r *Reader) error { _, err := r.Uvarint(); return err }, ErrCorrupt},
+		{"varint non-minimal", []byte{0x81, 0x00}, func(r *Reader) error { _, err := r.Varint(); return err }, ErrCorrupt},
+		{"byte empty", nil, func(r *Reader) error { _, err := r.Byte(); return err }, ErrTruncated},
+		{"bool empty", nil, func(r *Reader) error { _, err := r.Bool(); return err }, ErrTruncated},
+		{"bool above 1", []byte{2}, func(r *Reader) error { _, err := r.Bool(); return err }, ErrCorrupt},
+		{"float cut", make([]byte, 7), func(r *Reader) error { _, err := r.Float(); return err }, ErrTruncated},
+		{"fixed cut", []byte{1, 2}, func(r *Reader) error { _, err := r.Fixed(4); return err }, ErrTruncated},
+		{"len beyond input", []byte{5, 'a'}, func(r *Reader) error { _, err := r.Len(); return err }, ErrCorrupt},
+		{"string beyond input", []byte{5, 'a', 'b'}, func(r *Reader) error { _, err := r.String(); return err }, ErrCorrupt},
+		{"value empty", nil, func(r *Reader) error { _, err := r.Value(); return err }, ErrTruncated},
+		{"value bad kind", []byte{99}, func(r *Reader) error { _, err := r.Value(); return err }, ErrCorrupt},
+		{"value bool above 1", []byte{byte(stream.KindBool), 7}, func(r *Reader) error { _, err := r.Value(); return err }, ErrCorrupt},
+		{"values beyond input", []byte{3, 0}, func(r *Reader) error { _, err := r.Values(); return err }, ErrCorrupt},
+		{"trailing bytes", []byte{1}, func(r *Reader) error { return r.Finish() }, ErrCorrupt},
+	}
+	for _, c := range cases {
+		var r Reader
+		r.Reset(c.in)
+		if err := c.read(&r); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestWriterReaderRoundTrip: every primitive Writer appends reads back
+// through Reader with nothing left over.
+func TestWriterReaderRoundTrip(t *testing.T) {
+	var w Writer
+	w.Uvarint(1 << 40)
+	w.Varint(-3)
+	w.Byte(0xfe)
+	w.Bool(true)
+	w.Float(math.Inf(-1))
+	w.String("raw")
+	w.Values([]stream.Value{stream.Null, stream.Int(-1), stream.Float(0.5), stream.Str("s"),
+		stream.Bool(false), stream.Time(stream.TS(time.Second))})
+	var r Reader
+	r.Reset(w.Buf)
+	u, _ := r.Uvarint()
+	v, _ := r.Varint()
+	b, _ := r.Byte()
+	bo, _ := r.Bool()
+	f, _ := r.Float()
+	s, _ := r.String()
+	vals, err := r.Values()
+	if err != nil || u != 1<<40 || v != -3 || b != 0xfe || !bo || !math.IsInf(f, -1) || s != "raw" || len(vals) != 6 {
+		t.Fatalf("round trip = %d %d %x %v %v %q %v, %v", u, v, b, bo, f, s, vals, err)
+	}
+	if got, _ := vals[3].AsString(); got != "s" {
+		t.Fatalf("string value = %q", got)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}

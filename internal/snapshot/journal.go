@@ -93,22 +93,21 @@ type JournalConfig struct {
 
 // Journal is the append side. It is not internally locked; the engine
 // appends under its own ingestion lock. Records are group-committed:
-// AppendAt buffers the framed record in memory and Flush (called by the
+// AppendItemAt buffers the framed record in memory and Flush (called by the
 // engines at each push-call boundary, and implicitly by Sync and Close)
 // writes the accumulated run with a single syscall. A successful flush means
 // the records reached the OS; a process crash mid-call can lose only the
 // unacknowledged call's records, which recovery treats as never offered.
 type Journal struct {
-	dir       string
-	cfg       JournalConfig
-	seg       *os.File
-	segIdx    int
-	segBytes  int
-	lsn       uint64 // last appended LSN
-	unsynced  int
-	scratch   []byte
-	buf       []byte // framed records awaiting group commit
-	openedAny bool
+	dir      string
+	cfg      JournalConfig
+	seg      *os.File
+	segIdx   int
+	segBytes int
+	lsn      uint64 // last appended LSN
+	unsynced int
+	scratch  []byte
+	buf      []byte // framed records awaiting group commit
 }
 
 // OpenJournal opens (creating if needed) the journal in dir and positions
@@ -154,7 +153,6 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 		}
 		j.seg = f
 		j.segBytes = int(validEnd)
-		j.openedAny = true
 	}
 	return j, nil
 }
@@ -162,41 +160,13 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 // LastLSN returns the LSN of the newest record in the log (0 if empty).
 func (j *Journal) LastLSN() uint64 { return j.lsn }
 
-// Append writes one record with the next LSN and returns it.
-func (j *Journal) Append(body []byte) (uint64, error) {
-	lsn := j.lsn + 1
-	if err := j.AppendAt(lsn, body); err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// AppendAt stages one record with an explicit LSN, which must exceed the
-// last appended one. The framed record lands in the group-commit buffer;
-// call Flush (or Sync) at a consistency boundary to write it out.
-func (j *Journal) AppendAt(lsn uint64, body []byte) error {
-	if err := j.stageLocked(lsn); err != nil {
-		return err
-	}
-	j.scratch = append(j.scratch, body...)
-	return j.commitScratch(lsn)
-}
-
-// AppendItemAt is AppendAt for an offered engine item, encoding the record
-// body straight into the journal's scratch buffer — the hot ingestion path
-// journals every item, so this avoids a per-record allocation.
+// AppendItemAt stages one offered item as the record with the given LSN,
+// which must exceed the last appended one. The framed record lands in the
+// group-commit buffer; call Flush (or Sync) at a consistency boundary to
+// write it out. The body is encoded straight into a reused scratch buffer:
+// the hot ingestion path journals every item.
 func (j *Journal) AppendItemAt(lsn uint64, it stream.Item) error {
-	if err := j.stageLocked(lsn); err != nil {
-		return err
-	}
-	j.scratch = appendItemBytes(j.scratch, it)
-	return j.commitScratch(lsn)
-}
-
-// stageLocked validates the LSN, rotates if the segment is full, and resets
-// the scratch buffer to the record's LSN prefix.
-func (j *Journal) stageLocked(lsn uint64) error {
-	if lsn <= j.lsn && j.openedAny {
+	if lsn <= j.lsn {
 		return fmt.Errorf("snapshot: journal LSN %d not after %d", lsn, j.lsn)
 	}
 	if j.seg == nil || j.segBytes+len(j.buf) >= j.cfg.SegmentBytes {
@@ -207,13 +177,9 @@ func (j *Journal) stageLocked(lsn uint64) error {
 			return err
 		}
 	}
-	j.scratch = binary.AppendUvarint(j.scratch[:0], lsn)
-	return nil
-}
-
-// commitScratch frames the staged scratch region (length + CRC) into the
-// group-commit buffer and applies the fsync policy.
-func (j *Journal) commitScratch(lsn uint64) error {
+	w := Writer{Buf: j.scratch[:0]}
+	w.Uvarint(lsn)
+	j.scratch = appendItemBytes(w.Buf, it)
 	var head [8]byte
 	binary.LittleEndian.PutUint32(head[0:], uint32(len(j.scratch)))
 	binary.LittleEndian.PutUint32(head[4:], crc32.ChecksumIEEE(j.scratch))
@@ -304,7 +270,6 @@ func (j *Journal) rotate() error {
 	}
 	j.seg = f
 	j.segBytes = len(journalMagic)
-	j.openedAny = true
 	return nil
 }
 
@@ -324,10 +289,13 @@ func Replay(dir string, after uint64, fn func(lsn uint64, body []byte) error) er
 		return err
 	}
 	for i, s := range segs {
-		tail := i == len(segs)-1
-		_, _, _, err := scanSegmentStrict(filepath.Join(dir, s.name), after, fn, tail)
+		_, _, torn, err := scanSegment(filepath.Join(dir, s.name), after, fn)
 		if err != nil {
 			return err
+		}
+		// A torn record is the expected crash artifact only at the log tail.
+		if torn && i < len(segs)-1 {
+			return Corruptf("journal %s: corrupt record before log tail", s.name)
 		}
 	}
 	return nil
@@ -385,12 +353,13 @@ func scanSegment(path string, after uint64, fn func(lsn uint64, body []byte) err
 		if crc32.ChecksumIEEE(region) != crc {
 			return int64(off), lastLSN, true, nil
 		}
-		lsn, vn := binary.Uvarint(region)
-		if vn <= 0 {
+		rec := Reader{buf: region}
+		lsn, err := rec.Uvarint()
+		if err != nil {
 			return int64(off), lastLSN, true, nil
 		}
 		if fn != nil && lsn > after {
-			if err := fn(lsn, region[vn:]); err != nil {
+			if err := fn(lsn, rec.Rest()); err != nil {
 				return int64(off), lastLSN, false, err
 			}
 		}
@@ -398,20 +367,6 @@ func scanSegment(path string, after uint64, fn func(lsn uint64, body []byte) err
 		off += 8 + n
 	}
 	return int64(off), lastLSN, false, nil
-}
-
-// scanSegmentStrict is scanSegment that upgrades a torn region to ErrCorrupt
-// unless the segment is the journal tail, where a torn final record is the
-// expected crash artifact.
-func scanSegmentStrict(path string, after uint64, fn func(lsn uint64, body []byte) error, tailSeg bool) (int64, uint64, bool, error) {
-	end, last, torn, err := scanSegment(path, after, fn)
-	if err != nil {
-		return end, last, torn, err
-	}
-	if torn && !tailSeg {
-		return end, last, torn, Corruptf("journal %s: corrupt record before log tail", filepath.Base(path))
-	}
-	return end, last, torn, nil
 }
 
 // ---- snapshot files ---------------------------------------------------------
@@ -489,57 +444,63 @@ func EncodeItem(it stream.Item) []byte {
 	return appendItemBytes(nil, it)
 }
 
-// appendItemBytes appends the journal encoding of an item to dst. The item
-// form never touches the tuple-intern table, so a stack Encoder over the
-// caller's buffer suffices.
+// appendItemBytes appends the journal encoding of an item to dst: a kind
+// uvarint (0 tuple, 1 heartbeat) and the arrival timestamp, then for a tuple
+// its stream name, event timestamp and raw values.
 func appendItemBytes(dst []byte, it stream.Item) []byte {
-	e := Encoder{body: dst}
+	w := Writer{Buf: dst}
 	if it.IsHeartbeat() {
-		e.body = append(e.body, 1)
-		e.TS(it.TS)
-		return e.body
+		w.Uvarint(1)
+		w.TS(it.TS)
+		return w.Buf
 	}
-	e.body = append(e.body, 0)
-	e.TS(it.TS)
-	e.String(it.Tuple.Schema.Name())
-	e.TS(it.Tuple.TS)
-	e.Values(it.Tuple.Vals)
-	return e.body
+	w.Uvarint(0)
+	w.TS(it.TS)
+	w.String(it.Tuple.Schema.Name())
+	w.TS(it.Tuple.TS)
+	w.Values(it.Tuple.Vals)
+	return w.Buf
 }
 
-// DecodeItem parses a journal record body back into an item.
+// DecodeItem parses a journal record body back into an item. The body must
+// be exactly one item: trailing bytes are ErrCorrupt.
 func DecodeItem(body []byte, resolve SchemaResolver) (stream.Item, error) {
-	d := &Decoder{buf: body}
-	kind, err := d.Uvarint()
+	r := Reader{buf: body}
+	kind, err := r.Uvarint()
 	if err != nil {
 		return stream.Item{}, err
 	}
-	ts, err := d.TS()
+	ts, err := r.TS()
 	if err != nil {
 		return stream.Item{}, err
 	}
-	if kind == 1 {
-		return stream.Heartbeat(ts), nil
-	}
-	if kind != 0 {
+	var it stream.Item
+	switch kind {
+	case 1:
+		it = stream.Heartbeat(ts)
+	case 0:
+		name, err := r.String()
+		if err != nil {
+			return stream.Item{}, err
+		}
+		schema, ok := resolve(name)
+		if !ok {
+			return stream.Item{}, Mismatchf("journal references unknown stream %q", name)
+		}
+		tts, err := r.TS()
+		if err != nil {
+			return stream.Item{}, err
+		}
+		vals, err := r.Values()
+		if err != nil {
+			return stream.Item{}, err
+		}
+		it = stream.Item{Tuple: &stream.Tuple{Schema: schema, Vals: vals, TS: tts}, TS: ts}
+	default:
 		return stream.Item{}, Corruptf("bad journal item kind %d", kind)
 	}
-	name, err := d.String()
-	if err != nil {
+	if err := r.Finish(); err != nil {
 		return stream.Item{}, err
 	}
-	schema, ok := resolve(name)
-	if !ok {
-		return stream.Item{}, Mismatchf("journal references unknown stream %q", name)
-	}
-	tts, err := d.TS()
-	if err != nil {
-		return stream.Item{}, err
-	}
-	vals, err := d.Values()
-	if err != nil {
-		return stream.Item{}, err
-	}
-	t := &stream.Tuple{Schema: schema, Vals: vals, TS: tts}
-	return stream.Item{Tuple: t, TS: ts}, nil
+	return it, nil
 }

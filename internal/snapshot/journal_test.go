@@ -11,30 +11,38 @@ import (
 	"repro/internal/stream"
 )
 
+// appendN journals heartbeats i = lo..hi-1 (stamped at i ns) under LSNs
+// i+1.
 func appendN(t *testing.T, j *Journal, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		lsn, err := j.Append([]byte(fmt.Sprintf("rec-%04d", i)))
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
+		lsn := j.LastLSN() + 1
 		if lsn != uint64(i+1) {
-			t.Fatalf("append %d assigned LSN %d", i, lsn)
+			t.Fatalf("append %d would take LSN %d", i, lsn)
+		}
+		if err := j.AppendItemAt(lsn, stream.Heartbeat(stream.Timestamp(i))); err != nil {
+			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 }
 
-func replayAll(t *testing.T, dir string, after uint64) (lsns []uint64, bodies []string) {
+// replayAll returns the replayed LSNs and the appendN index each record
+// carries.
+func replayAll(t *testing.T, dir string, after uint64) (lsns []uint64, recs []int) {
 	t.Helper()
 	err := Replay(dir, after, func(lsn uint64, body []byte) error {
+		it, err := DecodeItem(body, nil)
+		if err != nil {
+			return err
+		}
 		lsns = append(lsns, lsn)
-		bodies = append(bodies, string(body))
+		recs = append(recs, int(it.TS))
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	return lsns, bodies
+	return lsns, recs
 }
 
 // TestJournalAppendReplay: records come back in LSN order with exact
@@ -50,9 +58,9 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lsns, bodies := replayAll(t, dir, 0)
-	if len(lsns) != 50 || lsns[0] != 1 || lsns[49] != 50 || bodies[49] != "rec-0049" {
-		t.Fatalf("replay = %d records, first %v, last %v %q", len(lsns), lsns[0], lsns[len(lsns)-1], bodies[len(bodies)-1])
+	lsns, recs := replayAll(t, dir, 0)
+	if len(lsns) != 50 || lsns[0] != 1 || lsns[49] != 50 || recs[49] != 49 {
+		t.Fatalf("replay = %d records, first %v, last %v %d", len(lsns), lsns[0], lsns[len(lsns)-1], recs[len(recs)-1])
 	}
 	// Cutoff semantics: records with lsn <= after are skipped — including a
 	// journal whose entire prefix predates a snapshot cut.
@@ -100,8 +108,8 @@ func TestJournalReopenContinuesLSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	if err := j3.AppendAt(20, []byte("dup")); err == nil {
-		t.Fatal("AppendAt(20) after LSN 20 should fail")
+	if err := j3.AppendItemAt(20, stream.Heartbeat(0)); err == nil {
+		t.Fatal("AppendItemAt(20) after LSN 20 should fail")
 	}
 }
 
@@ -169,8 +177,8 @@ func TestJournalRotation(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("rotation produced %d segments, want >= 3", len(segs))
 	}
-	lsns, bodies := replayAll(t, dir, 0)
-	if len(lsns) != 40 || lsns[0] != 1 || lsns[39] != 40 || bodies[0] != "rec-0000" {
+	lsns, recs := replayAll(t, dir, 0)
+	if len(lsns) != 40 || lsns[0] != 1 || lsns[39] != 40 || recs[0] != 0 {
 		t.Fatalf("replay across segments = %d records", len(lsns))
 	}
 

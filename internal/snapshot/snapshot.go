@@ -1,7 +1,10 @@
-// Package snapshot is the durable-state subsystem: a versioned,
-// self-describing binary codec for checkpointing engine state, plus an
-// append-only event journal (journal.go) whose replay suffix turns a
-// point-in-time snapshot into exact crash recovery.
+// Package snapshot is the durable-state subsystem and the only owner of
+// byte layouts: the binary codec every snapshot, journal record and cluster
+// wire payload is built on (codec.go), a versioned, self-describing
+// snapshot format for checkpointing engine state, an append-only event
+// journal (journal.go) whose replay suffix turns a point-in-time snapshot
+// into exact crash recovery, and the journal/checkpoint/recover lifecycle
+// the serial and sharded engines share (lifecycle.go).
 //
 // The codec is deliberately engine-agnostic: it understands values, tuples,
 // and framing, and each state-bearing package (window, core, esl, shard)
@@ -26,12 +29,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/stream"
 )
@@ -53,10 +56,13 @@ const magic = "ESLSNP1\n"
 // Typed decode errors. Callers match with errors.Is; the decoder never
 // panics on malformed input.
 var (
-	// ErrTruncated reports input that ends before the encoded structure does.
-	ErrTruncated = errors.New("snapshot: truncated input")
-	// ErrCorrupt reports framing or checksum violations.
-	ErrCorrupt = errors.New("snapshot: corrupt input")
+	// ErrTruncated reports input that ends before the encoded structure
+	// does. The cluster wire shares it (and ErrCorrupt) with snapshots and
+	// the journal: all three decode through Reader.
+	ErrTruncated = errors.New("truncated input")
+	// ErrCorrupt reports framing or checksum violations and byte sequences
+	// no encoder produces.
+	ErrCorrupt = errors.New("corrupt input")
 	// ErrVersion reports a snapshot written by an incompatible format version.
 	ErrVersion = errors.New("snapshot: unsupported format version")
 	// ErrShardMismatch reports restoring a snapshot into an engine whose
@@ -88,83 +94,14 @@ func Mismatchf(format string, args ...any) error {
 // is only known after the body has been walked — precede it in the file, so
 // the decoder can materialize tuples before parsing references to them.
 type Encoder struct {
-	body  []byte
-	tups  map[*stream.Tuple]uint64
-	order []*stream.Tuple
+	Writer // the body
+	tups   map[*stream.Tuple]uint64
+	order  []*stream.Tuple
 }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder {
 	return &Encoder{tups: make(map[*stream.Tuple]uint64)}
-}
-
-// Uvarint appends an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) {
-	e.body = binary.AppendUvarint(e.body, v)
-}
-
-// Varint appends a signed (zig-zag) varint.
-func (e *Encoder) Varint(v int64) {
-	e.body = binary.AppendVarint(e.body, v)
-}
-
-// Int appends an int as a signed varint.
-func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
-
-// Bool appends a boolean byte.
-func (e *Encoder) Bool(b bool) {
-	if b {
-		e.body = append(e.body, 1)
-	} else {
-		e.body = append(e.body, 0)
-	}
-}
-
-// Float appends a float64 as its IEEE-754 bits (fixed 8 bytes, little
-// endian), preserving NaN payloads and signed zero exactly.
-func (e *Encoder) Float(f float64) {
-	e.body = binary.LittleEndian.AppendUint64(e.body, math.Float64bits(f))
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.body = append(e.body, s...)
-}
-
-// TS appends an event-time timestamp.
-func (e *Encoder) TS(ts stream.Timestamp) { e.Varint(int64(ts)) }
-
-// Value appends one SQL value: a kind byte followed by the kind's payload.
-func (e *Encoder) Value(v stream.Value) {
-	k := v.Kind()
-	e.body = append(e.body, byte(k))
-	switch k {
-	case stream.KindNull:
-	case stream.KindInt:
-		i, _ := v.AsInt()
-		e.Varint(i)
-	case stream.KindFloat:
-		f, _ := v.AsFloat()
-		e.Float(f)
-	case stream.KindString:
-		s, _ := v.AsString()
-		e.String(s)
-	case stream.KindBool:
-		b, _ := v.AsBool()
-		e.Bool(b)
-	case stream.KindTime:
-		ts, _ := v.AsTime()
-		e.TS(ts)
-	}
-}
-
-// Values appends a length-prefixed value row.
-func (e *Encoder) Values(vals []stream.Value) {
-	e.Uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		e.Value(v)
-	}
 }
 
 // Tuple appends a tuple reference, interning the tuple on first sight. Id 0
@@ -187,31 +124,24 @@ func (e *Encoder) Tuple(t *stream.Tuple) {
 // the magic, so truncation and bit flips anywhere in the payload are caught
 // before any structure is trusted.
 func (e *Encoder) Finish(w io.Writer) error {
-	var head []byte
-	head = append(head, magic...)
-	head = binary.AppendUvarint(head, Version)
-	head = binary.AppendUvarint(head, uint64(len(e.order)))
+	head := Writer{Buf: []byte(magic)}
+	head.Uvarint(Version)
+	head.Uvarint(uint64(len(e.order)))
 	for _, t := range e.order {
-		head = binary.AppendUvarint(head, uint64(len(t.Schema.Name())))
-		head = append(head, t.Schema.Name()...)
-		head = binary.AppendVarint(head, int64(t.TS))
-		head = binary.AppendUvarint(head, t.Seq)
-		head = binary.AppendUvarint(head, uint64(len(t.Vals)))
-		for _, v := range t.Vals {
-			sub := Encoder{}
-			sub.Value(v)
-			head = append(head, sub.body...)
-		}
+		head.String(t.Schema.Name())
+		head.TS(t.TS)
+		head.Uvarint(t.Seq)
+		head.Values(t.Vals)
 	}
-	head = binary.AppendUvarint(head, uint64(len(e.body)))
+	head.Uvarint(uint64(len(e.Buf)))
 
 	crc := crc32.NewIEEE()
-	crc.Write(head[len(magic):])
-	crc.Write(e.body)
-	if _, err := w.Write(head); err != nil {
+	crc.Write(head.Buf[len(magic):])
+	crc.Write(e.Buf)
+	if _, err := w.Write(head.Buf); err != nil {
 		return err
 	}
-	if _, err := w.Write(e.body); err != nil {
+	if _, err := w.Write(e.Buf); err != nil {
 		return err
 	}
 	var tail [4]byte
@@ -222,18 +152,11 @@ func (e *Encoder) Finish(w io.Writer) error {
 
 // Bytes renders the snapshot into a fresh byte slice (Finish into memory).
 func (e *Encoder) Bytes() ([]byte, error) {
-	var buf writerBuf
+	var buf bytes.Buffer
 	if err := e.Finish(&buf); err != nil {
 		return nil, err
 	}
-	return buf.b, nil
-}
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	return buf.Bytes(), nil
 }
 
 // ---- decoder ----------------------------------------------------------------
@@ -248,9 +171,8 @@ type SchemaResolver func(name string) (*stream.Schema, bool)
 // every read, so malformed input yields ErrTruncated/ErrCorrupt — never a
 // panic or a runaway allocation.
 type Decoder struct {
-	buf  []byte // body only
-	off  int
-	tups []*stream.Tuple
+	Reader // the body
+	tups   []*stream.Tuple
 }
 
 // NewDecoder consumes r, validates framing and checksum, materializes the
@@ -276,7 +198,7 @@ func NewDecoderBytes(raw []byte, resolve SchemaResolver) (*Decoder, error) {
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, Corruptf("checksum mismatch")
 	}
-	d := &Decoder{buf: payload}
+	d := &Decoder{Reader: Reader{buf: payload}}
 	ver, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -306,15 +228,9 @@ func NewDecoderBytes(raw []byte, resolve SchemaResolver) (*Decoder, error) {
 		if err != nil {
 			return nil, err
 		}
-		nvals, err := d.Len()
+		vals, err := d.Values()
 		if err != nil {
 			return nil, err
-		}
-		vals := make([]stream.Value, nvals)
-		for j := range vals {
-			if vals[j], err = d.Value(); err != nil {
-				return nil, err
-			}
 		}
 		// Tuples are materialized verbatim — no re-validation. The boundary
 		// screened (or quarantined) them once on first ingestion, and partial
@@ -326,149 +242,10 @@ func NewDecoderBytes(raw []byte, resolve SchemaResolver) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bodyLen != len(d.buf)-d.off {
-		return nil, Corruptf("body length %d does not match remaining %d", bodyLen, len(d.buf)-d.off)
+	if bodyLen != d.Remaining() {
+		return nil, Corruptf("body length %d does not match remaining %d", bodyLen, d.Remaining())
 	}
 	return d, nil
-}
-
-// Remaining reports how many body bytes are left unread.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-// Finish verifies the body was consumed exactly.
-func (d *Decoder) Finish() error {
-	if d.off != len(d.buf) {
-		return Corruptf("%d trailing bytes after decoded state", len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-// Varint reads a signed varint.
-func (d *Decoder) Varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-// Int reads an int-sized signed varint.
-func (d *Decoder) Int() (int, error) {
-	v, err := d.Varint()
-	return int(v), err
-}
-
-// Len reads a collection length and screens it against the bytes actually
-// remaining (every element costs at least one byte), so hostile lengths
-// cannot trigger giant allocations.
-func (d *Decoder) Len() (int, error) {
-	v, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(d.Remaining()) {
-		return 0, Corruptf("collection length %d exceeds remaining input", v)
-	}
-	return int(v), nil
-}
-
-// Bool reads a boolean byte.
-func (d *Decoder) Bool() (bool, error) {
-	if d.off >= len(d.buf) {
-		return false, ErrTruncated
-	}
-	b := d.buf[d.off]
-	d.off++
-	if b > 1 {
-		return false, Corruptf("bad bool byte %d", b)
-	}
-	return b == 1, nil
-}
-
-// Float reads a fixed 8-byte float64.
-func (d *Decoder) Float() (float64, error) {
-	if d.Remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	bits := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(d.Remaining()) {
-		return "", ErrTruncated
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// TS reads an event-time timestamp.
-func (d *Decoder) TS() (stream.Timestamp, error) {
-	v, err := d.Varint()
-	return stream.Timestamp(v), err
-}
-
-// Value reads one SQL value.
-func (d *Decoder) Value() (stream.Value, error) {
-	if d.off >= len(d.buf) {
-		return stream.Null, ErrTruncated
-	}
-	k := stream.Kind(d.buf[d.off])
-	d.off++
-	switch k {
-	case stream.KindNull:
-		return stream.Null, nil
-	case stream.KindInt:
-		i, err := d.Varint()
-		return stream.Int(i), err
-	case stream.KindFloat:
-		f, err := d.Float()
-		return stream.Float(f), err
-	case stream.KindString:
-		s, err := d.String()
-		return stream.Str(s), err
-	case stream.KindBool:
-		b, err := d.Bool()
-		return stream.Bool(b), err
-	case stream.KindTime:
-		ts, err := d.TS()
-		return stream.Time(ts), err
-	default:
-		return stream.Null, Corruptf("bad value kind %d", k)
-	}
-}
-
-// Values reads a length-prefixed value row.
-func (d *Decoder) Values() ([]stream.Value, error) {
-	n, err := d.Len()
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]stream.Value, n)
-	for i := range vals {
-		if vals[i], err = d.Value(); err != nil {
-			return nil, err
-		}
-	}
-	return vals, nil
 }
 
 // Tuple reads a tuple reference; id 0 decodes to nil. Every occurrence of
