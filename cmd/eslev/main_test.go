@@ -30,21 +30,24 @@ func TestDemoModesGolden(t *testing.T) {
 	}
 }
 
-func TestExplainContainment(t *testing.T) {
-	var out bytes.Buffer
-	if err := explainScript(&out, "../../scripts/containment.esl"); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"-- INSERT INTO out_events",
-		"temporal event query (SEQ)",
-		"pattern: R1*[gap<=1s] ; R2",
-		"mode: CHRONICLE",
-		"sink: out_events",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("explain output lacks %q:\n%s", want, out.String())
-		}
+// `eslev explain` output for every shipped script, byte for byte. Regenerate
+// a golden only for an intended plan change, with
+// `go run ./cmd/eslev explain scripts/<name>.esl > cmd/eslev/testdata/explain_<name>.golden`.
+func TestExplainGolden(t *testing.T) {
+	for _, name := range []string{"clinic", "containment", "dedup", "speculation"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/explain_" + name + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := explainScript(&got, "../../scripts/"+name+".esl"); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("differs from testdata/explain_%s.golden:\n%s", name, got.String())
+			}
+		})
 	}
 }
 

@@ -219,12 +219,14 @@ func (a *minmaxAcc) Result() (stream.Value, error) {
 
 // udaDef is a compiled CREATE AGGREGATE declaration.
 type udaDef struct {
-	decl  *CreateAggregate
-	state []*stream.Schema
-	funcs *FuncRegistry
+	decl             *CreateAggregate
+	state            []*stream.Schema
+	init, iter, term []tableStmt
 }
 
-// compileUDA validates the declaration and returns a factory.
+// compileUDA validates and compiles the declaration and returns a factory.
+// INITIALIZE and ITERATE see the parameters (the $params row) and the state
+// tables; TERMINATE sees the state tables only.
 func compileUDA(decl *CreateAggregate, funcs *FuncRegistry) (AggFactory, error) {
 	if len(decl.Params) == 0 {
 		return nil, fmt.Errorf("esl: aggregate %s needs at least one parameter", decl.Name)
@@ -232,26 +234,42 @@ func compileUDA(decl *CreateAggregate, funcs *FuncRegistry) (AggFactory, error) 
 	if len(decl.State) == 0 {
 		return nil, fmt.Errorf("esl: aggregate %s declares no state TABLE", decl.Name)
 	}
-	def := &udaDef{decl: decl, funcs: funcs}
+	def := &udaDef{decl: decl}
+	byName := map[string]*stream.Schema{}
 	for _, st := range decl.State {
-		fields := make([]stream.Field, len(st.Cols))
-		for i, c := range st.Cols {
-			fields[i] = stream.Field{Name: c.Name, Type: c.Type}
-		}
-		schema, err := stream.NewSchema(st.Name, fields...)
+		schema, err := stream.NewSchema(st.Name, colFields(st.Cols)...)
 		if err != nil {
 			return nil, fmt.Errorf("esl: aggregate %s: %v", decl.Name, err)
 		}
 		def.state = append(def.state, schema)
+		byName[strings.ToLower(st.Name)] = schema
 	}
-	// Validate the bodies are made of supported statements.
-	for _, section := range [][]Statement{decl.Init, decl.Iter, decl.Term} {
-		for _, s := range section {
+	params, err := stream.NewSchema("$params", colFields(decl.Params)...)
+	if err != nil {
+		return nil, fmt.Errorf("esl: aggregate %s: %v", decl.Name, err)
+	}
+	schemaOf := func(name string) (*stream.Schema, error) {
+		if s, ok := byName[strings.ToLower(name)]; ok {
+			return s, nil
+		}
+		return nil, fmt.Errorf("esl: aggregate %s: unknown state table %s", decl.Name, name)
+	}
+	for _, sec := range []struct {
+		body   []Statement
+		out    *[]tableStmt
+		params *stream.Schema
+	}{{decl.Init, &def.init, params}, {decl.Iter, &def.iter, params}, {decl.Term, &def.term, nil}} {
+		for _, s := range sec.body {
 			switch s.(type) {
 			case *InsertValues, *InsertSelect, *UpdateStmt, *DeleteStmt:
 			default:
 				return nil, fmt.Errorf("esl: aggregate %s: unsupported statement %T in body", decl.Name, s)
 			}
+			st, err := compileTableStmt(s, schemaOf, sec.params, funcs)
+			if err != nil {
+				return nil, err
+			}
+			*sec.out = append(*sec.out, st)
 		}
 	}
 	return func() Accumulator { return newUDAAccum(def) }, nil
@@ -279,19 +297,17 @@ func (a *udaAccum) Add(args []stream.Value) error {
 		return fmt.Errorf("esl: aggregate %s called with %d args, want %d",
 			a.def.decl.Name, len(args), len(a.def.decl.Params))
 	}
-	env := a.paramEnv(args)
-	body := a.def.decl.Iter
+	body := a.def.iter
 	if !a.started {
-		body = a.def.decl.Init
+		body = a.def.init
 		a.started = true
 	}
-	_, err := a.exec(body, env)
+	_, err := a.exec(body, args)
 	return err
 }
 
 func (a *udaAccum) Result() (stream.Value, error) {
-	env := a.paramEnv(nil)
-	rows, err := a.exec(a.def.decl.Term, env)
+	rows, err := a.exec(a.def.term, nil)
 	if err != nil {
 		return stream.Null, err
 	}
@@ -301,222 +317,251 @@ func (a *udaAccum) Result() (stream.Value, error) {
 	return rows[0][0], nil
 }
 
-// paramEnv binds parameter names to the current argument values.
-func (a *udaAccum) paramEnv(args []stream.Value) *Env {
-	env := NewEnv(a.def.funcs)
-	if args != nil {
-		params := a.def.decl.Params
-		fields := make([]stream.Field, len(params))
-		for i, p := range params {
-			fields[i] = stream.Field{Name: p.Name}
-		}
-		schema, _ := stream.NewSchema("$params", fields...)
-		env.BindRow("$params", schema, args)
-	}
-	return env
-}
-
-// exec runs a UDA body; INSERT INTO RETURN rows are collected and returned.
-func (a *udaAccum) exec(body []Statement, env *Env) ([][]stream.Value, error) {
+// exec runs a UDA body with the given parameter row; INSERT INTO RETURN
+// rows are collected and returned.
+func (a *udaAccum) exec(body []tableStmt, params []stream.Value) ([][]stream.Value, error) {
 	var returned [][]stream.Value
-	for _, s := range body {
-		switch st := s.(type) {
-		case *InsertValues:
-			if strings.EqualFold(st.Target, "RETURN") {
-				for _, rowExprs := range st.Rows {
-					row, err := evalRow(rowExprs, env)
-					if err != nil {
-						return nil, err
-					}
-					returned = append(returned, row)
-				}
-				continue
-			}
-			tbl, err := a.table(st.Target)
-			if err != nil {
-				return nil, err
-			}
-			for _, rowExprs := range st.Rows {
-				row, err := evalRow(rowExprs, env)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := tbl.Insert(row); err != nil {
-					return nil, err
-				}
-			}
-
-		case *InsertSelect:
-			rows, err := a.runSelect(st.Sel, env)
-			if err != nil {
-				return nil, err
-			}
-			if strings.EqualFold(st.Target, "RETURN") {
-				returned = append(returned, rows...)
-				continue
-			}
-			tbl, err := a.table(st.Target)
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range rows {
-				if _, err := tbl.Insert(row); err != nil {
-					return nil, err
-				}
-			}
-
-		case *UpdateStmt:
-			tbl, err := a.table(st.Table)
-			if err != nil {
-				return nil, err
-			}
-			if err := a.runUpdate(tbl, st, env); err != nil {
-				return nil, err
-			}
-
-		case *DeleteStmt:
-			tbl, err := a.table(st.Table)
-			if err != nil {
-				return nil, err
-			}
-			if err := a.runDelete(tbl, st, env); err != nil {
-				return nil, err
-			}
+	for _, st := range body {
+		rows, err := st(a.table, params)
+		if err != nil {
+			return nil, err
 		}
+		returned = append(returned, rows...)
 	}
 	return returned, nil
 }
 
-func (a *udaAccum) table(name string) (*db.Table, error) {
-	tbl, ok := a.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("esl: aggregate %s: unknown state table %s", a.def.decl.Name, name)
-	}
-	return tbl, nil
+// table resolves a state table; compileUDA validated every name.
+func (a *udaAccum) table(name string) *db.Table {
+	return a.tables[strings.ToLower(name)]
 }
 
-// runSelect evaluates a body SELECT over a single state table (scalar
-// per-row projection with an optional WHERE).
-func (a *udaAccum) runSelect(sel *Select, env *Env) ([][]stream.Value, error) {
-	if len(sel.From) != 1 {
-		return nil, fmt.Errorf("esl: aggregate bodies support single-table SELECT")
-	}
-	tbl, err := a.table(sel.From[0].Source)
-	if err != nil {
-		return nil, err
-	}
-	alias := sel.From[0].Alias
-	var out [][]stream.Value
-	var scanErr error
-	tbl.Scan(func(r *db.Row) bool {
-		rowEnv := env.Child()
-		rowEnv.BindRow(alias, tbl.Schema(), r.Vals)
-		if sel.Where != nil {
-			ok, known, err := rowEnv.EvalBool(sel.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok || !known {
-				return true
-			}
-		}
-		var row []stream.Value
-		for _, item := range sel.Items {
-			if item.Star {
-				row = append(row, r.Vals...)
-				continue
-			}
-			v, err := rowEnv.Eval(item.Expr)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			row = append(row, v)
-		}
-		out = append(out, row)
-		return true
-	})
-	return out, scanErr
-}
+// tableStmt is a compiled INSERT, UPDATE or DELETE: tables resolves the
+// tables it names, params is the $params row (ignored when compiled without
+// one). It returns the rows an INSERT INTO RETURN produced.
+type tableStmt func(tables func(string) *db.Table, params []stream.Value) ([][]stream.Value, error)
 
-func (a *udaAccum) runUpdate(tbl *db.Table, st *UpdateStmt, env *Env) error {
-	// Collect updates outside the scan (db.Table locks preclude nested
-	// mutation), then apply per-row values.
-	type pending struct {
-		row *db.Row
-		set map[int]stream.Value
+// compileTableStmt compiles one data-modification statement — a UDA body
+// statement or table DML. schemaOf resolves and validates the tables it
+// names; params, when non-nil, is the schema of a $params row every
+// expression sees. A statement scanning a table binds its row after the
+// parameters, so the row's columns shadow parameter names.
+func compileTableStmt(s Statement, schemaOf func(string) (*stream.Schema, error), params *stream.Schema,
+	funcs *FuncRegistry) (tableStmt, error) {
+	sc := newScope(funcs)
+	if params != nil {
+		sc.bind("$params", params)
 	}
-	var updates []pending
-	var scanErr error
-	tbl.Scan(func(r *db.Row) bool {
-		rowEnv := env.Child()
-		rowEnv.BindRow(st.Table, tbl.Schema(), r.Vals)
-		if st.Where != nil {
-			ok, known, err := rowEnv.EvalBool(st.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok || !known {
-				return true
-			}
+	newFrame := func(p []stream.Value) *frame {
+		f := getFrame(len(sc.binds), nil)
+		if params != nil {
+			f.slots[0] = p
 		}
-		set := make(map[int]stream.Value, len(st.Set))
-		for _, sc := range st.Set {
-			pos, ok := tbl.Schema().Col(sc.Col)
-			if !ok {
-				scanErr = fmt.Errorf("esl: unknown column %s in UPDATE %s", sc.Col, st.Table)
-				return false
-			}
-			v, err := rowEnv.Eval(sc.Expr)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			set[pos] = v
-		}
-		updates = append(updates, pending{row: r, set: set})
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
+		return f
 	}
-	for _, u := range updates {
-		target := u.row
-		if _, err := tbl.Update(func(r *db.Row) bool { return r == target }, u.set); err != nil {
-			return err
+	// target validates an INSERT target: RETURN hands rows to the caller.
+	target := func(name string) (bool, error) {
+		if strings.EqualFold(name, "RETURN") {
+			return true, nil
 		}
+		_, err := schemaOf(name)
+		return false, err
 	}
-	return nil
-}
-
-func (a *udaAccum) runDelete(tbl *db.Table, st *DeleteStmt, env *Env) error {
-	var scanErr error
-	tbl.Delete(func(r *db.Row) bool {
-		if st.Where == nil {
-			return true
-		}
-		rowEnv := env.Child()
-		rowEnv.BindRow(st.Table, tbl.Schema(), r.Vals)
-		ok, known, err := rowEnv.EvalBool(st.Where)
+	// rowScope binds the scanned table's row in the last slot.
+	rowScope := func(alias, table string) (int, error) {
+		schema, err := schemaOf(table)
 		if err != nil {
-			scanErr = err
-			return false
+			return 0, err
 		}
-		return ok && known
-	})
-	return scanErr
-}
+		return sc.bind(alias, schema), nil
+	}
 
-func evalRow(exprs []Expr, env *Env) ([]stream.Value, error) {
-	row := make([]stream.Value, len(exprs))
-	for i, e := range exprs {
-		v, err := env.Eval(e)
+	switch st := s.(type) {
+	case *InsertValues:
+		ret, err := target(st.Target)
 		if err != nil {
 			return nil, err
 		}
-		row[i] = v
+		rows := make([][]evalFn, len(st.Rows))
+		for i, r := range st.Rows {
+			if rows[i], err = compileList(r, sc); err != nil {
+				return nil, err
+			}
+		}
+		return func(tables func(string) *db.Table, p []stream.Value) ([][]stream.Value, error) {
+			f := newFrame(p)
+			defer putFrame(f)
+			var out [][]stream.Value
+			for _, r := range rows {
+				row, err := evalList(r, f)
+				if err != nil {
+					return nil, err
+				}
+				if ret {
+					out = append(out, row)
+				} else if _, err := tables(st.Target).Insert(row); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
+		}, nil
+
+	case *InsertSelect:
+		sel := st.Sel
+		if len(sel.From) != 1 {
+			return nil, fmt.Errorf("esl: aggregate bodies support single-table SELECT")
+		}
+		src := sel.From[0]
+		slot, err := rowScope(src.Alias, src.Source)
+		if err != nil {
+			return nil, err
+		}
+		ret, err := target(st.Target)
+		if err != nil {
+			return nil, err
+		}
+		where, err := compileOptBool(sel.Where, sc)
+		if err != nil {
+			return nil, err
+		}
+		items := make([]evalFn, len(sel.Items)) // nil: * (the whole row)
+		for i, it := range sel.Items {
+			if !it.Star {
+				if items[i], err = compileExpr(it.Expr, sc); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return func(tables func(string) *db.Table, p []stream.Value) ([][]stream.Value, error) {
+			f := newFrame(p)
+			defer putFrame(f)
+			var rows [][]stream.Value
+			var scanErr error
+			tables(src.Source).Scan(func(r *db.Row) bool {
+				f.slots[slot] = r.Vals
+				ok, err := holdsOpt(where, f)
+				if err != nil || !ok {
+					scanErr = err
+					return err == nil
+				}
+				var row []stream.Value
+				for _, it := range items {
+					if it == nil {
+						row = append(row, r.Vals...)
+						continue
+					}
+					v, err := it(f)
+					if err != nil {
+						scanErr = err
+						return false
+					}
+					row = append(row, v)
+				}
+				rows = append(rows, row)
+				return true
+			})
+			if scanErr != nil || ret {
+				return rows, scanErr
+			}
+			for _, row := range rows {
+				if _, err := tables(st.Target).Insert(row); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}, nil
+
+	case *UpdateStmt:
+		slot, err := rowScope(st.Table, st.Table)
+		if err != nil {
+			return nil, err
+		}
+		where, err := compileOptBool(st.Where, sc)
+		if err != nil {
+			return nil, err
+		}
+		type setCol struct {
+			pos int
+			fn  evalFn
+		}
+		sets := make([]setCol, len(st.Set))
+		for i, set := range st.Set {
+			pos, ok := sc.binds[slot].schema.Col(set.Col)
+			if !ok {
+				return nil, fmt.Errorf("esl: unknown column %s in UPDATE %s", set.Col, st.Table)
+			}
+			fn, err := compileExpr(set.Expr, sc)
+			if err != nil {
+				return nil, err
+			}
+			sets[i] = setCol{pos: pos, fn: fn}
+		}
+		return func(tables func(string) *db.Table, p []stream.Value) ([][]stream.Value, error) {
+			tbl := tables(st.Table)
+			f := newFrame(p)
+			defer putFrame(f)
+			// Collect updates outside the scan (db.Table locks preclude
+			// nested mutation), then apply per-row values.
+			type pending struct {
+				row *db.Row
+				set map[int]stream.Value
+			}
+			var updates []pending
+			var scanErr error
+			tbl.Scan(func(r *db.Row) bool {
+				f.slots[slot] = r.Vals
+				ok, err := holdsOpt(where, f)
+				if err != nil || !ok {
+					scanErr = err
+					return err == nil
+				}
+				set := make(map[int]stream.Value, len(sets))
+				for _, s := range sets {
+					v, err := s.fn(f)
+					if err != nil {
+						scanErr = err
+						return false
+					}
+					set[s.pos] = v
+				}
+				updates = append(updates, pending{row: r, set: set})
+				return true
+			})
+			if scanErr != nil {
+				return nil, scanErr
+			}
+			for _, u := range updates {
+				target := u.row
+				if _, err := tbl.Update(func(r *db.Row) bool { return r == target }, u.set); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}, nil
+
+	case *DeleteStmt:
+		slot, err := rowScope(st.Table, st.Table)
+		if err != nil {
+			return nil, err
+		}
+		where, err := compileOptBool(st.Where, sc)
+		if err != nil {
+			return nil, err
+		}
+		return func(tables func(string) *db.Table, p []stream.Value) ([][]stream.Value, error) {
+			f := newFrame(p)
+			defer putFrame(f)
+			var scanErr error
+			tables(st.Table).Delete(func(r *db.Row) bool {
+				f.slots[slot] = r.Vals
+				ok, err := holdsOpt(where, f)
+				if err != nil {
+					scanErr = err
+				}
+				return ok
+			})
+			return nil, scanErr
+		}, nil
 	}
-	return row, nil
+	return nil, fmt.Errorf("esl: unsupported statement %T", s)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // A previous-operator constraint that is NOT the MaxGap shape goes through
-// the generic bind-time predicate path (Env.prevTuple / BindStarTuple).
+// the generic bind-time predicate path (the frame's star predecessor).
 func TestGenericPreviousPredicate(t *testing.T) {
 	e := New()
 	declareContainment(t, e)
@@ -175,10 +175,9 @@ func TestSelectStringRendering(t *testing.T) {
 
 // Time arithmetic error paths and the remaining arith edges.
 func TestArithEdgeCases(t *testing.T) {
-	env := NewEnv(nil)
 	sch := stream.MustSchema("s", stream.Field{Name: "tagtime"})
 	tu := stream.MustTuple(sch, stream.TS(time.Second), stream.Null)
-	env.BindTuple("s", tu)
+	s := bound{"s", tu}
 	bad := []string{
 		`s.tagtime * 2`,         // time multiplication
 		`'x' + 1`,               // string arithmetic
@@ -190,17 +189,17 @@ func TestArithEdgeCases(t *testing.T) {
 		`'a' BETWEEN 1 AND 'b'`, // incomparable BETWEEN
 	}
 	for _, src := range bad {
-		s, err := ParseOne("SELECT " + src + " FROM dual")
+		q, err := ParseOne("SELECT " + src + " FROM dual")
 		if err != nil {
 			t.Fatalf("parse %s: %v", src, err)
 		}
-		if _, err := env.Eval(s.(*Select).Items[0].Expr); err == nil {
+		if _, err := compileRun(q.(*Select).Items[0].Expr, s); err == nil {
 			t.Errorf("%s should error", src)
 		}
 	}
 	// int + time is a Time.
-	s, _ := ParseOne("SELECT 5 + s.tagtime FROM dual")
-	v, err := env.Eval(s.(*Select).Items[0].Expr)
+	q, _ := ParseOne("SELECT 5 + s.tagtime FROM dual")
+	v, err := compileRun(q.(*Select).Items[0].Expr, s)
 	if err != nil || v.Kind() != stream.KindTime {
 		t.Errorf("int + time = %v (%v), %v", v, v.Kind(), err)
 	}

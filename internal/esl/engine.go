@@ -442,9 +442,15 @@ func (e *Engine) execStatement(s Statement) (*Query, error) {
 		if !ok {
 			return nil, fmt.Errorf("esl: INSERT VALUES target %s is not a table", st.Target)
 		}
-		env := NewEnv(e.funcs)
+		sc := newScope(e.funcs)
+		f := getFrame(0, nil)
+		defer putFrame(f)
 		for _, rowExprs := range st.Rows {
-			row, err := evalRow(rowExprs, env)
+			fns, err := compileList(rowExprs, sc)
+			if err != nil {
+				return nil, err
+			}
+			row, err := evalList(fns, f)
 			if err != nil {
 				return nil, err
 			}
@@ -502,25 +508,25 @@ func (e *Engine) execStatement(s Statement) (*Query, error) {
 	}
 }
 
+// execTableDML runs an UPDATE or DELETE against a store table through the
+// compiler UDA bodies use.
 func (e *Engine) execTableDML(s Statement) error {
-	// Reuse the UDA body executors against store tables.
-	a := &udaAccum{def: &udaDef{decl: &CreateAggregate{Name: "$dml"}, funcs: e.funcs}, tables: map[string]*db.Table{}}
-	env := NewEnv(e.funcs)
-	switch st := s.(type) {
-	case *UpdateStmt:
-		tbl, ok := e.store.Get(st.Table)
+	schemaOf := func(name string) (*stream.Schema, error) {
+		tbl, ok := e.store.Get(name)
 		if !ok {
-			return fmt.Errorf("esl: unknown table %s", st.Table)
+			return nil, fmt.Errorf("esl: unknown table %s", name)
 		}
-		return a.runUpdate(tbl, st, env)
-	case *DeleteStmt:
-		tbl, ok := e.store.Get(st.Table)
-		if !ok {
-			return fmt.Errorf("esl: unknown table %s", st.Table)
-		}
-		return a.runDelete(tbl, st, env)
+		return tbl.Schema(), nil
 	}
-	return nil
+	st, err := compileTableStmt(s, schemaOf, nil, e.funcs)
+	if err != nil {
+		return err
+	}
+	_, err = st(func(name string) *db.Table {
+		tbl, _ := e.store.Get(name)
+		return tbl
+	}, nil)
+	return err
 }
 
 func colFields(cols []ColDef) []stream.Field {

@@ -84,14 +84,15 @@ func (e *Engine) Explain(sql string) (string, error) {
 		if x.levelFilter != nil {
 			b.WriteString("  CLEVEL comparison filters emissions by completion level\n")
 		}
-		for i, tiers := range x.filterTiers {
-			if len(tiers) == 0 {
+		for i, conj := range x.filterExprs {
+			if len(conj) == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  step %s filter: %s\n", x.def.Steps[i].Alias, strings.Join(tiers, ", "))
-		}
-		if x.fastProj != nil {
-			b.WriteString("  projection: compiled column-copy fast path\n")
+			texts := make([]string, len(conj))
+			for j, c := range conj {
+				texts[j] = ExprString(c)
+			}
+			fmt.Fprintf(&b, "  step %s filter: %s\n", x.def.Steps[i].Alias, strings.Join(texts, " AND "))
 		}
 		explainMergeLocked(&b, e, x, target)
 

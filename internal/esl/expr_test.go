@@ -7,18 +7,42 @@ import (
 	"repro/internal/stream"
 )
 
-// evalStr evaluates a standalone expression with an optional bound tuple.
+// bound is one tuple visible under an alias to compileRun.
+type bound struct {
+	alias string
+	t     *stream.Tuple
+}
+
+// compileRun compiles x in one scope over the given bindings (later ones
+// shadow earlier ones for unqualified names) and evaluates it once. A
+// compile-time error is returned just like an evaluation error.
+func compileRun(x Expr, binds ...bound) (stream.Value, error) {
+	sc := newScope(nil)
+	f := getFrame(len(binds), nil)
+	defer putFrame(f)
+	for i, b := range binds {
+		sc.bind(b.alias, b.t.Schema)
+		f.slots[i] = b.t.Vals
+	}
+	fn, err := compileExpr(x, sc)
+	if err != nil {
+		return stream.Null, err
+	}
+	return fn(f)
+}
+
+// evalExpr evaluates a standalone expression with an optional bound tuple.
 func evalExpr(t *testing.T, exprSQL string, tuple *stream.Tuple, alias string) stream.Value {
 	t.Helper()
 	s, err := ParseOne("SELECT " + exprSQL + " FROM dual")
 	if err != nil {
 		t.Fatalf("parse %q: %v", exprSQL, err)
 	}
-	env := NewEnv(nil)
+	var binds []bound
 	if tuple != nil {
-		env.BindTuple(alias, tuple)
+		binds = append(binds, bound{alias, tuple})
 	}
-	v, err := env.Eval(s.(*Select).Items[0].Expr)
+	v, err := compileRun(s.(*Select).Items[0].Expr, binds...)
 	if err != nil {
 		t.Fatalf("eval %q: %v", exprSQL, err)
 	}
@@ -142,16 +166,15 @@ func TestColumnResolution(t *testing.T) {
 	if v := evalExpr(t, "a + b", tu, "s"); !v.Equal(stream.Int(3)) {
 		t.Errorf("unqualified = %v", v)
 	}
-	// Unknown columns error.
-	env := NewEnv(nil)
-	env.BindTuple("s", tu)
-	if _, err := env.Eval(&ColRef{Qualifier: "s", Name: "zz"}); err == nil {
+	// Unknown columns error (at compile time).
+	s := bound{"s", tu}
+	if _, err := compileRun(&ColRef{Qualifier: "s", Name: "zz"}, s); err == nil {
 		t.Error("unknown qualified column should error")
 	}
-	if _, err := env.Eval(&ColRef{Name: "zz"}); err == nil {
+	if _, err := compileRun(&ColRef{Name: "zz"}, s); err == nil {
 		t.Error("unknown unqualified column should error")
 	}
-	if _, err := env.Eval(&ColRef{Qualifier: "nope", Name: "a"}); err == nil {
+	if _, err := compileRun(&ColRef{Qualifier: "nope", Name: "a"}, s); err == nil {
 		t.Error("unknown qualifier should error")
 	}
 }
@@ -160,17 +183,28 @@ func TestScopeShadowing(t *testing.T) {
 	sch := stream.MustSchema("x", stream.Field{Name: "v"})
 	outerT := stream.MustTuple(sch, 0, stream.Int(1))
 	innerT := stream.MustTuple(sch, 0, stream.Int(2))
-	outer := NewEnv(nil)
-	outer.BindTuple("o", outerT)
-	inner := outer.Child()
-	inner.BindTuple("i", innerT)
+	outer := newScope(nil, aliasSchema{alias: "o", schema: sch})
+	inner := outer.child(aliasSchema{alias: "i", schema: sch})
+	of := getFrame(1, nil)
+	defer putFrame(of)
+	of.slots[0] = outerT.Vals
+	inf := getFrame(1, of)
+	defer putFrame(inf)
+	inf.slots[0] = innerT.Vals
+	run := func(x Expr) (stream.Value, error) {
+		fn, err := compileExpr(x, inner)
+		if err != nil {
+			return stream.Null, err
+		}
+		return fn(inf)
+	}
 	// Unqualified resolves innermost-first.
-	v, err := inner.Eval(&ColRef{Name: "v"})
+	v, err := run(&ColRef{Name: "v"})
 	if err != nil || !v.Equal(stream.Int(2)) {
 		t.Errorf("inner-first resolution: %v, %v", v, err)
 	}
 	// Outer still reachable by qualifier.
-	v, _ = inner.Eval(&ColRef{Qualifier: "o", Name: "v"})
+	v, _ = run(&ColRef{Qualifier: "o", Name: "v"})
 	if !v.Equal(stream.Int(1)) {
 		t.Errorf("outer qualified: %v", v)
 	}
@@ -214,12 +248,29 @@ func TestUserDefinedFunction(t *testing.T) {
 	}
 }
 
+// Functions resolve per call: a UDF registered (or replaced) after the
+// query that calls it still takes effect.
+func TestUDFResolvedPerCall(t *testing.T) {
+	e := New()
+	mustExec(t, e, `CREATE STREAM s(v, ts);`)
+	rows := collect(t, e, `SELECT late_fn(v) FROM s`)
+	if err := e.Push("s", ts(time.Second), stream.Int(1), stream.Null); err == nil {
+		t.Fatal("calling an unregistered function should error")
+	}
+	e.Funcs().Register("late_fn", func(args []stream.Value) (stream.Value, error) { return stream.Int(1), nil })
+	mustPush(t, e, "s", 2*time.Second, stream.Int(1), stream.Null)
+	e.Funcs().Register("late_fn", func(args []stream.Value) (stream.Value, error) { return stream.Int(2), nil })
+	mustPush(t, e, "s", 3*time.Second, stream.Int(1), stream.Null)
+	if len(*rows) != 2 || !(*rows)[0].Vals[0].Equal(stream.Int(1)) || !(*rows)[1].Vals[0].Equal(stream.Int(2)) {
+		t.Fatalf("rows = %v", *rows)
+	}
+}
+
 func TestUnknownFunctionErrors(t *testing.T) {
-	env := NewEnv(nil)
-	if _, err := env.Eval(&Call{Name: "NOPE"}); err == nil {
+	if _, err := compileRun(&Call{Name: "NOPE"}); err == nil {
 		t.Error("unknown function should error")
 	}
-	if _, err := env.Eval(&Call{Name: "SUM", Args: []Expr{&Literal{Val: stream.Int(1)}}}); err == nil {
+	if _, err := compileRun(&Call{Name: "SUM", Args: []Expr{&Literal{Val: stream.Int(1)}}}); err == nil {
 		t.Error("aggregate outside aggregation context should error")
 	}
 }

@@ -35,43 +35,6 @@ func (r *FuncRegistry) Register(name string, f ScalarFunc) {
 	r.funcs[strings.ToUpper(name)] = f
 }
 
-// Lookup resolves a function by name.
-func (r *FuncRegistry) Lookup(name string) (ScalarFunc, bool) {
-	f, ok := r.funcs[strings.ToUpper(name)]
-	return f, ok
-}
-
-// evalCall resolves scalar function calls; aggregate calls reaching here
-// (outside an aggregation context) are an error.
-func (e *Env) evalCall(n *Call) (stream.Value, error) {
-	if isAggregateName(n.Name) {
-		return stream.Null, fmt.Errorf("esl: aggregate %s used outside an aggregation context", n.Name)
-	}
-	reg := e.funcs
-	if reg == nil {
-		reg = builtinFuncs
-	}
-	f, ok := reg.Lookup(n.Name)
-	if !ok {
-		return stream.Null, fmt.Errorf("esl: unknown function %s", n.Name)
-	}
-	args := make([]stream.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := e.Eval(a)
-		if err != nil {
-			return stream.Null, err
-		}
-		args[i] = v
-	}
-	v, err := f(args)
-	if err != nil {
-		// Scalar UDF failures yield NULL (malformed EPC codes etc.), so a
-		// single bad tag does not kill a continuous query.
-		return stream.Null, nil
-	}
-	return v, nil
-}
-
 // isAggregateName reports whether the name is a built-in aggregate (UDAs
 // are resolved against the engine's aggregate registry during planning).
 func isAggregateName(name string) bool {

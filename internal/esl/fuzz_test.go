@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -90,17 +91,100 @@ func TestExprEvalNeverPanicsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := genExpr(rng, 4)
-		env := NewEnv(nil)
-		env.BindTuple("t", tu)
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("panic on %s: %v", ExprString(e), r)
 			}
 		}()
-		env.Eval(e) // error or value both fine
+		compileRun(e, bound{"t", tu}) // error or value both fine
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// genPred builds a step-filter conjunct: half the time one of the shapes
+// compilePred fuses (column against a constant, either side, BETWEEN
+// constants, IS [NOT] NULL — NULL and cross-kind constants included), else
+// a general generated expression.
+func genPred(rng *rand.Rand) Expr {
+	col := &ColRef{Name: []string{"a", "b", "c"}[rng.Intn(3)]}
+	if rng.Intn(2) == 0 {
+		col.Qualifier = "t"
+	}
+	lit := func() Expr {
+		switch rng.Intn(5) {
+		case 0:
+			return &Literal{Val: stream.Null}
+		case 1:
+			return &Interval{D: time.Duration(rng.Intn(3)) * time.Second}
+		default:
+			return genExpr(rng, 0)
+		}
+	}
+	constant := func() Expr {
+		for {
+			if x := lit(); !isColRef(x) {
+				return x
+			}
+		}
+	}
+	switch rng.Intn(8) {
+	case 0, 1:
+		op := []string{"=", "<>", "<", "<=", ">", ">="}[rng.Intn(6)]
+		return &Binary{Op: op, L: col, R: constant()}
+	case 2:
+		op := []string{"=", "<>", "<", "<=", ">", ">="}[rng.Intn(6)]
+		return &Binary{Op: op, L: constant(), R: col}
+	case 3:
+		return &Between{X: col, Lo: constant(), Hi: constant(), Negate: rng.Intn(2) == 0}
+	case 4:
+		return &IsNull{X: col, Negate: rng.Intn(2) == 0}
+	default:
+		return genExpr(rng, 3)
+	}
+}
+
+func isColRef(x Expr) bool {
+	_, ok := x.(*ColRef)
+	return ok
+}
+
+// Property: a step filter from compilePred — fused shape or not — accepts a
+// tuple exactly when the general compiled expression is known TRUE on it,
+// over tuples mixing NULLs and cross-kind values.
+func TestCompilePredAgreesWithCompileProperty(t *testing.T) {
+	sch := stream.MustSchema("t",
+		stream.Field{Name: "a"}, stream.Field{Name: "b"}, stream.Field{Name: "c"})
+	tuples := []*stream.Tuple{
+		{Schema: sch, Vals: []stream.Value{stream.Int(1), stream.Float(2.5), stream.Str("x")}},
+		{Schema: sch, Vals: []stream.Value{stream.Null, stream.Int(50), stream.Str("s1")}},
+		{Schema: sch, Vals: []stream.Value{stream.Str("s3"), stream.Null, stream.Float(7.5)}},
+		{Schema: sch, Vals: []stream.Value{stream.Bool(true), stream.Time(stream.TS(time.Second)), stream.Null}},
+		{Schema: sch, Vals: []stream.Value{stream.Int(int64(time.Second)), stream.Str("s0"), stream.Int(99)}},
+	}
+	sc := newScope(nil, aliasSchema{alias: "t", schema: sch})
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		x := genPred(rng)
+		cp, err := compilePred(x, sc)
+		if err != nil {
+			t.Logf("compilePred(%s): %v", ExprString(x), err)
+			return false
+		}
+		for _, tu := range tuples {
+			v, err := compileRun(x, bound{"t", tu})
+			b, isBool := v.AsBool()
+			want := err == nil && !v.IsNull() && isBool && b
+			if got := cp.fn(tu); got != want {
+				t.Logf("%s on %v: filter %v, expression %v (%v)", ExprString(x), tu, got, v, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -80,7 +80,7 @@ type mergeSpec struct {
 // step alias.
 func buildMergeSpec(op *eventOp, keyCols map[string]string, aliasStream map[string]string,
 	predsByStep [][]stepConjunct, stepFilters [][]compiledPred, stepFilterExprs [][]Expr,
-	resolve func(*ColRef) (int, bool), ord func(string) (int, bool), funcs *FuncRegistry) *mergeSpec {
+	resolve func(*ColRef) (int, bool), ord func(string) (int, bool)) *mergeSpec {
 
 	spec := &mergeSpec{finalEqPos: -1}
 	n := len(op.def.Steps)
@@ -187,7 +187,7 @@ func buildMergeSpec(op *eventOp, keyCols map[string]string, aliasStream map[stri
 		}
 	}
 	if len(predsByStep[n-1]) > 0 {
-		spec.finalCheck = buildCheckClosure(funcs, &op.def, op.stepIdx, op.lowerAliases, predsByStep[n-1])
+		spec.finalCheck = buildCheckClosure(op.nslots, n, predsByStep[n-1])
 	}
 	hasPrefixPreds := false
 	for i := 0; i < n-1; i++ {
@@ -196,31 +196,28 @@ func buildMergeSpec(op *eventOp, keyCols map[string]string, aliasStream map[stri
 		}
 	}
 	if hasPrefixPreds {
-		spec.prefixPred = buildPredClosure(funcs, &op.def, op.stepIdx, op.lowerAliases, predsByStep, n-1)
+		spec.prefixPred = buildPredClosure(op.nslots, n, predsByStep, n-1)
 	}
 	return spec
 }
 
-// buildCheckClosure compiles the final step's residual conjuncts into a
+// buildCheckClosure assembles the final step's residual conjuncts into a
 // per-member acceptance check over the completed match. It reproduces the
-// bind-time evaluation environment exactly: every step bound from the match,
-// the final alias bound to the final tuple.
-func buildCheckClosure(funcs *FuncRegistry, def *core.Def, idx map[string]int, lowers []string,
-	finals []stepConjunct) func(*core.Match) bool {
-	last := len(def.Steps) - 1
+// bind-time evaluation frame exactly: every step bound from the match, the
+// final step to the final tuple.
+func buildCheckClosure(nslots, nsteps int, finals []stepConjunct) func(*core.Match) bool {
 	return func(m *core.Match) bool {
-		t := m.Last(last)
+		f := getFrame(nslots, nil)
+		f.bindMatch(m, nsteps)
+		held := true
 		for _, cl := range finals {
-			env := getEnv(funcs)
-			env.BindMatchIndexed(m, def, idx, lowers)
-			env.bindTupleLower(lowers[last], t)
-			ok, known, err := env.EvalBool(cl.expr)
-			putEnv(env)
-			if err != nil || !ok || !known {
-				return false
+			if ok, err := cl.fn(f); err != nil || !ok {
+				held = false
+				break
 			}
 		}
-		return true
+		putFrame(f)
+		return held
 	}
 }
 

@@ -273,7 +273,7 @@ func TestMergeSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeExplain: the plan-merging verdict and the closure-tier lines.
+// TestMergeExplain: the plan-merging verdict and the step filter lines.
 func TestMergeExplain(t *testing.T) {
 	e := New()
 	declareQC(t, e)
@@ -284,9 +284,8 @@ func TestMergeExplain(t *testing.T) {
 	for _, want := range []string{
 		"plan merging: eligible, prefix tier",
 		"no compatible group live: would found a new one",
-		"step C1 filter: eq-const",
-		"step C2 filter: eq-const",
-		"projection: compiled column-copy fast path",
+		"step C1 filter: (C1.readerid = 'DOCK')",
+		"step C2 filter: (C2.readerid = 'R1')",
 	} {
 		if !contains(out, want) {
 			t.Fatalf("EXPLAIN missing %q:\n%s", want, out)
@@ -325,30 +324,46 @@ func TestMergeExplain(t *testing.T) {
 	}
 }
 
-// TestMergeClosureTiers: the filter compiler's fast paths, observed through
-// the per-step tier labels and the queries' behavior.
+// TestMergeClosureTiers: the filter compiler's fused shapes, observed through
+// the queries' behavior: step C1's filter accepts exactly the tuples on
+// which the WHERE conjuncts are known TRUE.
 func TestMergeClosureTiers(t *testing.T) {
-	cases := []struct {
-		where string
-		tiers string // step C1's expected tiers, comma-joined
-	}{
-		{`C1.readerid = 'R1'`, "eq-const"},
-		{`'R1' = C1.readerid`, "eq-const"},
-		{`C1.readerid <> 'R1'`, "cmp-const"},
-		{`C1.tagtime > 5`, "cmp-const"},
-		{`C1.tagtime BETWEEN 1 AND 9`, "between-const"},
-		{`C1.tagtime IS NULL`, "is-null"},
-		{`C1.readerid = 'R1' AND C1.tagtime > 5`, "eq-const, cmp-const"},
-		{`C1.readerid = C1.tagid`, "interpreted"},
+	cases := []string{
+		`C1.readerid = 'R1'`,
+		`'R1' = C1.readerid`,
+		`C1.readerid <> 'R1'`,
+		`C1.tagtime > 5`,
+		`C1.tagtime BETWEEN 1 AND 9`,
+		`C1.tagtime IS NULL`,
+		`C1.readerid = 'R1' AND C1.tagtime > 5`,
+		`C1.readerid = C1.tagid`,
 	}
-	for _, tc := range cases {
-		t.Run(tc.where, func(t *testing.T) {
+	for _, where := range cases {
+		t.Run(where, func(t *testing.T) {
 			e := New()
 			declareQC(t, e)
 			op, _ := eventOpOf(t, e, fmt.Sprintf(
-				`SELECT C2.tagid FROM C1, C2 WHERE SEQ(C1, C2) AND %s`, tc.where))
-			if got := strings.Join(op.filterTiers[0], ", "); got != tc.tiers {
-				t.Fatalf("step C1 tiers = %q, want %q", got, tc.tiers)
+				`SELECT C2.tagid FROM C1, C2 WHERE SEQ(C1, C2) AND %s`, where))
+			s, err := ParseOne("SELECT " + where + " FROM C1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cond := s.(*Select).Items[0].Expr
+			sch, _ := e.StreamSchema("C1")
+			for _, vals := range [][]stream.Value{
+				{stream.Str("R1"), stream.Str("a"), stream.Int(7)},
+				{stream.Str("R2"), stream.Str("R2"), stream.Int(3)},
+				{stream.Str("R1"), stream.Str("R1"), stream.Null},
+				{stream.Null, stream.Str("a"), stream.Float(9)},
+				{stream.Int(1), stream.Str("a"), stream.Str("x")},
+			} {
+				tu := &stream.Tuple{Schema: sch, Vals: vals}
+				v, err := compileRun(cond, bound{"C1", tu})
+				b, isBool := v.AsBool()
+				want := err == nil && !v.IsNull() && isBool && b
+				if got := op.def.Steps[0].Filter(tu); got != want {
+					t.Errorf("filter on %v = %v, want %v (%v, %v)", vals, got, want, v, err)
+				}
 			}
 		})
 	}

@@ -20,9 +20,6 @@ func (e *Engine) compile(sel *Select, q *Query) (queryOp, map[string][]string, e
 	if sel.AsOf != nil {
 		return nil, nil, fmt.Errorf("esl: AS OF applies to snapshot queries only; a continuous query always reads current table state")
 	}
-	if err := validateSelect(sel); err != nil {
-		return nil, nil, err
-	}
 	// Temporal event queries are handled by the event planner.
 	if se := findSeqExpr(sel.Where); se != nil {
 		return e.compileEventQuery(sel, se, q)
@@ -65,39 +62,47 @@ func (e *Engine) compile(sel *Select, q *Query) (queryOp, map[string][]string, e
 		return op, map[string][]string{outer.Source: {outer.Alias}}, nil
 	}
 
-	proj, err := e.compileProjection(sel, aliasSchemas)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	op := &filterProjectOp{
-		e:               e,
-		q:               q,
-		outerAlias:      outer.Alias,
-		outerAliasLower: strings.ToLower(outer.Alias),
-		where:           sel.Where,
-		proj:            proj,
-		distinct:        sel.Distinct,
-		limit:           sel.Limit,
+		e:          e,
+		q:          q,
+		outerAlias: outer.Alias,
+		distinct:   sel.Distinct,
+		limit:      sel.Limit,
+		nslots:     len(aliasSchemas),
 	}
 	inputs := map[string][]string{outer.Source: {outer.Alias}}
+	// The outer tuple is slot 0 and joined table i is slot i+1; the WHERE
+	// clause and the projection see all of them.
+	sc := newScope(e.funcs, aliasSchemas...)
 
-	// Stream-table lookup joins (context retrieval).
-	for _, ti := range tableItems {
+	// Stream-table lookup joins (context retrieval). A join key evaluates
+	// before its table is bound, against the outer tuple and earlier tables.
+	for i, ti := range tableItems {
 		tbl, _ := e.store.Get(ti.Source)
 		jt := joinTable{alias: ti.Alias, tbl: tbl}
-		jt.eqCol, jt.eqExpr = findEqualityLookup(sel.Where, ti.Alias, tbl.Schema())
+		var eqExpr Expr
+		jt.eqCol, eqExpr = findEqualityLookup(sel.Where, ti.Alias, tbl.Schema())
 		if jt.eqCol != "" {
 			jt.eqPos, _ = tbl.Schema().Col(jt.eqCol)
+			var err error
+			if jt.eqKey, err = compileExpr(eqExpr, newScope(e.funcs, aliasSchemas[:i+1]...)); err != nil {
+				return nil, nil, err
+			}
 		}
 		op.tables = append(op.tables, jt)
 	}
 
-	// Plan EXISTS sub-queries.
-	if err := e.planExists(sel.Where, op, inputs); err != nil {
+	// Plan EXISTS sub-queries, then compile the clauses that call them.
+	if err := e.planExists(sel.Where, op, inputs, sc); err != nil {
 		return nil, nil, err
 	}
-	op.buildHooks()
+	var err error
+	if op.where, err = compileOptBool(sel.Where, sc); err != nil {
+		return nil, nil, err
+	}
+	if op.proj, err = compileProjection(sel, aliasSchemas, sc); err != nil {
+		return nil, nil, err
+	}
 
 	// A stateless filter-project (no table joins, no EXISTS state, no
 	// DISTINCT/LIMIT bookkeeping, no deferral) reads nothing but the tuple
@@ -150,7 +155,7 @@ type projection struct {
 	// matching Row.Get's former first-EqualFold-match scan). Built once at
 	// compile time and shared by every Row this projection emits.
 	idx map[string]int
-	// builders produce one value each; star items expand in place.
+	// items produce one value each; star items expand in place.
 	items []projItem
 }
 
@@ -171,29 +176,57 @@ func (p *projection) row(vals []stream.Value, ts stream.Timestamp) Row {
 	return Row{Names: p.names, Vals: vals, TS: ts, idx: p.idx}
 }
 
+// projItem is one select item: a compiled expression, or (fn nil) a star
+// expanding every column of each in-scope alias.
 type projItem struct {
-	star    bool
-	schemas []aliasSchema // for star expansion
-	expr    Expr
+	expr Expr
+	fn   evalFn
+	star []starSlot
 }
 
-// compileProjection resolves the select list against the in-scope aliases.
-func (e *Engine) compileProjection(sel *Select, schemas []aliasSchema) (*projection, error) {
-	p := &projection{}
+// starSlot is one alias of a star expansion: its frame slot (-1 when the
+// alias is not bound, which projects NULLs) and its column count.
+type starSlot struct {
+	slot, ncols int
+}
+
+// projNames lists a select list's output column names.
+func projNames(sel *Select, schemas []aliasSchema) []string {
+	var names []string
 	for i, item := range sel.Items {
 		if item.Star {
-			p.items = append(p.items, projItem{star: true, schemas: schemas})
 			for _, as := range schemas {
 				for _, f := range as.schema.Fields() {
-					p.names = append(p.names, f.Name)
+					names = append(names, f.Name)
 				}
 			}
 			continue
 		}
-		p.items = append(p.items, projItem{expr: item.Expr})
-		p.names = append(p.names, projName(item, i))
+		names = append(names, projName(item, i))
 	}
+	return names
+}
+
+// compileProjection compiles the select list in sc; star items expand the
+// given aliases in order.
+func compileProjection(sel *Select, schemas []aliasSchema, sc *scope) (*projection, error) {
+	p := &projection{names: projNames(sel, schemas)}
 	p.idx = buildNameIndex(p.names)
+	for _, item := range sel.Items {
+		if item.Star {
+			var star []starSlot
+			for _, as := range schemas {
+				star = append(star, starSlot{slot: sc.slot(as.alias), ncols: as.schema.Len()})
+			}
+			p.items = append(p.items, projItem{star: star})
+			continue
+		}
+		fn, err := compileExpr(item.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		p.items = append(p.items, projItem{expr: item.Expr, fn: fn})
+	}
 	return p, nil
 }
 
@@ -218,27 +251,29 @@ func projName(item SelectItem, i int) string {
 	}
 }
 
-// build evaluates the projection in env. Star items read bound tuples/rows
-// column-wise via the environment.
-func (p *projection) build(env *Env) ([]stream.Value, error) {
-	return p.buildInto(make([]stream.Value, 0, len(p.names)), env)
+// build evaluates the projection over frame f.
+func (p *projection) build(f *frame) ([]stream.Value, error) {
+	return p.buildInto(make([]stream.Value, 0, len(p.names)), f)
 }
 
 // buildInto appends the projected row (always len(p.names) values) to dst;
 // batch kernels pass slices of a shared arena so a whole run of output rows
 // costs one allocation.
-func (p *projection) buildInto(dst []stream.Value, env *Env) ([]stream.Value, error) {
+func (p *projection) buildInto(dst []stream.Value, f *frame) ([]stream.Value, error) {
 	for _, item := range p.items {
-		if item.star {
-			for _, as := range item.schemas {
-				for _, f := range as.schema.Fields() {
-					v, _ := env.lookup(as.alias, f.Name)
-					dst = append(dst, v)
+		if item.fn == nil {
+			for _, s := range item.star {
+				var row []stream.Value
+				if s.slot >= 0 {
+					row = f.slots[s.slot]
+				}
+				for c := 0; c < s.ncols; c++ {
+					dst = append(dst, slotValue(row, c))
 				}
 			}
 			continue
 		}
-		v, err := env.Eval(item.expr)
+		v, err := item.fn(f)
 		if err != nil {
 			return nil, err
 		}
@@ -260,13 +295,9 @@ func (e *Engine) projectionNames(sel *Select) ([]string, error) {
 			return nil, fmt.Errorf("unknown source %q", f.Source)
 		}
 	}
-	p, err := e.compileProjection(sel, schemas)
-	if err != nil {
-		return nil, err
-	}
 	seen := map[string]int{}
-	names := make([]string, len(p.names))
-	for i, n := range p.names {
+	names := projNames(sel, schemas)
+	for i, n := range names {
 		key := strings.ToLower(n)
 		seen[key]++
 		if seen[key] > 1 {
@@ -282,12 +313,12 @@ func (e *Engine) projectionNames(sel *Select) ([]string, error) {
 type joinTable struct {
 	alias string
 	tbl   *db.Table
-	// eqCol/eqExpr, when set, drive an index lookup instead of a scan: the
-	// WHERE clause contains alias.eqCol = eqExpr with eqExpr free of inner
+	// eqCol/eqKey, when set, drive an index lookup instead of a scan: the
+	// WHERE clause contains alias.eqCol = key with key free of inner
 	// references. eqPos is eqCol's resolved column position.
-	eqCol  string
-	eqExpr Expr
-	eqPos  int
+	eqCol string
+	eqKey evalFn
+	eqPos int
 	// ver is the pinned table version probes read (set by pinTables once per
 	// tuple, or once per batch when no registered query writes tables), and
 	// buf is the reused probe buffer — together they make the join hot path
@@ -302,11 +333,6 @@ type existsState struct {
 	alias  string // inner FROM alias
 	win    *WindowClause
 	buffer window.TimeBuffer
-	// anchorAlias: the outer alias the window is synchronized on ("" =
-	// CURRENT outer tuple). Evaluation resolves the anchor timestamp from
-	// the environment.
-	anchorAlias string
-	inner       *Select
 }
 
 // pendingOuter is an outer tuple whose decision is deferred until its
@@ -320,21 +346,18 @@ type filterProjectOp struct {
 	e          *Engine
 	q          *Query
 	outerAlias string
-	// outerAliasLower avoids re-lowercasing the alias on every tuple.
-	outerAliasLower string
-	where           Expr
-	proj            *projection
-	distinct        bool
-	limit           int
-	emitted         int
-	seen            map[uint64]int
+	where      boolFn // nil without a WHERE clause
+	proj       *projection
+	distinct   bool
+	limit      int
+	emitted    int
+	seen       map[uint64]int
+	// nslots is the frame size: the outer tuple plus one slot per table.
+	nslots int
 
 	tables      []joinTable
 	exists      []*existsState
-	tableExists []tableExistsState
-	// hooks holds the EXISTS evaluators, built once at compile time and
-	// shared (read-only) by every per-tuple environment.
-	hooks map[Expr]func(*Env) (stream.Value, error)
+	tableExists []*tableExistsState
 
 	// deferred is set when any EXISTS window has a FOLLOWING component:
 	// outer tuples wait in pending until event time passes their deadline.
@@ -371,7 +394,7 @@ func (op *filterProjectOp) pinTables() {
 func (op *filterProjectOp) timeSensitive() bool { return op.deferred }
 
 // pushBatch processes a run of same-stream tuples. The fused kernel handles
-// the stateless filter→project shape: one pooled environment serves the
+// the stateless filter→project shape: one pooled frame serves the
 // whole run, the WHERE pass records survivors in the batch's selection
 // vector, and the projection pass writes every output row into one shared
 // value arena. Stateful shapes (table joins, EXISTS buffers, DISTINCT,
@@ -400,8 +423,8 @@ func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 		}
 		return nil
 	}
-	env := getEnv(e.funcs)
-	defer putEnv(env)
+	f := getFrame(op.nslots, nil)
+	defer putFrame(f)
 	sel := b.Sel[:0]
 	if op.where == nil {
 		for i := range b.Tuples {
@@ -409,13 +432,13 @@ func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 		}
 	} else {
 		for i, t := range b.Tuples {
-			env.rebindTupleLower(op.outerAliasLower, t)
-			ok, known, err := env.EvalBool(op.where)
+			f.slots[0] = t.Vals
+			ok, err := op.where(f)
 			if err != nil {
 				b.Sel = sel
 				return err
 			}
-			if ok && known {
+			if ok {
 				sel = append(sel, int32(i))
 			}
 		}
@@ -432,10 +455,10 @@ func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 		if t.TS > e.now {
 			e.now = t.TS
 		}
-		env.rebindTupleLower(op.outerAliasLower, t)
+		f.slots[0] = t.Vals
 		base := len(arena)
 		var err error
-		arena, err = op.proj.buildInto(arena, env)
+		arena, err = op.proj.buildInto(arena, f)
 		if err != nil {
 			return err
 		}
@@ -494,32 +517,25 @@ func (op *filterProjectOp) advance(ts stream.Timestamp) error {
 	return nil
 }
 
-// emit runs the WHERE clause (with EXISTS hooks bound) and projects.
+// emit runs the WHERE clause (EXISTS sub-queries included) and projects.
 func (op *filterProjectOp) emit(t *stream.Tuple) error {
 	if !op.vpinned {
 		op.pinTables()
 	}
-	env := getEnv(op.e.funcs)
-	env.hooks = op.hooks
-	env.bindTupleLower(op.outerAliasLower, t)
+	f := getFrame(op.nslots, nil)
+	f.slots[0] = t.Vals
 	// Nested-loop (usually index) join over context tables.
-	err := op.joinTables(env, t, 0)
-	putEnv(env)
+	err := op.joinTables(f, t, 0)
+	putFrame(f)
 	return err
 }
 
-func (op *filterProjectOp) joinTables(env *Env, t *stream.Tuple, i int) error {
+func (op *filterProjectOp) joinTables(f *frame, t *stream.Tuple, i int) error {
 	if i == len(op.tables) {
-		if op.where != nil {
-			ok, known, err := env.EvalBool(op.where)
-			if err != nil {
-				return err
-			}
-			if !ok || !known {
-				return nil
-			}
+		if ok, err := holdsOpt(op.where, f); err != nil || !ok {
+			return err
 		}
-		vals, err := op.proj.build(env)
+		vals, err := op.proj.build(f)
 		if err != nil {
 			return err
 		}
@@ -527,8 +543,8 @@ func (op *filterProjectOp) joinTables(env *Env, t *stream.Tuple, i int) error {
 	}
 	jt := &op.tables[i]
 	rows := jt.buf[:0]
-	if jt.eqCol != "" {
-		v, err := env.Eval(jt.eqExpr)
+	if jt.eqKey != nil {
+		v, err := jt.eqKey(f)
 		if err != nil {
 			return err
 		}
@@ -538,11 +554,8 @@ func (op *filterProjectOp) joinTables(env *Env, t *stream.Tuple, i int) error {
 	}
 	jt.buf = rows
 	for _, r := range rows {
-		child := getChildEnv(env)
-		child.BindRow(jt.alias, jt.tbl.Schema(), r.Vals)
-		err := op.joinTables(child, t, i+1)
-		putEnv(child)
-		if err != nil {
+		f.slots[i+1] = r.Vals
+		if err := op.joinTables(f, t, i+1); err != nil {
 			return err
 		}
 	}
@@ -567,74 +580,65 @@ func (op *filterProjectOp) sinkRow(r Row) error {
 	return op.q.sink(r)
 }
 
-// buildHooks assembles the compile-time EXISTS evaluator map shared by all
-// per-tuple environments.
-func (op *filterProjectOp) buildHooks() {
-	if len(op.exists) == 0 && len(op.tableExists) == 0 {
-		return
+// compileWindowExists compiles one windowed [NOT] EXISTS: scan the inner
+// buffer over the window around the anchor's event time for a tuple that
+// satisfies the inner WHERE, evaluated with the outer row as the enclosing
+// scope.
+func compileWindowExists(ex *existsState, inner *stream.Schema, anchorAlias, outerAlias string,
+	where Expr, sc *scope) (evalFn, error) {
+	anchor, err := compileAnchor(sc, anchorAlias, outerAlias)
+	if err != nil {
+		return nil, err
 	}
-	op.hooks = make(map[Expr]func(*Env) (stream.Value, error), len(op.exists)+len(op.tableExists))
-	for _, ex := range op.exists {
-		op.hooks[ex.node] = op.existsHook(ex)
+	cond, err := compileOptBool(where, sc.child(aliasSchema{alias: ex.alias, schema: inner}))
+	if err != nil {
+		return nil, err
 	}
-	for i := range op.tableExists {
-		ex := &op.tableExists[i]
-		op.hooks[ex.node] = op.tableExistsHook(ex)
-	}
-}
-
-// existsHook wires one EXISTS node to its runtime evaluation.
-func (op *filterProjectOp) existsHook(ex *existsState) func(*Env) (stream.Value, error) {
-	return func(cur *Env) (stream.Value, error) {
-		anchorTS, err := resolveAnchorTS(cur, ex.anchorAlias, op.outerAlias)
+	pre, fol, neg := windowPre(ex.win), windowFol(ex.win), ex.node.Negate
+	return func(f *frame) (stream.Value, error) {
+		anchorTS, err := anchor(f)
 		if err != nil {
 			return stream.Null, err
 		}
-		lo := anchorTS.Add(-windowPre(ex.win))
-		hi := anchorTS.Add(windowFol(ex.win))
+		child := getFrame(1, f)
 		found := false
-		var scanErr error
-		ex.buffer.EachInRange(lo, hi, func(inner *stream.Tuple) bool {
-			child := getChildEnv(cur)
-			child.BindTuple(ex.alias, inner)
-			if ex.inner.Where != nil {
-				ok, known, err := child.EvalBool(ex.inner.Where)
-				putEnv(child)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !ok || !known {
-					return true // keep scanning
-				}
-			} else {
-				putEnv(child)
-			}
-			found = true
-			return false
+		ex.buffer.EachInRange(anchorTS.Add(-pre), anchorTS.Add(fol), func(t *stream.Tuple) bool {
+			child.slots[0] = t.Vals
+			found, err = holdsOpt(cond, child)
+			return !found && err == nil // keep scanning
 		})
-		if scanErr != nil {
-			return stream.Null, scanErr
+		putFrame(child)
+		if err != nil {
+			return stream.Null, err
 		}
-		if ex.node.Negate {
-			return stream.Bool(!found), nil
-		}
-		return stream.Bool(found), nil
-	}
+		return stream.Bool(found != neg), nil
+	}, nil
 }
 
-// tableExistsHook evaluates [NOT] EXISTS over a persistent table
+// compileTableExists compiles [NOT] EXISTS over a persistent table
 // (Example 2's movement check), using an index lookup when the correlation
 // is a simple equality.
-func (op *filterProjectOp) tableExistsHook(ex *tableExistsState) func(*Env) (stream.Value, error) {
-	return func(cur *Env) (stream.Value, error) {
+func compileTableExists(ex *tableExistsState, key Expr, where Expr, sc *scope) (evalFn, error) {
+	var keyFn evalFn
+	if key != nil {
+		var err error
+		if keyFn, err = compileExpr(key, sc); err != nil {
+			return nil, err
+		}
+	}
+	cond, err := compileOptBool(where, sc.child(aliasSchema{alias: ex.alias, schema: ex.tbl.Schema()}))
+	if err != nil {
+		return nil, err
+	}
+	neg := ex.node.Negate
+	return func(f *frame) (stream.Value, error) {
 		ver := ex.ver
 		if ver == nil {
 			ver = ex.tbl.Head()
 		}
 		rows := ex.buf[:0]
-		if ex.eqCol != "" {
-			v, err := cur.Eval(ex.eqExpr)
+		if keyFn != nil {
+			v, err := keyFn(f)
 			if err != nil {
 				return stream.Null, err
 			}
@@ -643,47 +647,54 @@ func (op *filterProjectOp) tableExistsHook(ex *tableExistsState) func(*Env) (str
 			rows = ver.AppendAll(rows)
 		}
 		ex.buf = rows
-		found := false
+		child := getFrame(1, f)
+		defer putFrame(child)
 		for _, r := range rows {
-			child := getChildEnv(cur)
-			child.BindRow(ex.alias, ex.tbl.Schema(), r.Vals)
-			if ex.inner.Where != nil {
-				ok, known, err := child.EvalBool(ex.inner.Where)
-				putEnv(child)
-				if err != nil {
-					return stream.Null, err
-				}
-				if !ok || !known {
-					continue
-				}
-			} else {
-				putEnv(child)
+			child.slots[0] = r.Vals
+			ok, err := holdsOpt(cond, child)
+			if err != nil {
+				return stream.Null, err
 			}
-			found = true
-			break
+			if ok {
+				return stream.Bool(!neg), nil
+			}
 		}
-		if ex.node.Negate {
-			return stream.Bool(!found), nil
-		}
-		return stream.Bool(found), nil
-	}
+		return stream.Bool(neg), nil
+	}, nil
 }
 
-func resolveAnchorTS(env *Env, anchorAlias, outerAlias string) (stream.Timestamp, error) {
+// compileAnchor resolves a window anchor's event time at plan time: the
+// anchor alias (the outer tuple when "") must carry a column named like a
+// timestamp — read_time, tagtime, ts, timestamp or time, in that order — and
+// at run time the first of those holding a time wins.
+func compileAnchor(sc *scope, anchorAlias, outerAlias string) (func(*frame) (stream.Timestamp, error), error) {
 	alias := anchorAlias
 	if alias == "" {
 		alias = outerAlias
 	}
-	// The anchor tuple's designated event time: look for its time column;
-	// fall back to any column named like a timestamp.
+	noTime := fmt.Errorf("esl: cannot resolve event time of window anchor %q", alias)
+	slot := sc.slot(alias)
+	if slot < 0 {
+		return nil, noTime
+	}
+	var cols []int
 	for _, col := range []string{"read_time", "tagtime", "ts", "timestamp", "time"} {
-		if v, ok := env.lookup(alias, col); ok && !v.IsNull() {
-			if ts, ok := v.AsTime(); ok {
+		if pos, ok := sc.binds[slot].schema.Col(col); ok {
+			cols = append(cols, pos)
+		}
+	}
+	if len(cols) == 0 {
+		return nil, noTime
+	}
+	return func(f *frame) (stream.Timestamp, error) {
+		row := f.slots[slot]
+		for _, pos := range cols {
+			if ts, ok := slotValue(row, pos).AsTime(); ok {
 				return ts, nil
 			}
 		}
-	}
-	return 0, fmt.Errorf("esl: cannot resolve event time of window anchor %q", alias)
+		return 0, noTime
+	}, nil
 }
 
 func windowPre(w *WindowClause) time.Duration {
@@ -700,11 +711,12 @@ func windowFol(w *WindowClause) time.Duration {
 	return w.Following
 }
 
-// planExists finds EXISTS nodes in the predicate and attaches their
-// runtimes to the operator: windowed stream sub-queries get buffers (and
-// defer the outer decision when the window has a FOLLOWING part); table
-// sub-queries evaluate immediately against the store.
-func (e *Engine) planExists(where Expr, op *filterProjectOp, inputs map[string][]string) error {
+// planExists finds EXISTS nodes in the predicate, attaches their runtimes
+// to the operator and compiles their evaluators into sc: windowed stream
+// sub-queries get buffers (and defer the outer decision when the window has
+// a FOLLOWING part); table sub-queries evaluate immediately against the
+// store.
+func (e *Engine) planExists(where Expr, op *filterProjectOp, inputs map[string][]string, sc *scope) error {
 	var nodes []*Exists
 	collectExists(where, &nodes)
 	for _, node := range nodes {
@@ -713,20 +725,18 @@ func (e *Engine) planExists(where Expr, op *filterProjectOp, inputs map[string][
 			return fmt.Errorf("esl: EXISTS sub-queries support a single source")
 		}
 		f := sub.From[0]
+		var fn evalFn
+		var err error
 		if si, isStream := e.streams[strings.ToLower(f.Source)]; isStream {
-			_ = si
 			if f.Window == nil {
 				return fmt.Errorf("esl: EXISTS over stream %s needs a window (unbounded otherwise)", f.Source)
 			}
 			if f.Window.Rows {
 				return fmt.Errorf("esl: EXISTS over ROWS windows is not supported")
 			}
-			ex := &existsState{
-				node:        node,
-				alias:       f.Alias,
-				win:         f.Window,
-				anchorAlias: f.Window.Anchor,
-				inner:       sub,
+			ex := &existsState{node: node, alias: f.Alias, win: f.Window}
+			if fn, err = compileWindowExists(ex, si.schema, f.Window.Anchor, op.outerAlias, sub.Where, sc); err != nil {
+				return err
 			}
 			op.exists = append(op.exists, ex)
 			inputs[f.Source] = appendUnique(inputs[f.Source], f.Alias)
@@ -739,62 +749,47 @@ func (e *Engine) planExists(where Expr, op *filterProjectOp, inputs map[string][
 			if f.Window.HasFollowing {
 				op.deferred = true
 			}
-			continue
-		}
-		if tbl, isTable := e.store.Get(f.Source); isTable {
+		} else if tbl, isTable := e.store.Get(f.Source); isTable {
 			// Table EXISTS: evaluated against current table contents.
-			eqCol, eqExpr := findEqualityLookup(sub.Where, f.Alias, tbl.Schema())
-			eqPos := 0
-			if eqCol != "" {
-				eqPos, _ = tbl.Schema().Col(eqCol)
+			ex := &tableExistsState{node: node, alias: f.Alias, tbl: tbl}
+			var key Expr
+			if ex.eqCol, key = findEqualityLookup(sub.Where, f.Alias, tbl.Schema()); ex.eqCol != "" {
+				ex.eqPos, _ = tbl.Schema().Col(ex.eqCol)
 			}
-			node := node
-			f := f
-			sub := sub
-			op.tableExists = append(op.tableExists, tableExistsState{
-				node: node, alias: f.Alias, tbl: tbl, inner: sub,
-				eqCol: eqCol, eqExpr: eqExpr, eqPos: eqPos,
-			})
-			continue
+			if fn, err = compileTableExists(ex, key, sub.Where, sc); err != nil {
+				return err
+			}
+			op.tableExists = append(op.tableExists, ex)
+		} else {
+			return fmt.Errorf("esl: EXISTS over unknown source %q", f.Source)
 		}
-		return fmt.Errorf("esl: EXISTS over unknown source %q", f.Source)
+		if sc.exists == nil {
+			sc.exists = map[*Exists]evalFn{}
+		}
+		sc.exists[node] = fn
 	}
 	return nil
 }
 
 type tableExistsState struct {
-	node   *Exists
-	alias  string
-	tbl    *db.Table
-	inner  *Select
-	eqCol  string
-	eqExpr Expr
-	eqPos  int
+	node  *Exists
+	alias string
+	tbl   *db.Table
+	eqCol string
+	eqPos int
 	// Pinned version + reused probe buffer, maintained like joinTable's.
 	ver *db.Version
 	buf []*db.Row
 }
 
+// collectExists lists the EXISTS nodes of x, not descending into their
+// sub-queries.
 func collectExists(x Expr, out *[]*Exists) {
-	switch n := x.(type) {
-	case *Exists:
-		*out = append(*out, n)
-	case *Binary:
-		collectExists(n.L, out)
-		collectExists(n.R, out)
-	case *Unary:
-		collectExists(n.X, out)
-	case *Between:
-		collectExists(n.X, out)
-		collectExists(n.Lo, out)
-		collectExists(n.Hi, out)
-	case *IsNull:
-		collectExists(n.X, out)
-	case *Call:
-		for _, a := range n.Args {
-			collectExists(a, out)
+	walkExpr(x, func(n Expr) {
+		if ex, ok := n.(*Exists); ok {
+			*out = append(*out, ex)
 		}
-	}
+	})
 }
 
 // findEqualityLookup finds a conjunct alias.col = expr (or expr = alias.col)

@@ -10,27 +10,36 @@ import (
 	"repro/internal/window"
 )
 
-// hasAggregates reports whether the select list or HAVING clause calls an
-// aggregate (built-in or UDA).
+// hasAggregates reports whether the query aggregates: it groups, or its
+// select list or HAVING clause calls an aggregate.
 func (e *Engine) hasAggregates(sel *Select) bool {
-	found := false
-	check := func(n Expr) {
-		if c, ok := n.(*Call); ok && (c.StarArg || e.aggs.Has(c.Name)) {
-			found = true
+	return len(sel.GroupBy) > 0 || len(e.aggregateCalls(sel)) > 0
+}
+
+// aggregateCalls lists the distinct aggregate call sites (built-in, UDA, or
+// any f(*)) of the select list and HAVING, in order of appearance.
+func (e *Engine) aggregateCalls(sel *Select) []*Call {
+	var calls []*Call
+	seen := map[*Call]bool{}
+	visit := func(n Expr) {
+		if c, ok := n.(*Call); ok && (c.StarArg || e.aggs.Has(c.Name)) && !seen[c] {
+			seen[c] = true
+			calls = append(calls, c)
 		}
 	}
 	for _, item := range sel.Items {
 		if !item.Star {
-			walkExpr(item.Expr, check)
+			walkExpr(item.Expr, visit)
 		}
 	}
-	walkExpr(sel.Having, check)
-	return found || len(sel.GroupBy) > 0
+	walkExpr(sel.Having, visit)
+	return calls
 }
 
 // aggSpec is one aggregate call site within the projection/HAVING.
 type aggSpec struct {
 	call     *Call
+	args     []evalFn // nil for COUNT(*)
 	factory  AggFactory
 	distinct bool
 }
@@ -59,18 +68,15 @@ type aggregateOp struct {
 	e     *Engine
 	q     *Query
 	alias string
-	// aliasLower avoids re-lowercasing the alias on every tuple.
-	aliasLower string
-	where      Expr
-	win        *WindowClause
+	where boolFn
+	win   *WindowClause
 
-	groupBy []Expr
+	groupBy []evalFn
 	aggs    []aggSpec
-	// items: for each select item, either an aggregate index (>= 0) or -1
-	// with a scalar expression evaluated on the triggering tuple.
+	// proj and having read the triggering tuple (slot 0) and the emitting
+	// group's accumulators.
 	proj    *projection
-	aggIdx  map[*Call]int
-	having  Expr
+	having  boolFn
 	removal bool // all accumulators support Remove (incremental windows)
 
 	groups map[uint64][]*groupState
@@ -83,49 +89,55 @@ type aggregateOp struct {
 func (e *Engine) compileAggregate(sel *Select, outer FromItem, q *Query) (queryOp, error) {
 	si := e.streams[strings.ToLower(outer.Source)]
 	op := &aggregateOp{
-		e:          e,
-		q:          q,
-		alias:      outer.Alias,
-		aliasLower: strings.ToLower(outer.Alias),
-		where:      sel.Where,
-		win:        outer.Window,
-		groupBy:    sel.GroupBy,
-		having:     sel.Having,
-		groups:     make(map[uint64][]*groupState),
-		aggIdx:     make(map[*Call]int),
-	}
-	// Collect aggregate call sites from items and HAVING.
-	collect := func(n Expr) {
-		if c, ok := n.(*Call); ok && (c.StarArg || e.aggs.Has(c.Name)) {
-			if _, dup := op.aggIdx[c]; dup {
-				return
-			}
-			factory, ok := e.aggs.Lookup(c.Name)
-			if !ok && c.StarArg {
-				factory, ok = e.aggs.Lookup("COUNT")
-			}
-			if !ok {
-				return
-			}
-			op.aggIdx[c] = len(op.aggs)
-			op.aggs = append(op.aggs, aggSpec{call: c, factory: factory, distinct: c.Distinct})
-		}
+		e:      e,
+		q:      q,
+		alias:  outer.Alias,
+		win:    outer.Window,
+		groups: make(map[uint64][]*groupState),
 	}
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, fmt.Errorf("esl: SELECT * cannot be combined with aggregates")
 		}
-		walkExpr(item.Expr, collect)
 	}
-	walkExpr(sel.Having, collect)
-	if len(op.aggs) == 0 && len(op.groupBy) == 0 {
+	aggIdx := map[*Call]int{}
+	for i, c := range e.aggregateCalls(sel) {
+		factory, ok := e.aggs.Lookup(c.Name)
+		if !ok { // f(*) of an unknown f counts rows
+			factory, _ = e.aggs.Lookup("COUNT")
+		}
+		aggIdx[c] = i
+		op.aggs = append(op.aggs, aggSpec{call: c, factory: factory, distinct: c.Distinct})
+	}
+	if len(op.aggs) == 0 && len(sel.GroupBy) == 0 {
 		return nil, fmt.Errorf("esl: aggregate query without aggregate calls")
 	}
-	proj, err := e.compileProjection(sel, []aliasSchema{{alias: outer.Alias, schema: si.schema}})
-	if err != nil {
+	// WHERE, GROUP BY and aggregate arguments read the arriving tuple; the
+	// select list and HAVING also read the emitting group's accumulators.
+	schemas := []aliasSchema{{alias: outer.Alias, schema: si.schema}}
+	sc := newScope(e.funcs, schemas...)
+	var err error
+	if op.where, err = compileOptBool(sel.Where, sc); err != nil {
 		return nil, err
 	}
-	op.proj = proj
+	if op.groupBy, err = compileList(sel.GroupBy, sc); err != nil {
+		return nil, err
+	}
+	for i := range op.aggs {
+		if a := &op.aggs[i]; !a.call.StarArg {
+			if a.args, err = compileList(a.call.Args, sc); err != nil {
+				return nil, err
+			}
+		}
+	}
+	asc := newScope(e.funcs, schemas...)
+	asc.aggs = aggIdx
+	if op.having, err = compileOptBool(sel.Having, asc); err != nil {
+		return nil, err
+	}
+	if op.proj, err = compileProjection(sel, schemas, asc); err != nil {
+		return nil, err
+	}
 	// Incremental window maintenance requires every accumulator to support
 	// removal; probe one instance of each.
 	op.removal = true
@@ -149,9 +161,9 @@ func (op *aggregateOp) push(aliases []string, t *stream.Tuple) error {
 	if !containsFold(aliases, op.alias) {
 		return nil
 	}
-	env := getEnv(op.e.funcs)
-	err := op.pushOne(env, t)
-	putEnv(env)
+	f := getFrame(1, nil)
+	err := op.pushOne(f, t)
+	putFrame(f)
 	return err
 }
 
@@ -160,43 +172,37 @@ func (op *aggregateOp) push(aliases []string, t *stream.Tuple) error {
 func (op *aggregateOp) timeSensitive() bool { return false }
 
 // pushBatch folds a run of arrivals into the running groups with one pooled
-// environment. Per-tuple semantics — window eviction before each emission,
-// one output row per qualifying arrival — are unchanged; only environment
-// setup is amortized across the run.
+// frame. Per-tuple semantics — window eviction before each emission, one
+// output row per qualifying arrival — are unchanged; only frame setup is
+// amortized across the run.
 func (op *aggregateOp) pushBatch(aliases []string, b *stream.Batch) error {
 	if !containsFold(aliases, op.alias) {
 		return nil
 	}
 	e := op.e
-	env := getEnv(e.funcs)
-	defer putEnv(env)
+	f := getFrame(1, nil)
+	defer putFrame(f)
 	for _, t := range b.Tuples {
 		if t.TS > e.now {
 			e.now = t.TS
 		}
-		if err := op.pushOne(env, t); err != nil {
+		if err := op.pushOne(f, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pushOne processes one qualifying arrival. env is caller-owned scratch:
-// bindings are reset per tuple and hook entries are overwritten before each
-// emission, so the batch path can reuse one environment across a whole run.
-func (op *aggregateOp) pushOne(env *Env, t *stream.Tuple) error {
-	env.rebindTupleLower(op.aliasLower, t)
-	if op.where != nil {
-		ok, known, err := env.EvalBool(op.where)
-		if err != nil {
-			return err
-		}
-		if !ok || !known {
-			return nil
-		}
+// pushOne processes one qualifying arrival. f is caller-owned scratch: the
+// tuple slot is rebound per tuple and the accumulators per emission, so the
+// batch path can reuse one frame across a whole run.
+func (op *aggregateOp) pushOne(f *frame, t *stream.Tuple) error {
+	f.slots[0] = t.Vals
+	if ok, err := holdsOpt(op.where, f); err != nil || !ok {
+		return err
 	}
 	// Group key.
-	keyVals, keyHash, err := op.groupKey(env)
+	keyVals, keyHash, err := op.groupKey(f)
 	if err != nil {
 		return err
 	}
@@ -205,10 +211,9 @@ func (op *aggregateOp) pushOne(env *Env, t *stream.Tuple) error {
 	args := make([][]stream.Value, len(op.aggs))
 	for i, a := range op.aggs {
 		if a.call.StarArg {
-			args[i] = nil
 			continue
 		}
-		vals, err := evalRow(a.call.Args, env)
+		vals, err := evalList(a.args, f)
 		if err != nil {
 			return err
 		}
@@ -240,7 +245,7 @@ func (op *aggregateOp) pushOne(env *Env, t *stream.Tuple) error {
 		}
 	}
 	// Emit the affected group's current row.
-	return op.emitGroup(gs, env, t.TS)
+	return op.emitGroup(gs, f, t.TS)
 }
 
 func (op *aggregateOp) advance(ts stream.Timestamp) error {
@@ -279,11 +284,11 @@ func (op *aggregateOp) evictTuple(t *stream.Tuple) error {
 	return op.removeFromGroup(entry.group, entry.args)
 }
 
-func (op *aggregateOp) groupKey(env *Env) ([]stream.Value, uint64, error) {
+func (op *aggregateOp) groupKey(f *frame) ([]stream.Value, uint64, error) {
 	if len(op.groupBy) == 0 {
 		return nil, 0, nil
 	}
-	vals, err := evalRow(op.groupBy, env)
+	vals, err := evalList(op.groupBy, f)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -346,25 +351,14 @@ func (op *aggregateOp) removeFromGroup(gs *groupState, args [][]stream.Value) er
 	return nil
 }
 
-// emitGroup projects and emits the current row for one group. Aggregate
-// call sites are resolved via a hook bound on the environment.
-func (op *aggregateOp) emitGroup(gs *groupState, env *Env, ts stream.Timestamp) error {
-	for call, idx := range op.aggIdx {
-		idx := idx
-		env.SetHook(call, func(*Env) (stream.Value, error) {
-			return gs.accs[idx].Result()
-		})
+// emitGroup projects and emits the current row for one group: aggregate
+// call sites read the group's accumulators through the frame.
+func (op *aggregateOp) emitGroup(gs *groupState, f *frame, ts stream.Timestamp) error {
+	f.accs = gs.accs
+	if ok, err := holdsOpt(op.having, f); err != nil || !ok {
+		return err
 	}
-	if op.having != nil {
-		ok, known, err := env.EvalBool(op.having)
-		if err != nil {
-			return err
-		}
-		if !ok || !known {
-			return nil
-		}
-	}
-	vals, err := op.proj.build(env)
+	vals, err := op.proj.build(f)
 	if err != nil {
 		return err
 	}
@@ -468,13 +462,8 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 	defer e.mu.Unlock()
 	now := e.now
 
-	// Materialize each FROM source.
-	type sourceRows struct {
-		alias  string
-		schema *stream.Schema
-		rows   [][]stream.Value
-	}
-	var sources []sourceRows
+	// Materialize each FROM source's rows.
+	var sources [][][]stream.Value
 	var schemas []aliasSchema
 	for _, f := range sel.From {
 		if si, isStream := e.streams[strings.ToLower(f.Source)]; isStream {
@@ -488,15 +477,15 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 			if f.Window != nil && !f.Window.Rows {
 				lo = now.Add(-f.Window.Preceding)
 			}
-			src := sourceRows{alias: f.Alias, schema: si.schema}
+			var rows [][]stream.Value
 			si.history.EachInRange(lo, now, func(t *stream.Tuple) bool {
-				src.rows = append(src.rows, t.Vals)
+				rows = append(rows, t.Vals)
 				return true
 			})
-			if f.Window != nil && f.Window.Rows && len(src.rows) > f.Window.NRows {
-				src.rows = src.rows[len(src.rows)-f.Window.NRows:]
+			if f.Window != nil && f.Window.Rows && len(rows) > f.Window.NRows {
+				rows = rows[len(rows)-f.Window.NRows:]
 			}
-			sources = append(sources, src)
+			sources = append(sources, rows)
 			schemas = append(schemas, aliasSchema{alias: f.Alias, schema: si.schema})
 			continue
 		}
@@ -509,75 +498,80 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 			}
 			ver.Pin()
 			defer ver.Unpin()
-			src := sourceRows{alias: f.Alias, schema: tbl.Schema()}
-			src.rows = make([][]stream.Value, 0, ver.Len())
+			rows := make([][]stream.Value, 0, ver.Len())
 			ver.Each(func(r *db.Row) bool {
-				src.rows = append(src.rows, r.Vals)
+				rows = append(rows, r.Vals)
 				return true
 			})
-			sources = append(sources, src)
+			sources = append(sources, rows)
 			schemas = append(schemas, aliasSchema{alias: f.Alias, schema: tbl.Schema()})
 			continue
 		}
 		return nil, fmt.Errorf("esl: unknown source %q", f.Source)
 	}
 
-	proj, err := e.compileProjection(sel, schemas)
+	// Source i is frame slot i. WHERE, GROUP BY and aggregate arguments
+	// read the rows; the select list and HAVING also read the group's
+	// accumulators when aggregating.
+	sc := newScope(e.funcs, schemas...)
+	where, err := compileOptBool(sel.Where, sc)
+	if err != nil {
+		return nil, err
+	}
+	aggCalls := e.aggregateCalls(sel)
+	aggregating := len(aggCalls) > 0 || len(sel.GroupBy) > 0
+	asc := sc
+	var groupBy []evalFn
+	var having boolFn
+	aggArgs := make([][]evalFn, len(aggCalls))
+	if aggregating {
+		if groupBy, err = compileList(sel.GroupBy, sc); err != nil {
+			return nil, err
+		}
+		asc = newScope(e.funcs, schemas...)
+		asc.aggs = map[*Call]int{}
+		for i, c := range aggCalls {
+			asc.aggs[c] = i
+			if !c.StarArg {
+				if aggArgs[i], err = compileList(c.Args, sc); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if having, err = compileOptBool(sel.Having, asc); err != nil {
+			return nil, err
+		}
+	}
+	proj, err := compileProjection(sel, schemas, asc)
 	if err != nil {
 		return nil, err
 	}
 
 	// Enumerate the cross product, filter, and either project per row or
-	// feed aggregates.
-	aggregating := e.hasAggregates(sel)
+	// feed aggregates. A group projects against the rows of its first input.
 	var out []Row
 	var groups []*groupState
 	groupByHash := map[uint64]*groupState{}
-	var aggCalls []*Call
-	if aggregating {
-		collect := func(n Expr) {
-			if c, ok := n.(*Call); ok && (c.StarArg || e.aggs.Has(c.Name)) {
-				for _, seen := range aggCalls {
-					if seen == c {
-						return
-					}
-				}
-				aggCalls = append(aggCalls, c)
-			}
-		}
-		for _, item := range sel.Items {
-			if !item.Star {
-				walkExpr(item.Expr, collect)
-			}
-		}
-		walkExpr(sel.Having, collect)
-	}
-	groupEnvs := map[*groupState]*Env{}
+	groupRows := map[*groupState][][]stream.Value{}
+	f := getFrame(len(sources), nil)
+	defer putFrame(f)
 
-	var iterate func(i int, env *Env) error
-	iterate = func(i int, env *Env) error {
+	var iterate func(i int) error
+	iterate = func(i int) error {
 		if i < len(sources) {
-			src := sources[i]
-			for _, row := range src.rows {
-				child := env.Child()
-				child.BindRow(src.alias, src.schema, row)
-				if err := iterate(i+1, child); err != nil {
+			for _, row := range sources[i] {
+				f.slots[i] = row
+				if err := iterate(i + 1); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		if sel.Where != nil {
-			ok, known, err := env.EvalBool(sel.Where)
-			if err != nil {
-				return err
-			}
-			if !ok || !known {
-				return nil
-			}
+		if ok, err := holdsOpt(where, f); err != nil || !ok {
+			return err
 		}
 		if !aggregating {
-			vals, err := proj.build(env)
+			vals, err := proj.build(f)
 			if err != nil {
 				return err
 			}
@@ -586,8 +580,8 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 		}
 		// Aggregating: accumulate per group.
 		var keyVals []stream.Value
-		if len(sel.GroupBy) > 0 {
-			keyVals, err = evalRow(sel.GroupBy, env)
+		if len(groupBy) > 0 {
+			keyVals, err = evalList(groupBy, f)
 			if err != nil {
 				return err
 			}
@@ -602,19 +596,19 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 			}
 			for i, c := range aggCalls {
 				if !c.StarArg {
-					if f, ok := e.aggs.Lookup(c.Name); ok {
-						gs.accs[i] = f()
+					if factory, ok := e.aggs.Lookup(c.Name); ok {
+						gs.accs[i] = factory()
 					}
 				}
 			}
 			groupByHash[h] = gs
 			groups = append(groups, gs)
-			groupEnvs[gs] = env
+			groupRows[gs] = append([][]stream.Value(nil), f.slots...)
 		}
 		for i, c := range aggCalls {
 			var args []stream.Value
 			if !c.StarArg {
-				args, err = evalRow(c.Args, env)
+				args, err = evalList(aggArgs[i], f)
 				if err != nil {
 					return err
 				}
@@ -625,8 +619,7 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 		}
 		return nil
 	}
-	root := NewEnv(e.funcs)
-	if err := iterate(0, root); err != nil {
+	if err := iterate(0); err != nil {
 		return nil, err
 	}
 
@@ -635,32 +628,26 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 			// Empty input still yields one row of empty aggregates.
 			gs := &groupState{}
 			for _, c := range aggCalls {
-				f, ok := e.aggs.Lookup(c.Name)
+				factory, ok := e.aggs.Lookup(c.Name)
 				if !ok {
-					f, _ = e.aggs.Lookup("COUNT")
+					factory, _ = e.aggs.Lookup("COUNT")
 				}
-				gs.accs = append(gs.accs, f())
+				gs.accs = append(gs.accs, factory())
 			}
 			groups = append(groups, gs)
-			groupEnvs[gs] = root
 		}
 		for _, gs := range groups {
-			env := groupEnvs[gs]
-			for i, c := range aggCalls {
-				idx := i
-				g := gs
-				env.SetHook(c, func(*Env) (stream.Value, error) { return g.accs[idx].Result() })
+			clear(f.slots)
+			copy(f.slots, groupRows[gs]) // none for the empty-input group: NULLs
+			f.accs = gs.accs
+			ok, err := holdsOpt(having, f)
+			if err != nil {
+				return nil, err
 			}
-			if sel.Having != nil {
-				ok, known, err := env.EvalBool(sel.Having)
-				if err != nil {
-					return nil, err
-				}
-				if !ok || !known {
-					continue
-				}
+			if !ok {
+				continue
 			}
-			vals, err := proj.build(env)
+			vals, err := proj.build(f)
 			if err != nil {
 				return nil, err
 			}
@@ -719,8 +706,8 @@ func (e *Engine) snapshotSelect(sel *Select) ([]Row, error) {
 
 // resolveOrderColumns maps ORDER BY keys onto projected columns: by output
 // name, or by textual equality with a projected expression. Ordering by an
-// unprojected expression is rejected (the row environments are gone by
-// sort time).
+// unprojected expression is rejected (the row bindings are gone by sort
+// time).
 func resolveOrderColumns(sel *Select, proj *projection) ([]int, error) {
 	cols := make([]int, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
@@ -736,7 +723,7 @@ func resolveOrderColumns(sel *Select, proj *projection) ([]int, error) {
 		if found < 0 {
 			want := ExprString(o.Expr)
 			for j, item := range proj.items {
-				if !item.star && item.expr != nil && ExprString(item.expr) == want {
+				if item.expr != nil && ExprString(item.expr) == want {
 					found = j
 					break
 				}

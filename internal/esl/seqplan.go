@@ -28,15 +28,13 @@ type eventOp struct {
 	seq      *core.Matcher
 	exc      *core.ExceptionMatcher
 	aliases  []string // step aliases in order
-	// stepIdx / lowerAliases are the compile-time index used by
-	// BindMatchIndexed so per-match binding allocates nothing.
-	stepIdx      map[string]int
+	// lowerAliases are the step aliases lower-cased, in order.
 	lowerAliases []string
 
-	proj *projection
-	// fastProj short-circuits projection when every select item is a plain
-	// column on a non-star step (nil otherwise).
-	fastProj *fastProj
+	// proj reads frames of nslots slots: one per step, plus the exception
+	// pseudo-row for the exception kinds.
+	proj   *projection
+	nslots int
 	// starItemAlias is set when the projection references a star step's
 	// individual tuples (the multi-return form of §3.1.2).
 	starItemAlias string
@@ -45,10 +43,10 @@ type eventOp struct {
 	levelFilter func(level int) bool
 
 	// merge classifies the query for the plan-merging layer (SEQ only; nil
-	// for the exception kinds). filterTiers records each step's pushed-down
-	// filter conjuncts' closure-compilation tiers for EXPLAIN.
+	// for the exception kinds). filterExprs records each step's pushed-down
+	// filter conjuncts for EXPLAIN.
 	merge       *mergeSpec
-	filterTiers [][]string
+	filterExprs [][]Expr
 
 	// resolved caches the matcher's alias→step resolution per reader alias
 	// slice (reader slices are stable for the life of a query, so slice
@@ -66,43 +64,42 @@ type resolvedEntry struct {
 // latest step (evalAt) at which all references are bound.
 type stepConjunct struct {
 	expr    Expr
+	fn      boolFn          // expr compiled over the step scope
 	refs    map[string]bool // lower aliases referenced
 	hasPrev bool
 	evalAt  int
 }
 
-// buildPredClosure compiles the residual conjunct lists into the matcher's
-// bind-time predicate. Conjuncts assigned to steps at or beyond upTo are
-// skipped — the plan-merging layer rebuilds a shared prefix predicate with
-// upTo = len(steps)-1 and moves the final step's residuals into per-member
-// acceptance checks.
-func buildPredClosure(funcs *FuncRegistry, def *core.Def, idx map[string]int, lowers []string,
-	predsByStep [][]stepConjunct, upTo int) func(*core.Match, int, *stream.Tuple) bool {
+// buildPredClosure assembles the residual conjunct lists into the matcher's
+// bind-time predicate: each step bound to its last tuple, the candidate
+// tuple bound at its step, with the run's last tuple as its predecessor.
+// Conjuncts assigned to steps at or beyond upTo are skipped — the
+// plan-merging layer rebuilds a shared prefix predicate with upTo =
+// len(steps)-1 and moves the final step's residuals into per-member
+// acceptance checks. NULL or an error refuses the binding.
+func buildPredClosure(nslots, nsteps int, predsByStep [][]stepConjunct, upTo int) func(*core.Match, int, *stream.Tuple) bool {
 	return func(partial *core.Match, stepIdx int, t *stream.Tuple) bool {
-		if stepIdx >= upTo {
+		if stepIdx >= upTo || len(predsByStep[stepIdx]) == 0 {
 			return true
 		}
+		f := getFrame(nslots, nil)
+		f.bindMatch(partial, nsteps)
+		f.slots[stepIdx] = t.Vals
+		f.prevStep, f.prev = stepIdx, partial.Last(stepIdx)
+		held := true
 		for _, cl := range predsByStep[stepIdx] {
-			env := getEnv(funcs)
-			env.BindMatchIndexed(partial, def, idx, lowers)
-			if cl.hasPrev {
-				env.bindStarTupleLower(lowers[stepIdx], t, partial.Last(stepIdx))
-				// The previous-operator constraint only applies from
-				// the second tuple of a run.
-				if partial.Last(stepIdx) == nil {
-					putEnv(env)
-					continue
-				}
-			} else {
-				env.bindTupleLower(lowers[stepIdx], t)
+			// The previous-operator constraint only applies from the
+			// second tuple of a run.
+			if cl.hasPrev && f.prev == nil {
+				continue
 			}
-			ok, known, err := env.EvalBool(cl.expr)
-			putEnv(env)
-			if err != nil || !ok || !known {
-				return false
+			if ok, err := cl.fn(f); err != nil || !ok {
+				held = false
+				break
 			}
 		}
-		return true
+		putFrame(f)
+		return held
 	}
 }
 
@@ -148,7 +145,16 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 		op.aliases = append(op.aliases, arg.Alias)
 		op.lowerAliases = append(op.lowerAliases, key)
 	}
-	op.stepIdx = stepOf
+	// The step scope: slot i is step i's tuple; the exception kinds add the
+	// exception pseudo-row.
+	sc := &scope{funcs: e.funcs, nsteps: len(op.def.Steps)}
+	for _, alias := range op.lowerAliases {
+		sc.bind(alias, aliasSchemaMap[alias])
+	}
+	if se.Kind != "SEQ" {
+		sc.bind("exception", exceptionSchema)
+	}
+	op.nslots = len(sc.binds)
 	if se.HasMode {
 		op.def.Mode = se.Mode
 	} else if se.Kind != "SEQ" {
@@ -369,10 +375,14 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 			// A filter failure clears the step's mask bit, and a tuple whose
 			// mask is empty is invisible to every matcher kind and mode — so
 			// filter-derived guards are always skip-safe. The conjunct
-			// compiles to a specialized closure (constant equality, range,
-			// IS NULL) where its shape allows, interpreted otherwise.
+			// compiles to a fused tuple test (constant comparison, range,
+			// IS NULL) where its shape allows.
 			captureStepEq(stepIdx, cl.expr)
-			cp := compileTupleFilter(cl.expr, aliasSchemaMap[op.lowerAliases[stepIdx]], op.lowerAliases[stepIdx], e.funcs)
+			alias := op.lowerAliases[stepIdx]
+			cp, err := compilePred(cl.expr, newScope(e.funcs, aliasSchema{alias: alias, schema: aliasSchemaMap[alias]}))
+			if err != nil {
+				return nil, nil, err
+			}
 			stepFilters[stepIdx] = append(stepFilters[stepIdx], cp)
 			stepFilterExprs[stepIdx] = append(stepFilterExprs[stepIdx], cl.expr)
 			continue
@@ -393,17 +403,17 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 			len(cl.refs) == 1 && !cl.hasPrev && !exprHasStarAgg(cl.expr) {
 			captureStepEq(stepIdx, cl.expr)
 		}
+		var err error
+		if cl.fn, err = compileBool(cl.expr, sc); err != nil {
+			return nil, nil, err
+		}
 		predsByStep[stepIdx] = append(predsByStep[stepIdx], cl)
 	}
 
-	// Fuse each step's compiled filter conjuncts into one closure and record
-	// the tiers for EXPLAIN.
-	op.filterTiers = make([][]string, len(op.def.Steps))
+	// Fuse each step's compiled filter conjuncts into one closure.
+	op.filterExprs = stepFilterExprs
 	for i := range op.def.Steps {
 		op.def.Steps[i].Filter = fuseFilters(stepFilters[i])
-		for _, cp := range stepFilters[i] {
-			op.filterTiers[i] = append(op.filterTiers[i], cp.tier)
-		}
 	}
 
 	// The residual predicate closure.
@@ -414,7 +424,7 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 		}
 	}
 	if hasPreds {
-		op.def.Pred = buildPredClosure(e.funcs, &op.def, op.stepIdx, op.lowerAliases, predsByStep, len(op.def.Steps))
+		op.def.Pred = buildPredClosure(op.nslots, len(op.def.Steps), predsByStep, len(op.def.Steps))
 	}
 
 	// Build the matcher.
@@ -428,12 +438,6 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 		return nil, nil, err
 	}
 
-	// Projection: detect the per-item star form.
-	schemas = append(schemas, aliasSchema{alias: "exception", schema: exceptionSchema})
-	op.proj, err = e.compileProjection(sel, schemas[:len(schemas)-boolToInt(se.Kind == "SEQ")])
-	if err != nil {
-		return nil, nil, err
-	}
 	// Validate projection references at registration time.
 	for _, item := range sel.Items {
 		if item.Star {
@@ -513,26 +517,11 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Fast projection: when every select item is a plain column reference on
-	// a non-star step, rows build by direct tuple indexing with no
-	// expression-tree walk.
-	if se.Kind == "SEQ" && op.starItemStep < 0 {
-		op.fastProj = compileFastProjection(sel, func(ref *ColRef) (int, int, bool) {
-			alias, rErr := resolveAlias(ref)
-			if rErr != nil {
-				return 0, 0, false
-			}
-			i, ok := stepOf[alias]
-			if !ok || op.def.Steps[i].Star {
-				return 0, 0, false
-			}
-			pos, ok := aliasSchemaMap[alias].Col(ref.Name)
-			if !ok {
-				return 0, 0, false
-			}
-			return i, pos, true
-		})
+	if se.Kind != "SEQ" {
+		schemas = append(schemas, aliasSchema{alias: "exception", schema: exceptionSchema})
+	}
+	if op.proj, err = compileProjection(sel, schemas, sc); err != nil {
+		return nil, nil, err
 	}
 
 	// Classify the query for the plan-merging layer.
@@ -549,8 +538,7 @@ func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp,
 			func(alias string) (int, bool) {
 				i, ok := stepOf[strings.ToLower(alias)]
 				return i, ok
-			},
-			e.funcs)
+			})
 	}
 
 	// Routing: each step's alias reads its FROM source stream.
@@ -704,8 +692,13 @@ func compileLevelFilter(cmp *Binary, se *SeqExpr, funcs *FuncRegistry) (func(int
 		other = cmp.L
 		flip = true
 	}
-	env := NewEnv(funcs)
-	v, err := env.Eval(other)
+	fn, err := compileExpr(other, newScope(funcs))
+	var v stream.Value
+	if err == nil {
+		f := getFrame(0, nil)
+		v, err = fn(f)
+		putFrame(f)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("esl: CLEVEL_SEQ comparison operand must be constant: %v", err)
 	}
@@ -745,13 +738,6 @@ func compileLevelFilter(cmp *Binary, se *SeqExpr, funcs *FuncRegistry) (func(int
 			return false
 		}
 	}, nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ---- runtime ---------------------------------------------------------------
@@ -874,16 +860,11 @@ func (op *eventOp) emitMatch(m *core.Match) error {
 	if op.q.wantProv {
 		prov = m.Prov()
 	}
-	if op.fastProj != nil {
-		r := op.proj.row(op.fastProj.build(m), m.End())
-		r.mprov = prov
-		return op.q.sink(r)
-	}
-	base := getEnv(op.e.funcs)
-	defer putEnv(base)
-	base.BindMatchIndexed(m, &op.def, op.stepIdx, op.lowerAliases)
+	f := getFrame(op.nslots, nil)
+	defer putFrame(f)
+	f.bindMatch(m, len(op.def.Steps))
 	if op.starItemStep < 0 {
-		vals, err := op.proj.build(base)
+		vals, err := op.proj.build(f)
 		if err != nil {
 			return err
 		}
@@ -892,15 +873,14 @@ func (op *eventOp) emitMatch(m *core.Match) error {
 		return op.q.sink(r)
 	}
 	group := m.Groups[op.starItemStep]
+	f.prevStep = op.starItemStep
 	for i, t := range group {
-		env := getChildEnv(base)
-		var prev *stream.Tuple
+		f.slots[op.starItemStep] = t.Vals
+		f.prev = nil
 		if i > 0 {
-			prev = group[i-1]
+			f.prev = group[i-1]
 		}
-		env.bindStarTupleLower(op.lowerAliases[op.starItemStep], t, prev)
-		vals, err := op.proj.build(env)
-		putEnv(env)
+		vals, err := op.proj.build(f)
 		if err != nil {
 			return err
 		}
@@ -920,24 +900,25 @@ func (op *eventOp) emitExceptions(exs []*core.Exception) error {
 		if op.levelFilter != nil && !op.levelFilter(x.Level) {
 			continue
 		}
-		env := getEnv(op.e.funcs)
+		n := len(op.def.Steps)
+		f := getFrame(op.nslots, nil)
 		partial := x.Partial
 		if partial == nil {
-			partial = &core.Match{Groups: make([][]*stream.Tuple, len(op.def.Steps))}
+			partial = &core.Match{Groups: make([][]*stream.Tuple, n)}
 		}
-		env.BindMatchIndexed(partial, &op.def, op.stepIdx, op.lowerAliases)
+		f.bindMatch(partial, n)
 		if x.Trigger != nil && x.Reason == core.BreakBadStart {
 			// A bad-start trigger is the (failed) first step's tuple; bind
 			// it so projections of the first alias show the offender.
-			env.bindTupleLower(op.lowerAliases[0], x.Trigger)
+			f.slots[0] = x.Trigger.Vals
 		}
-		env.BindRow("exception", exceptionSchema, []stream.Value{
+		f.slots[n] = []stream.Value{
 			stream.Int(int64(x.Level)),
 			stream.Str(x.Reason.String()),
 			stream.Time(x.TS),
-		})
-		vals, err := op.proj.build(env)
-		putEnv(env)
+		}
+		vals, err := op.proj.build(f)
+		putFrame(f)
 		if err != nil {
 			return err
 		}
