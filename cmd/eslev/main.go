@@ -106,7 +106,11 @@ func main() {
 		}
 		var stop func() error
 		if stop, err = prof.start(); err == nil {
-			err = runScript(*shards, *stats, *slack, *ckptDir, *ckptEvery, *restore, *query, *asOf, fs.Arg(0), fs.Args()[1:])
+			err = runScript(os.Stdout, os.Stderr, runOpts{
+				shards: *shards, stats: *stats, slack: *slack,
+				ckptDir: *ckptDir, ckptEvery: *ckptEvery, restore: *restore,
+				query: *query, asOf: *asOf,
+			}, fs.Arg(0), fs.Args()[1:])
 			if serr := stop(); err == nil {
 				err = serr
 			}
@@ -571,12 +575,25 @@ type engineLike interface {
 	Recover(dir string) error
 }
 
+// runOpts are the `eslev run` flags.
+type runOpts struct {
+	shards    int
+	stats     bool
+	slack     time.Duration
+	ckptDir   string
+	ckptEvery int
+	restore   bool
+	query     string
+	asOf      string
+}
+
 // runScript executes an .esl file, feeding the named streams from CSVs and
 // printing every row produced by top-level SELECT statements. With a
 // checkpoint directory, every pushed item is journaled and a durable
 // snapshot is cut when the run ends; -restore recovers the previous run's
-// state (snapshot + journal suffix) before any CSV row is fed.
-func runScript(shards int, stats bool, slack time.Duration, ckptDir string, ckptEvery int, restore bool, query, asOf string, path string, args []string) error {
+// state (snapshot + journal suffix) before any CSV row is fed. Rows and the
+// merge report go to out; progress lines and -stats go to errOut.
+func runScript(out, errOut io.Writer, o runOpts, path string, args []string) error {
 	feeds, err := parseFeeds(args)
 	if err != nil {
 		return err
@@ -585,32 +602,32 @@ func runScript(shards int, stats bool, slack time.Duration, ckptDir string, ckpt
 	if err != nil {
 		return err
 	}
-	if restore && ckptDir == "" {
+	if o.restore && o.ckptDir == "" {
 		return fmt.Errorf("-restore requires -checkpoint-dir")
 	}
-	if asOf != "" && query == "" {
+	if o.asOf != "" && o.query == "" {
 		return fmt.Errorf("-as-of requires -query")
 	}
-	if query != "" && shards > 1 {
+	if o.query != "" && o.shards > 1 {
 		return fmt.Errorf("-query needs the serial engine (tables live on one node)")
 	}
-	if ckptEvery > 0 && ckptDir == "" {
+	if o.ckptEvery > 0 && o.ckptDir == "" {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
 	}
 	var opts []eslev.Option
-	if slack > 0 {
-		opts = append(opts, eslev.WithSlack(slack))
+	if o.slack > 0 {
+		opts = append(opts, eslev.WithSlack(o.slack))
 	}
-	if ckptDir != "" {
-		opts = append(opts, eslev.WithJournal(ckptDir))
-		if ckptEvery > 0 {
-			opts = append(opts, eslev.WithCheckpointEvery(ckptEvery))
+	if o.ckptDir != "" {
+		opts = append(opts, eslev.WithJournal(o.ckptDir))
+		if o.ckptEvery > 0 {
+			opts = append(opts, eslev.WithCheckpointEvery(o.ckptEvery))
 		}
 	}
 	var e engineLike
 	finish := func() error { return nil }
-	if shards > 1 {
-		se := eslev.NewSharded(shards, opts...)
+	if o.shards > 1 {
+		se := eslev.NewSharded(o.shards, opts...)
 		finish = se.Close
 		e = se
 	} else {
@@ -622,60 +639,60 @@ func runScript(shards int, stats bool, slack time.Duration, ckptDir string, ckpt
 	// Echo derived streams prefixed "out" so scripts have a place to send
 	// results: INSERT INTO out_alerts SELECT ...
 	for _, name := range []string{"out", "out_alerts", "out_events", "out_rows"} {
-		_ = e.Subscribe(name, func(t *eslev.Tuple) { fmt.Println(t) })
+		_ = e.Subscribe(name, func(t *eslev.Tuple) { fmt.Fprintln(out, t) })
 	}
-	if restore {
-		if err := e.Recover(ckptDir); err != nil {
-			return fmt.Errorf("restore from %s: %w", ckptDir, err)
+	if o.restore {
+		if err := e.Recover(o.ckptDir); err != nil {
+			return fmt.Errorf("restore from %s: %w", o.ckptDir, err)
 		}
-		fmt.Fprintf(os.Stderr, "eslev: restored state from %s\n", ckptDir)
+		fmt.Fprintf(errOut, "eslev: restored state from %s\n", o.ckptDir)
 	}
-	rows, err := loadCSVs(e, feeds, slack > 0)
+	rows, err := loadCSVs(e, feeds, o.slack > 0)
 	if err != nil {
 		return err
 	}
-	if ckptDir != "" {
+	if o.ckptDir != "" {
 		if err := e.CheckpointNow(); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "eslev: checkpoint cut in %s\n", ckptDir)
+		fmt.Fprintf(errOut, "eslev: checkpoint cut in %s\n", o.ckptDir)
 	}
-	if query != "" {
+	if o.query != "" {
 		en := e.(*eslev.Engine)
-		rows, err := en.QueryAsOf(query, asOf)
+		rows, err := en.QueryAsOf(o.query, o.asOf)
 		if err != nil {
 			return err
 		}
 		for _, r := range rows {
-			fmt.Println(r)
+			fmt.Fprintln(out, r)
 		}
-		fmt.Fprintf(os.Stderr, "eslev: query returned %d rows\n", len(rows))
+		fmt.Fprintf(errOut, "eslev: query returned %d rows\n", len(rows))
 	}
-	if stats {
+	if o.stats {
 		if se, ok := e.(*eslev.ShardedEngine); ok {
 			if err := se.Drain(); err != nil { // settle worker state before reading it
 				return err
 			}
 		}
-		printQueryStats(e)
+		printQueryStats(errOut, e)
 		if en, ok := e.(*eslev.Engine); ok {
 			if rep := en.MergeReport(); rep != "" {
-				fmt.Println("plan merging:")
-				fmt.Print(rep)
+				fmt.Fprintln(out, "plan merging:")
+				fmt.Fprint(out, rep)
 			}
 		}
 	}
 	if err := finish(); err != nil { // sharded: drain merged output first
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "eslev: processed %d tuples from %d streams\n", rows, len(feeds))
+	fmt.Fprintf(errOut, "eslev: processed %d tuples from %d streams\n", rows, len(feeds))
 	return nil
 }
 
 // printQueryStats renders per-query observability counters — emitted rows,
 // routing-index deliveries and proven skips, retained state, and live
 // partial-match runs. Sharded engines report the sum across replicas.
-func printQueryStats(e engineLike) {
+func printQueryStats(w io.Writer, e engineLike) {
 	var stats []eslev.QueryStats
 	switch x := e.(type) {
 	case *eslev.Engine:
@@ -707,7 +724,7 @@ func printQueryStats(e engineLike) {
 			return nil
 		})
 	}
-	fmt.Fprintln(os.Stderr, "eslev: per-query stats (routed+skipped = stream arrivals):")
+	fmt.Fprintln(w, "eslev: per-query stats (routed+skipped = stream arrivals):")
 	for _, st := range stats {
 		name := st.Name
 		if name == "" {
@@ -721,15 +738,15 @@ func printQueryStats(e engineLike) {
 		if st.Quarantined {
 			extra += "  QUARANTINED"
 		}
-		fmt.Fprintf(os.Stderr, "  %-20s %-18s emitted=%-8d routed=%-8d skipped=%-8d state=%-6d runs=%d%s\n",
+		fmt.Fprintf(w, "  %-20s %-18s emitted=%-8d routed=%-8d skipped=%-8d state=%-6d runs=%d%s\n",
 			name, st.Kind, st.Emitted, st.Routed, st.Skipped, st.State, st.Runs, extra)
 	}
 	if es, ok := e.(interface{ EngineStats() eslev.EngineStats }); ok {
 		st := es.EngineStats()
-		fmt.Fprintf(os.Stderr, "eslev: engine gauges: watermark=%v reorder-heap=%d gate-pending=%d\n",
+		fmt.Fprintf(w, "eslev: engine gauges: watermark=%v reorder-heap=%d gate-pending=%d\n",
 			time.Duration(st.Watermark), st.PendingReorder, st.GatePending)
 		if st.SpecAsserted > 0 || st.SpecPending > 0 {
-			fmt.Fprintf(os.Stderr, "eslev: speculation: pending=%d asserted=%d confirmed=%d retracted=%d late-finals=%d clamped=%d\n",
+			fmt.Fprintf(w, "eslev: speculation: pending=%d asserted=%d confirmed=%d retracted=%d late-finals=%d clamped=%d\n",
 				st.SpecPending, st.SpecAsserted, st.SpecConfirmed, st.SpecRetracted, st.SpecLateFinals, st.GateClamped)
 		}
 	}

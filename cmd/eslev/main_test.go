@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -51,6 +52,53 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
+// `eslev run -stats` for every shipped script on a small checked-in feed,
+// serial and on two shards: the rows, the per-query emitted/routed/skipped/
+// state/runs lines and the engine gauges, byte for byte. Regenerate a golden
+// only for an intended change, from the repository root, with e.g.
+// `go run ./cmd/eslev run -shards 2 -stats scripts/dedup.esl
+// readings=cmd/eslev/testdata/dedup_readings.csv
+// > cmd/eslev/testdata/run_dedup_shards2.golden 2>&1`
+// (the feeds and flags of each case are in the table below).
+func TestRunStatsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		script string
+		slack  time.Duration
+		feeds  []string
+	}{
+		{script: "clinic", feeds: []string{"A1=clinic_A1.csv", "A2=clinic_A2.csv", "A3=clinic_A3.csv"}},
+		{script: "containment", feeds: []string{"R1=containment_R1.csv", "R2=containment_R2.csv"}},
+		{script: "dedup", feeds: []string{"readings=dedup_readings.csv"}},
+		{script: "speculation", slack: 500 * time.Millisecond, feeds: []string{"readings=speculation_readings.csv"}},
+	} {
+		for _, shards := range []int{1, 2} {
+			golden := "run_" + tc.script
+			if shards > 1 {
+				golden += "_shards2"
+			}
+			t.Run(golden, func(t *testing.T) {
+				want, err := os.ReadFile("testdata/" + golden + ".golden")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var args []string
+				for _, f := range tc.feeds {
+					name, file, _ := strings.Cut(f, "=")
+					args = append(args, name+"=testdata/"+file)
+				}
+				var got bytes.Buffer
+				o := runOpts{shards: shards, stats: true, slack: tc.slack}
+				if err := runScript(&got, &got, o, "../../scripts/"+tc.script+".esl", args); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("differs from testdata/%s.golden:\n%s", golden, got.String())
+				}
+			})
+		}
+	}
+}
+
 func TestParseFeeds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -87,7 +135,7 @@ func TestParseFeeds(t *testing.T) {
 func TestTrailingFlagRejected(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"run": func() error {
-			return runScript(1, false, 0, "", 0, false, "", "", "missing.esl", []string{"-shards", "4"})
+			return runScript(io.Discard, io.Discard, runOpts{shards: 1}, "missing.esl", []string{"-shards", "4"})
 		},
 		"feed": func() error {
 			return cmdFeed([]string{"-nodes", "127.0.0.1:1", "missing.esl", "-batch", "64"})

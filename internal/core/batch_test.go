@@ -202,3 +202,64 @@ func TestPushBatchInterleavedAdvance(t *testing.T) {
 		t.Fatalf("state %d vs %d", serial.StateSize(), batched.StateSize())
 	}
 }
+
+// TestPushBatchRunOfOneAllocs pins the cost of tuple-at-a-time delivery: the
+// engine hands a time-sensitive engine's tuples to the matcher as runs of
+// one, so a one-tuple PushBatchAt on a keyed pattern must allocate no more
+// than PushResolved does for the same tuple.
+func TestPushBatchRunOfOneAllocs(t *testing.T) {
+	def := keyed(seqDef(ModeChronicle, "C1", "C2", "C3"))
+	def.Window = &WindowAnchor{Span: 5 * time.Second, Step: 2}
+	const warm, runs = 10, 150
+	tags := []string{"a", "b", "c", "d"}
+	var cycles [][]*stream.Tuple
+	at := time.Duration(0)
+	for i := 0; i < warm+runs+1; i++ {
+		var c []*stream.Tuple
+		for _, s := range []string{"C1", "C2", "C3"} {
+			at += 100 * time.Millisecond
+			c = append(c, mk(s, at, tags[i%len(tags)]))
+		}
+		cycles = append(cycles, c)
+	}
+	measure := func(push func(m *Matcher, r *Resolved, tu *stream.Tuple) int) (allocs float64, matches int) {
+		m := MustMatcher(def)
+		res := map[string]*Resolved{}
+		for _, s := range []string{"C1", "C2", "C3"} {
+			res[s] = m.Resolve(s)
+		}
+		next := 0
+		cycle := func() {
+			for _, tu := range cycles[next] {
+				matches += push(m, res[tu.Schema.Name()], tu)
+			}
+			next++
+		}
+		for i := 0; i < warm; i++ {
+			cycle()
+		}
+		return testing.AllocsPerRun(runs, cycle), matches
+	}
+	one := make([]*stream.Tuple, 1)
+	batchAllocs, batchMatches := measure(func(m *Matcher, r *Resolved, tu *stream.Tuple) int {
+		one[0] = tu
+		bms, err := m.PushBatchAt(r, one, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(bms)
+	})
+	serialAllocs, serialMatches := measure(func(m *Matcher, r *Resolved, tu *stream.Tuple) int {
+		ms, err := m.PushResolved(r, tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ms)
+	})
+	if serialMatches != warm+runs+1 || batchMatches != serialMatches {
+		t.Fatalf("matches: PushResolved %d, PushBatchAt %d, want %d each", serialMatches, batchMatches, warm+runs+1)
+	}
+	if batchAllocs > serialAllocs {
+		t.Fatalf("allocs per 3-tuple cycle: one-tuple PushBatchAt %.1f > PushResolved %.1f", batchAllocs, serialAllocs)
+	}
+}

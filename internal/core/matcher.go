@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/snapshot"
 	"repro/internal/stream"
@@ -59,6 +60,7 @@ type Matcher struct {
 	stepArena   []int
 	touched     []*partition
 	emitScratch []batchEmit
+	outScratch  []BatchMatch
 }
 
 type partition struct {
@@ -291,9 +293,12 @@ func (m *Matcher) PushBatch(r *Resolved, run []*stream.Tuple) ([]BatchMatch, err
 // that immediately preceded run[i] in the full joint history. Callers that
 // drop tuples from a run before pushing (guarded routing) pass the horizons
 // so eviction still tracks every arrival, exactly as serial per-item
-// ingestion would.
-func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Timestamp) ([]BatchMatch, error) {
-	var out []BatchMatch
+// ingestion would. The returned slice is reused by the next PushBatch or
+// PushBatchAt call.
+func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Timestamp) (out []BatchMatch, err error) {
+	clear(m.outScratch)
+	out = m.outScratch[:0]
+	defer func() { m.outScratch = out }()
 	if !m.def.Partitioned() {
 		for i, t := range run {
 			pre := m.observe(t.TS)
@@ -389,8 +394,9 @@ func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Ti
 		p.pending = p.pending[:0]
 	}
 	m.touched = touched[:0]
-	// Pass 3: restore the serial emission order.
-	sort.Slice(emits, func(i, j int) bool { return emits[i].ord < emits[j].ord })
+	// Pass 3: restore the serial emission order. The comparator captures
+	// nothing, so a run of one costs what PushResolved does.
+	slices.SortFunc(emits, func(a, b batchEmit) int { return cmp.Compare(a.ord, b.ord) })
 	for _, em := range emits {
 		for _, match := range em.matches {
 			out = append(out, BatchMatch{Index: em.index, Match: match})

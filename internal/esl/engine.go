@@ -81,7 +81,8 @@ type Engine struct {
 	seq     uint64
 	depth   int // derived-stream recursion guard
 	// sensitive is set when any registered query is time-sensitive (see
-	// queryOp.timeSensitive); it routes PushBatch to the exact per-item path.
+	// queryOp.timeSensitive); deliverLocked's cut rule then takes every tuple
+	// as a run of one.
 	sensitive bool
 	// tableWriters counts registered queries whose sink inserts into a store
 	// table. While zero, filterProjectOp.pushBatch may pin table versions
@@ -91,12 +92,10 @@ type Engine struct {
 	tableWriters int
 
 	// Routing index (route.go). noRoute disables guard attachment (the
-	// WithoutRouteIndex escape hatch); routeScratch holds one dispatch
-	// buffer per derived-stream recursion depth; subScratch holds the
-	// per-reader sub-batch spine reused across routeRunLocked calls.
-	noRoute      bool
-	routeScratch [][]int
-	subScratch   []*stream.Batch
+	// WithoutRouteIndex escape hatch); fanScratch holds routeRunLocked's
+	// dispatch buffers, one set per derived-stream recursion depth.
+	noRoute    bool
+	fanScratch []fanScratch
 	// routesDirty is set when a registration invalidated routing state
 	// (stream route tables, merge-group guard unions). Rebuilding per
 	// registration is O(readers) each — O(q^2) to set up q queries — so
@@ -248,23 +247,22 @@ func (e *Engine) Queries() []*Query {
 
 // queryOp is a compiled continuous-query runtime.
 type queryOp interface {
-	// push offers one tuple that arrived on a stream this query reads,
-	// with the FROM aliases it is visible under.
-	push(aliases []string, t *stream.Tuple) error
 	// pushBatch offers a run of consecutive same-stream tuples in
-	// joint-history order. Implementations must advance the engine clock
-	// (e.now) to each tuple as they process it — the run router defers the
-	// global bump to the run boundary — and must reproduce push's per-tuple
-	// output exactly.
+	// joint-history order, with the FROM aliases they are visible under; a
+	// tuple delivered alone is a run of one. Implementations must advance
+	// the engine clock (e.now) to each tuple as they process it — the router
+	// moves it only to the run's first tuple, and to its last at the end —
+	// and must produce the output of delivering the run one tuple at a time.
 	pushBatch(aliases []string, b *stream.Batch) error
 	// advance moves event time (heartbeats and other streams' arrivals),
 	// driving window eviction and active expiration.
 	advance(ts stream.Timestamp) error
 	// timeSensitive reports whether the op can emit output from the passage
 	// of event time alone (deferred FOLLOWING windows, exception timers,
-	// idle expiry). Batched ingestion must keep the exact per-item clock for
-	// such ops; for all others, advance only trims state that bind-time
-	// checks already exclude, so it coalesces to batch boundaries.
+	// idle expiry). Such ops need event time advanced after every arrival,
+	// so deliverLocked cuts runs of one while one is registered; for all
+	// others, advance only trims state that bind-time checks already
+	// exclude, so it coalesces to the end of a delivery.
 	timeSensitive() bool
 }
 
@@ -291,7 +289,7 @@ func New(opts ...Option) *Engine {
 		Save:    e.saveStateLocked,
 		Load:    e.loadStateLocked,
 		Resolve: e.resolverLocked(),
-		Apply:   e.offerItemLocked,
+		Apply:   e.acceptLocked,
 		Cut:     e.cutVersionsLocked,
 	})
 	e.retainVers = cfg.RetainVersions
@@ -640,9 +638,10 @@ func (e *Engine) registerContinuous(target string, sel *Select, extraSink func(R
 
 // TimeSensitive reports whether any registered query can emit output from
 // the passage of event time alone (FOLLOWING-window deferrals, exception
-// timers, idle expiry). Such engines need heartbeats delivered at their
-// exact per-item positions; for the rest, batched ingestion coalesces clock
-// and eviction work to run boundaries.
+// timers, idle expiry). Such engines deliver every tuple as a run of one
+// followed by a clock advance; for the rest, runs span consecutive
+// same-stream tuples and clock and eviction work coalesce to the end of a
+// delivery.
 func (e *Engine) TimeSensitive() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -694,7 +693,7 @@ func (e *Engine) sinkFor(target string, sel *Select) (func(Row) error, error) {
 		if t.TS < e.now {
 			t.TS = e.now
 		}
-		return e.routeLocked(si, t)
+		return e.deliverLocked([]stream.Item{stream.Of(t)})
 	}, nil
 }
 
@@ -720,186 +719,206 @@ func (e *Engine) Push(streamName string, ts stream.Timestamp, vals ...stream.Val
 		}
 		return err
 	}
-	return e.pushOneLocked(si, t)
+	return e.offerOneLocked(stream.Of(t))
 }
 
-// pushOneLocked is the shared single-tuple tail of Push and PushTuple.
-func (e *Engine) pushOneLocked(si *streamInfo, t *stream.Tuple) error {
-	return e.dur.Offer([]stream.Item{stream.Of(t)}, func(it stream.Item) error {
-		if e.ingest != nil {
-			return e.offerLocked(it)
-		}
-		return e.routeLocked(si, it.Tuple)
-	})
+// PushTuple appends a pre-built tuple. Its schema must name the stream:
+// delivery and journal replay route a tuple by its schema's name.
+func (e *Engine) PushTuple(streamName string, t *stream.Tuple) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.refreshRoutesLocked()
+	if _, ok := e.streams[strings.ToLower(streamName)]; !ok {
+		return fmt.Errorf("esl: unknown stream %s", streamName)
+	}
+	if !strings.EqualFold(t.Schema.Name(), streamName) {
+		return fmt.Errorf("esl: tuple schema %q does not match stream %q (delivery and journal replay dispatch by schema name)",
+			t.Schema.Name(), streamName)
+	}
+	return e.offerOneLocked(stream.Of(t))
 }
 
 // PushBatch processes a run of merged items — tuples and heartbeats in
 // joint-history (non-decreasing timestamp) order — under one lock
 // acquisition. Tuples are routed to the stream named by their schema;
-// heartbeats advance event time. This is the amortized ingestion path for
-// high-volume feeds: when no registered query is time-sensitive, runs of
-// consecutive same-stream tuples flow through the readers' vectorized batch
-// kernels with clock, heartbeat and eviction work coalesced to run
-// boundaries; otherwise every item is processed at its exact position.
-// Journaled engines and engines with an ingest boundary offer item by item,
-// so on a mid-batch rejection the journal holds exactly the offered items.
+// heartbeats advance event time. Delivery is Push's, amortized: the items
+// are cut into runs of consecutive same-stream tuples, and each run reaches
+// every reader as one batch (deliverLocked). Journaled engines offer item by
+// item, so on a mid-batch rejection the journal holds exactly the offered
+// items.
 func (e *Engine) PushBatch(items []stream.Item) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refreshRoutesLocked()
-	switch {
-	case e.ingest != nil || e.dur.Journaling():
-		return e.dur.Offer(items, e.offerItemLocked)
-	case e.sensitive:
-		return e.pushItemsExactLocked(items)
-	default:
-		return e.pushItemsBatchedLocked(items)
-	}
+	return e.dur.Offer(items, e.acceptLocked)
 }
 
-// offerItemLocked admits one item: through the ingest boundary when one is
-// configured, else at its exact position on the per-item path.
-func (e *Engine) offerItemLocked(it stream.Item) error {
-	if e.ingest != nil {
-		return e.offerLocked(it)
-	}
-	return e.pushItemsExactLocked([]stream.Item{it})
+// Heartbeat advances event time without a tuple (punctuation), firing
+// expirations — Active Expiration per §3.1.3. Behind an ingest boundary the
+// beat advances the high-water mark, and the clock follows the watermark (ts
+// minus slack) once held-back tuples are released.
+func (e *Engine) Heartbeat(ts stream.Timestamp) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.refreshRoutesLocked()
+	return e.offerOneLocked(stream.Heartbeat(ts))
 }
 
-// pushItemsExactLocked replays the per-item ingestion path: each tuple and
-// heartbeat is processed at its exact position, preserving every clock
-// observation for time-sensitive queries.
-func (e *Engine) pushItemsExactLocked(items []stream.Item) error {
-	var (
-		lastSchema *stream.Schema
-		lastInfo   *streamInfo
-	)
+// offerOneLocked offers a single item. Only the journal needs the item in a
+// heap slice; otherwise it goes to acceptLocked from the stack, so Push,
+// PushTuple and Heartbeat allocate nothing of their own.
+func (e *Engine) offerOneLocked(it stream.Item) error {
+	if e.dur.Journaling() {
+		return e.dur.Offer([]stream.Item{it}, e.acceptLocked)
+	}
+	one := [1]stream.Item{it}
+	return e.acceptLocked(one[:])
+}
+
+// acceptLocked takes offered items — live, or replayed from the journal —
+// one at a time through the ingest boundary when one is configured, else
+// straight to delivery.
+func (e *Engine) acceptLocked(items []stream.Item) error {
+	if e.ingest == nil {
+		return e.deliverLocked(items)
+	}
 	for _, it := range items {
-		if it.IsHeartbeat() {
-			if it.TS > e.now {
-				e.now = it.TS
-			}
-			if err := e.advanceLocked(e.now); err != nil {
-				return err
-			}
-			continue
-		}
-		si := lastInfo
-		if it.Tuple.Schema != lastSchema {
-			var ok bool
-			si, ok = e.streams[strings.ToLower(it.Tuple.Schema.Name())]
-			if !ok {
-				return fmt.Errorf("esl: unknown stream %s", it.Tuple.Schema.Name())
-			}
-			lastSchema, lastInfo = it.Tuple.Schema, si
-		}
-		if err := e.routeLocked(si, it.Tuple); err != nil {
+		if err := e.offerLocked(it); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pushItemsBatchedLocked is the vectorized ingestion path, used when no
-// registered query is time-sensitive: consecutive same-stream tuples form
-// runs handed to the readers' batch kernels, and the per-tuple trailing
-// advance — eviction only, for these engines — collapses into one advance
-// at the batch boundary (the matchers evict internally at each tuple's
-// timestamp, so only the trailing sweep is deferrable). Heartbeats advance
-// at their exact position: heartbeat-time eviction prunes expired runs
-// BEFORE the next tuple can bind into them, which changes which matches
-// form — deferring it is observable, not just a memory detail.
-func (e *Engine) pushItemsBatchedLocked(items []stream.Item) error {
-	dirty := false
-	i := 0
-	for i < len(items) {
+// deliverLocked is the engine's one delivery loop: every entry point, the
+// ingest release, journal replay and derived-stream re-entry end here, with
+// items in joint-history order. It cuts the tuples into runs (cutLocked) and
+// hands each run to routeRunLocked; a tuple delivered alone is a run of one.
+// Heartbeats advance event time at their exact position: heartbeat-time
+// eviction prunes expired runs BEFORE the next tuple can bind into them,
+// which changes which matches form. After a run, event time advances for
+// every query — right away when the cut rule says so, else once after the
+// last run (the matchers evict internally at each tuple's timestamp, so only
+// the trailing sweep is deferrable).
+func (e *Engine) deliverLocked(items []stream.Item) error {
+	owed := false // a delivered run's advance is still deferred
+	for i := 0; i < len(items); {
 		it := items[i]
 		if it.IsHeartbeat() {
 			if it.TS > e.now {
 				e.now = it.TS
 			}
-			dirty = false
+			owed = false
 			if err := e.advanceLocked(e.now); err != nil {
 				return err
 			}
 			i++
 			continue
 		}
-		schema := it.Tuple.Schema
-		si, ok := e.streams[strings.ToLower(schema.Name())]
+		si, ok := e.streams[strings.ToLower(it.Tuple.Schema.Name())]
 		if !ok {
-			if dirty {
+			if owed {
 				_ = e.advanceLocked(e.now)
 			}
-			return fmt.Errorf("esl: unknown stream %s", schema.Name())
+			return fmt.Errorf("esl: unknown stream %s", it.Tuple.Schema.Name())
 		}
-		j := i + 1
-		for j < len(items) && items[j].Tuple != nil && items[j].Tuple.Schema == schema {
-			j++
-		}
-		dirty = true
-		if err := e.routeRunLocked(si, items[i:j]); err != nil {
-			// Items before the failure were fully processed; fold their
-			// deferred trailing advance in before surfacing the error so
-			// state matches the per-item path.
-			_ = e.advanceLocked(e.now)
+		end, exact := e.cutLocked(si, items, i)
+		if err := e.routeRunLocked(si, items[i:end]); err != nil {
+			// Items before the failure were processed: give them their
+			// deferred advance before surfacing the error.
+			if owed || !exact {
+				_ = e.advanceLocked(e.now)
+			}
 			return err
 		}
-		i = j
+		owed = !exact
+		if exact {
+			if err := e.advanceLocked(e.now); err != nil {
+				return err
+			}
+		}
+		i = end
 	}
-	if dirty {
+	if owed {
 		return e.advanceLocked(e.now)
 	}
 	return nil
 }
 
-// routeRunLocked delivers a run of consecutive same-stream tuples. It
-// reproduces routeLocked per tuple — order check, sequence stamping,
-// history retention, subscriber notification, reader delivery — but
-// amortizes what per-tuple routing repeats: history eviction and the
-// cross-query advance move to the run boundary, and eligible runs reach
-// each reader as one batch.
+// cutLocked is the cut rule: it returns the end of the run of si's tuples
+// that starts at items[i], and whether event time must advance right after
+// it. A time-sensitive engine (TimeSensitive) takes every tuple as a run of
+// one followed by its advance, so deferred windows, exception timers and
+// idle expiry observe the clock at every arrival (§3.1.3). A stream whose
+// readers could observe each other's per-tuple interleaving (routeTable.
+// interleaved) also takes runs of one, with the advance deferred. Otherwise
+// a run spans all consecutive tuples of the stream, advance deferred.
+func (e *Engine) cutLocked(si *streamInfo, items []stream.Item, i int) (end int, exact bool) {
+	if e.sensitive {
+		return i + 1, true
+	}
+	end = i + 1
+	if si.route != nil && si.route.interleaved {
+		return end, false
+	}
+	schema := items[i].Tuple.Schema
+	for end < len(items) && items[end].Tuple != nil && items[end].Tuple.Schema == schema {
+		end++
+	}
+	return end, false
+}
+
+// routeRunLocked is the one router: it delivers a run of consecutive
+// same-stream tuples to the stream's readers — it checks joint-history
+// order, stamps sequence numbers, retains history, notifies subscribers, and
+// gives each reader its share of the run as one batch. An unguarded reader
+// gets the whole run; a guarded reader gets the sub-run its guard admits, or
+// nothing. Derived rows a reader emits re-enter deliverLocked from the sink
+// one level deeper; the depth cap stops query cycles.
 func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
+	if e.depth > 64 {
+		return fmt.Errorf("esl: derived-stream recursion exceeds 64 (query cycle?)")
+	}
+	e.depth++
+	defer func() { e.depth-- }()
 	// Validate joint-history order up front, truncating the run at the
-	// first violation: the in-order prefix is processed exactly as the
-	// per-item path would have before it surfaced the same error.
-	n := len(items)
+	// first violation: the in-order prefix is delivered, then the error
+	// surfaces.
 	var orderErr error
-	maxTS := e.now
+	last := e.now
 	for k, it := range items {
-		if it.Tuple.TS < maxTS {
+		if it.Tuple.TS < last {
 			orderErr = fmt.Errorf("esl: out-of-order arrival on %s: %s is before engine time %s (merge concurrent sources with stream.Merger and per-source slack)",
-				si.schema.Name(), it.Tuple.TS, maxTS)
-			n = k
+				si.schema.Name(), it.Tuple.TS, last)
+			items = items[:k]
 			break
 		}
-		if it.Tuple.TS > maxTS {
-			maxTS = it.Tuple.TS
-		}
+		last = it.Tuple.TS
 	}
-	items = items[:n]
 	if len(items) == 0 {
 		return orderErr
 	}
 
-	// Routing dispatch: when any reader is guarded, pre-compute each guarded
-	// reader's admitted sub-run. Unguarded (fallback) readers see the whole
-	// run; guarded readers with an empty sub-run are not delivered at all.
+	// Guarded readers: pre-compute each one's admitted sub-run; a guarded
+	// reader with an empty sub-run is not delivered at all.
+	for len(e.fanScratch) < e.depth {
+		e.fanScratch = append(e.fanScratch, fanScratch{})
+	}
 	rt := si.route
 	guarded := rt != nil && rt.nGuarded > 0
 	var subs []*stream.Batch
 	if guarded {
-		subs = e.subScratch[:0]
+		sc := &e.fanScratch[e.depth-1]
+		subs = sc.subs[:0]
 		for range si.readers {
 			subs = append(subs, nil)
 		}
-		e.subScratch = subs[:0]
-		buf := e.routeBuf()
-		// prevTS tracks the timestamp of the preceding full-run tuple: a
+		buf := sc.admitted
+		// prev tracks the timestamp of the preceding full-run tuple: a
 		// guarded sub-run carries it per tuple (Batch.Prev) so matchers can
-		// evict to the exact horizon the per-item path would have — arrivals
-		// the guard drops still advance event time.
-		prevTS := e.now
+		// evict to the exact horizon tuple-at-a-time delivery would have —
+		// arrivals the guard drops still advance event time.
+		prev := e.now
 		for _, it := range items {
 			buf = rt.dispatchGuarded(si.readers, it.Tuple, buf[:0])
 			for _, ri := range buf {
@@ -907,11 +926,11 @@ func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
 					subs[ri] = stream.GetBatch()
 				}
 				subs[ri].Tuples = append(subs[ri].Tuples, it.Tuple)
-				subs[ri].Prev = append(subs[ri].Prev, prevTS)
+				subs[ri].Prev = append(subs[ri].Prev, prev)
 			}
-			prevTS = it.Tuple.TS
+			prev = it.Tuple.TS
 		}
-		e.routeScratch[e.depth] = buf
+		sc.subs, sc.admitted = subs[:0], buf[:0]
 	}
 	releaseSubs := func() {
 		for i, sb := range subs {
@@ -922,34 +941,10 @@ func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
 		}
 	}
 
-	// A run can flow reader-by-reader only when no delivered reader can
-	// observe another's per-tuple interleaving: a single delivered reader,
-	// or delivered readers that are all silent (callback-only — no derived
-	// tuples re-entering the engine).
-	ndeliv, anyTarget := 0, false
-	for i := range si.readers {
-		rd := &si.readers[i]
-		if rd.guard != nil && (!guarded || subs[i] == nil) {
-			continue
-		}
-		ndeliv++
-		if rd.q.target != "" {
-			anyTarget = true
-		}
-	}
-	if ndeliv > 1 && anyTarget {
-		releaseSubs()
-		for _, it := range items {
-			if err := e.routeLocked(si, it.Tuple); err != nil {
-				return err
-			}
-		}
-		return orderErr
-	}
-
 	// Stamp sequence numbers, retain history, notify subscribers. The clock
-	// is not advanced yet: each kernel bumps it tuple-by-tuple so derived
-	// rows emitted mid-run are stamped against the serial clock.
+	// moves to the first tuple; each kernel bumps it tuple by tuple from
+	// there, so derived rows emitted mid-run are stamped against the serial
+	// clock.
 	for _, it := range items {
 		t := it.Tuple
 		e.seq++
@@ -965,9 +960,12 @@ func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
 		}
 	}
 	if si.history != nil {
-		si.history.EvictBefore(maxTS.Add(-si.retain))
+		si.history.EvictBefore(last.Add(-si.retain))
 	}
 	si.ntuples += uint64(len(items))
+	if first := items[0].Tuple.TS; first > e.now {
+		e.now = first
+	}
 
 	b := stream.GetBatch()
 	for _, it := range items {
@@ -993,10 +991,18 @@ func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
 	if err != nil {
 		return err
 	}
-	if maxTS > e.now {
-		e.now = maxTS
+	if last > e.now {
+		e.now = last
 	}
 	return orderErr
+}
+
+// fanScratch is one recursion depth's dispatch buffers: a derived row
+// re-enters delivery one level deeper, so the buffers of the delivery it
+// interrupts stay intact.
+type fanScratch struct {
+	admitted []int           // guarded reader ordinals admitting one tuple
+	subs     []*stream.Batch // per-reader admitted sub-runs, nil where none
 }
 
 // StreamNames returns the declared stream names (sources and derived), in
@@ -1010,92 +1016,6 @@ func (e *Engine) StreamNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// PushTuple appends a pre-built tuple (its schema must be the stream's).
-func (e *Engine) PushTuple(streamName string, t *stream.Tuple) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.refreshRoutesLocked()
-	si, ok := e.streams[strings.ToLower(streamName)]
-	if !ok {
-		return fmt.Errorf("esl: unknown stream %s", streamName)
-	}
-	return e.pushOneLocked(si, t)
-}
-
-// routeLocked delivers a tuple: sequence-stamp it, advance event time,
-// retain history, notify queries reading the stream, then advance all other
-// queries' clocks.
-func (e *Engine) routeLocked(si *streamInfo, t *stream.Tuple) error {
-	if e.depth > 64 {
-		return fmt.Errorf("esl: derived-stream recursion exceeds 64 (query cycle?)")
-	}
-	e.depth++
-	defer func() { e.depth-- }()
-
-	if t.TS < e.now {
-		return fmt.Errorf("esl: out-of-order arrival on %s: %s is before engine time %s (merge concurrent sources with stream.Merger and per-source slack)",
-			si.schema.Name(), t.TS, e.now)
-	}
-	e.seq++
-	t.Seq = e.seq
-	if t.TS > e.now {
-		e.now = t.TS
-	}
-	if si.history != nil {
-		if err := si.history.Add(t); err != nil {
-			return err
-		}
-		si.history.EvictBefore(e.now.Add(-si.retain))
-	}
-	for _, fn := range si.subscribers {
-		fn(t)
-	}
-	si.ntuples++
-	if rt := si.route; rt != nil && rt.nGuarded > 0 {
-		sel := rt.dispatch(si.readers, t, e.routeBuf())
-		e.routeScratch[e.depth] = sel // keep grown capacity for reuse
-		for _, ri := range sel {
-			rd := &si.readers[ri]
-			rd.routed++
-			if err := e.pushQueryLocked(rd.q, rd.aliases, t); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := range si.readers {
-			rd := &si.readers[i]
-			rd.routed++
-			if err := e.pushQueryLocked(rd.q, rd.aliases, t); err != nil {
-				return err
-			}
-		}
-	}
-	// Event time advanced for everyone (active expiration across queries
-	// that did not see this tuple).
-	return e.advanceLocked(e.now)
-}
-
-// routeBuf returns an empty dispatch buffer for the current recursion
-// depth. Derived-stream emission re-enters routeLocked at depth+1, so each
-// depth owns its buffer and in-flight dispatches are never clobbered.
-func (e *Engine) routeBuf() []int {
-	for len(e.routeScratch) <= e.depth {
-		e.routeScratch = append(e.routeScratch, nil)
-	}
-	return e.routeScratch[e.depth][:0]
-}
-
-// Heartbeat advances event time without a tuple (punctuation), firing
-// expirations — Active Expiration per §3.1.3. Behind an ingest boundary the
-// beat advances the high-water mark, and the clock follows the watermark (ts
-// minus slack) once held-back tuples are released.
-func (e *Engine) Heartbeat(ts stream.Timestamp) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.refreshRoutesLocked()
-	return e.dur.Offer([]stream.Item{stream.Heartbeat(ts)}, e.offerItemLocked)
 }
 
 func (e *Engine) advanceLocked(ts stream.Timestamp) error {

@@ -333,21 +333,6 @@ type mergedOp struct {
 	g *mergeGroup
 }
 
-func (op *mergedOp) push(aliases []string, t *stream.Tuple) error {
-	g := op.g
-	g.virgin = false
-	matches, err := g.seq.Push(t, aliases...)
-	if err != nil {
-		return err
-	}
-	for _, m := range matches {
-		if err := g.emitMatch(op.e, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (op *mergedOp) pushBatch(aliases []string, b *stream.Batch) error {
 	e, g := op.e, op.g
 	if len(b.Tuples) > 0 {
@@ -420,7 +405,7 @@ func (op *mergedOp) advance(ts stream.Timestamp) error {
 func (op *mergedOp) timeSensitive() bool { return op.g.def.ExpireAfter > 0 }
 
 // memberOp is a merged member's runtime stub: the member receives no input
-// of its own (the group reader feeds the shared matcher), so push/advance
+// of its own (the group reader feeds the shared matcher), so pushBatch/advance
 // are no-ops; projection state lives on the wrapped eventOp.
 type memberOp struct {
 	ev      *eventOp
@@ -429,7 +414,6 @@ type memberOp struct {
 	joinSeq uint64 // engine sequence at registration: the MinSeq fence
 }
 
-func (op *memberOp) push([]string, *stream.Tuple) error      { return nil }
 func (op *memberOp) pushBatch([]string, *stream.Batch) error { return nil }
 func (op *memberOp) advance(stream.Timestamp) error          { return nil }
 func (op *memberOp) timeSensitive() bool                     { return op.g.def.ExpireAfter > 0 }

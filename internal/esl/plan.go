@@ -398,11 +398,12 @@ func (op *filterProjectOp) timeSensitive() bool { return op.deferred }
 // whole run, the WHERE pass records survivors in the batch's selection
 // vector, and the projection pass writes every output row into one shared
 // value arena. Stateful shapes (table joins, EXISTS buffers, DISTINCT,
-// LIMIT, deferral) fall back to the per-tuple path, advancing the clock
-// tuple-by-tuple exactly as serial routing would.
+// LIMIT, deferral) take the run tuple by tuple, advancing the clock to each
+// tuple as they go.
 func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 	e := op.e
-	if !op.fused || !containsFold(aliases, op.outerAlias) {
+	isOuter := containsFold(aliases, op.outerAlias)
+	if !op.fused || !isOuter {
 		// Pin table versions once for the whole batch when no registered
 		// query writes tables: every tuple then joins against one consistent
 		// DB state, and concurrent ad-hoc writers never tear a batch. With
@@ -417,8 +418,23 @@ func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 			if t.TS > e.now {
 				e.now = t.TS
 			}
-			if err := op.push(aliases, t); err != nil {
-				return err
+			// Outer role first: PRECEDING windows see only previously-arrived
+			// tuples (the Example 1 dedup semantics exclude the current tuple).
+			if isOuter && !op.deferred {
+				if err := op.emit(t); err != nil {
+					return err
+				}
+			}
+			// Inner roles: feed sub-query buffers.
+			for _, ex := range op.exists {
+				if containsFold(aliases, ex.alias) {
+					if err := ex.buffer.Add(t); err != nil {
+						return err
+					}
+				}
+			}
+			if isOuter && op.deferred {
+				op.pending = append(op.pending, pendingOuter{t: t, deadline: t.TS.Add(op.maxFol)})
 			}
 		}
 		return nil
@@ -465,29 +481,6 @@ func (op *filterProjectOp) pushBatch(aliases []string, b *stream.Batch) error {
 		if err := op.sinkRow(op.proj.row(arena[base:len(arena):len(arena)], t.TS)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func (op *filterProjectOp) push(aliases []string, t *stream.Tuple) error {
-	isOuter := containsFold(aliases, op.outerAlias)
-	// Outer role first: PRECEDING windows see only previously-arrived
-	// tuples (the Example 1 dedup semantics exclude the current tuple).
-	if isOuter && !op.deferred {
-		if err := op.emit(t); err != nil {
-			return err
-		}
-	}
-	// Inner roles: feed sub-query buffers.
-	for _, ex := range op.exists {
-		if containsFold(aliases, ex.alias) {
-			if err := ex.buffer.Add(t); err != nil {
-				return err
-			}
-		}
-	}
-	if isOuter && op.deferred {
-		op.pending = append(op.pending, pendingOuter{t: t, deadline: t.TS.Add(op.maxFol)})
 	}
 	return nil
 }

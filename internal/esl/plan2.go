@@ -157,16 +157,6 @@ func (e *Engine) compileAggregate(sel *Select, outer FromItem, q *Query) (queryO
 	return op, nil
 }
 
-func (op *aggregateOp) push(aliases []string, t *stream.Tuple) error {
-	if !containsFold(aliases, op.alias) {
-		return nil
-	}
-	f := getFrame(1, nil)
-	err := op.pushOne(f, t)
-	putFrame(f)
-	return err
-}
-
 // timeSensitive: aggregates emit on arrival only; advance merely trims
 // window state that bind-time checks already exclude.
 func (op *aggregateOp) timeSensitive() bool { return false }

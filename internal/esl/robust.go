@@ -303,43 +303,16 @@ func (e *Engine) offerLocked(it stream.Item) error {
 	return specErr
 }
 
-// deliverLocked routes items the ingest stage released — already in joint
-// history order — through the engine's exact or vectorized path.
-func (e *Engine) deliverLocked(items []stream.Item) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if e.sensitive {
-		return e.pushItemsExactLocked(items)
-	}
-	return e.pushItemsBatchedLocked(items)
-}
-
 // Quarantined reports whether panic isolation disabled the query, and why.
 func (q *Query) Quarantined() (bool, error) {
 	return q.quarantined, q.qErr
 }
 
-// pushQueryLocked delivers one tuple to a query behind the panic-isolation
+// pushBatchQueryLocked delivers a run to a query behind the panic-isolation
 // boundary: a panic in plan evaluation quarantines this query — recording
-// the offending tuple and captured stack on the dead-letter stream — while
-// the engine and every other query keep running.
-func (e *Engine) pushQueryLocked(q *Query, aliases []string, t *stream.Tuple) (err error) {
-	if q.quarantined {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = nil
-			e.quarantineQueryLocked(q, t, r)
-		}
-	}()
-	return q.op.push(aliases, t)
-}
-
-// pushBatchQueryLocked is pushQueryLocked for a vectorized run. On a panic
-// the whole remaining run is lost to this query (it is quarantined anyway);
-// other queries see the full run.
+// the run's last tuple (the offending one, for a run of one) and the captured
+// stack on the dead-letter stream — while the engine and every other query
+// keep running. The rest of the run is lost to the quarantined query only.
 func (e *Engine) pushBatchQueryLocked(q *Query, aliases []string, b *stream.Batch) (err error) {
 	if q.quarantined {
 		return nil

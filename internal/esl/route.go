@@ -2,7 +2,6 @@ package esl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stream"
@@ -14,7 +13,7 @@ import (
 // tuple (step filters like C1.readerid = 'R7', or a leading WHERE conjunct
 // on a transducer's outer stream). Those become a streamGuard attached to
 // the (query, stream) reader edge; per stream the engine folds all guards
-// into a routeTable so push/pushBatch offers a tuple only to the queries
+// into a routeTable so delivery offers a tuple only to the queries
 // that can possibly react. Queries without an extractable guard stay on a
 // conservative fallback list and see every tuple, exactly as before.
 //
@@ -101,16 +100,20 @@ func (g *streamGuard) describe() string {
 // routeTable is one stream's dispatch index over its readers. Reader
 // ordinals (positions in streamInfo.readers) are partitioned into:
 //
-//   - fallback: readers with no guard — always delivered;
+//   - fallback: readers with no guard — always delivered, so not indexed;
 //   - hash-indexed: strict single-column guards, probed by value hash so a
 //     tuple finds the reacting queries in O(1) regardless of fan-out;
 //   - checked: the remaining guarded readers (multi-column guards and
 //     non-strict transducer guards), verified per tuple with admits.
 type routeTable struct {
-	fallback []int // ascending
 	checked  []int // ascending
 	cols     []routeCol
 	nGuarded int
+	// interleaved is set when the stream has several readers and one of
+	// them writes a derived stream: its rows re-enter the engine mid-run, so
+	// the other readers must see the stream one tuple at a time to observe
+	// the serial interleaving (deliverLocked cuts runs of one).
+	interleaved bool
 }
 
 type routeCol struct {
@@ -130,9 +133,11 @@ func buildRouteTable(readers []reader) *routeTable {
 	rt := &routeTable{}
 	byPos := map[int]int{} // column position -> index into rt.cols
 	for i := range readers {
+		if len(readers) > 1 && readers[i].q.target != "" {
+			rt.interleaved = true
+		}
 		g := readers[i].guard
 		if g == nil {
-			rt.fallback = append(rt.fallback, i)
 			continue
 		}
 		rt.nGuarded++
@@ -188,19 +193,6 @@ func (rt *routeTable) dispatchGuarded(readers []reader, t *stream.Tuple, buf []i
 		if readers[i].guard.admits(t) {
 			buf = append(buf, i)
 		}
-	}
-	return buf
-}
-
-// dispatch appends every reader ordinal that must see t — fallback plus
-// admitted guarded readers — in ascending (registration) order, preserving
-// the serial delivery order.
-func (rt *routeTable) dispatch(readers []reader, t *stream.Tuple, buf []int) []int {
-	buf = append(buf, rt.fallback...)
-	n := len(buf)
-	buf = rt.dispatchGuarded(readers, t, buf)
-	if len(buf) > n {
-		sort.Ints(buf)
 	}
 	return buf
 }

@@ -742,26 +742,6 @@ func compileLevelFilter(cmp *Binary, se *SeqExpr, funcs *FuncRegistry) (func(int
 
 // ---- runtime ---------------------------------------------------------------
 
-func (op *eventOp) push(aliases []string, t *stream.Tuple) error {
-	if op.seq != nil {
-		matches, err := op.seq.Push(t, aliases...)
-		if err != nil {
-			return err
-		}
-		for _, m := range matches {
-			if err := op.emitMatch(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, exs, err := op.exc.Push(t, aliases...)
-	if err != nil {
-		return err
-	}
-	return op.emitExceptions(exs)
-}
-
 func (op *eventOp) advance(ts stream.Timestamp) error {
 	if op.seq != nil {
 		op.seq.Advance(ts)
@@ -771,7 +751,8 @@ func (op *eventOp) advance(ts stream.Timestamp) error {
 }
 
 // timeSensitive: exception matchers fire timers from heartbeats alone, and
-// ExpireAfter evicts idle runs whose expiry the per-item clock must observe.
+// ExpireAfter evicts idle runs whose expiry the clock must observe at every
+// arrival.
 // A plain SEQ without idle expiry only emits on arrival.
 func (op *eventOp) timeSensitive() bool {
 	return op.exc != nil || op.def.ExpireAfter > 0
@@ -793,13 +774,17 @@ func (op *eventOp) resolveFor(aliases []string) *core.Resolved {
 func (op *eventOp) pushBatch(aliases []string, b *stream.Batch) error {
 	e := op.e
 	if op.seq == nil {
-		// Exception matchers are time-sensitive, so the engine keeps them on
-		// the exact per-item path; this fallback only serves completeness.
+		// Exception matchers are time-sensitive, so their runs are runs of
+		// one; the loop only serves completeness.
 		for _, t := range b.Tuples {
 			if t.TS > e.now {
 				e.now = t.TS
 			}
-			if err := op.push(aliases, t); err != nil {
+			_, exs, err := op.exc.Push(t, aliases...)
+			if err != nil {
+				return err
+			}
+			if err := op.emitExceptions(exs); err != nil {
 				return err
 			}
 		}

@@ -571,15 +571,10 @@ func (e *Engine) PushBatch(items []stream.Item) error {
 	if e.closed {
 		return errClosed
 	}
-	var err error
-	if e.ingest == nil && !e.dur.Journaling() {
-		err = e.enqueueRunLocked(items)
-	} else {
-		// Item by item, so on a mid-batch rejection the journal holds exactly
-		// the offered items and replay rebuilds the identical boundary state.
-		err = e.dur.Offer(items, e.offerLocked)
-	}
-	if err != nil {
+	// A journaling lifecycle offers item by item, so on a mid-batch rejection
+	// the journal holds exactly the offered items and replay rebuilds the
+	// identical boundary state.
+	if err := e.dur.Offer(items, e.offerLocked); err != nil {
 		return err
 	}
 	if len(e.pending) >= e.batchSize {
@@ -588,19 +583,24 @@ func (e *Engine) PushBatch(items []stream.Item) error {
 	return nil
 }
 
-// offerLocked admits one item: through the ingest stage when one is
-// configured, then into the pending buffer.
-func (e *Engine) offerLocked(it stream.Item) error {
+// offerLocked admits items into the pending buffer, one at a time through
+// the ingest stage when one is configured.
+func (e *Engine) offerLocked(items []stream.Item) error {
 	if e.ingest == nil {
-		return e.enqueueRunLocked([]stream.Item{it})
+		return e.enqueueRunLocked(items)
 	}
-	out, lateErr := e.ingest.Offer(it, e.ingestScratch[:0])
-	err := e.enqueueRunLocked(out)
-	e.ingestScratch = out[:0]
-	if err == nil {
-		err = lateErr
+	for _, it := range items {
+		out, lateErr := e.ingest.Offer(it, e.ingestScratch[:0])
+		err := e.enqueueRunLocked(out)
+		e.ingestScratch = out[:0]
+		if err == nil {
+			err = lateErr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return err
+	return nil
 }
 
 // enqueueRunLocked appends an ordered run of items to the pending buffer,

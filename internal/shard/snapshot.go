@@ -187,11 +187,11 @@ func (e *Engine) Recover(dir string) error {
 	return e.dur.Recover(dir)
 }
 
-// applyReplayLocked re-offers one journaled item through the boundary.
+// applyReplayLocked re-offers journaled items through the boundary.
 // Flush boundaries may differ from the original run, which only moves
 // heartbeat coalescing points, not output content.
-func (e *Engine) applyReplayLocked(it stream.Item) error {
-	err := e.offerLocked(it)
+func (e *Engine) applyReplayLocked(items []stream.Item) error {
+	err := e.offerLocked(items)
 	if len(e.pending) >= e.batchSize {
 		_ = e.flushLocked() // dispatch only; it cannot fail
 	}

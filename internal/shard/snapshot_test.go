@@ -159,9 +159,10 @@ func TestShardCheckpointRestore(t *testing.T) {
 	}
 
 	mark1 := s1.len()
-	suffix := shardSnapItems(t, e1, 400, 800)
-	feedShardItems(t, e1, suffix, 32)
-	feedShardItems(t, e2, suffix, 32)
+	// Each engine gets its own tuples: engines stamp sequence numbers into
+	// the tuples they deliver, and e1's workers may still be running.
+	feedShardItems(t, e1, shardSnapItems(t, e1, 400, 800), 32)
+	feedShardItems(t, e2, shardSnapItems(t, e2, 400, 800), 32)
 	for _, e := range []*Engine{e1, e2} {
 		if err := e.Heartbeat(stream.TS(900 * 10 * time.Millisecond)); err != nil {
 			t.Fatal(err)

@@ -21,8 +21,9 @@ type Hooks struct {
 	Load func(*Decoder) error
 	// Resolve maps journaled and snapshotted stream names to live schemas.
 	Resolve SchemaResolver
-	// Apply re-offers one replayed journal item.
-	Apply func(stream.Item) error
+	// Apply re-offers replayed journal items, one at a time, in a slice it
+	// must not keep.
+	Apply func([]stream.Item) error
 	// Quiesce, when set, brings buffered and in-flight state to rest before
 	// a snapshot is cut or loaded.
 	Quiesce func() error
@@ -69,26 +70,22 @@ func (l *Lifecycle) LSN() uint64 { return l.lsn }
 // coordinator journals on its behalf.
 func (l *Lifecycle) SetLSN(lsn uint64) { l.lsn = lsn }
 
-// Offer runs offer over items, journaling each item before it is offered so
-// the journal holds exactly the offered items even when an offer fails
-// mid-batch. Staged records are group-committed with one write at the end of
-// the call — also on failure — and the checkpoint cadence runs after a
-// successful call.
-func (l *Lifecycle) Offer(items []stream.Item, offer func(stream.Item) error) error {
+// Offer hands items to offer. Journaling, it journals each item before
+// offering it alone, so the journal holds exactly the offered items even
+// when an offer fails mid-batch; staged records are group-committed with one
+// write at the end of the call — also on failure — and the checkpoint
+// cadence runs after a successful call. Otherwise the items go to offer in
+// one call.
+func (l *Lifecycle) Offer(items []stream.Item, offer func([]stream.Item) error) error {
 	if l.dir == "" || l.replaying {
-		for _, it := range items {
-			if err := offer(it); err != nil {
-				return err
-			}
-		}
-		return nil
+		return offer(items)
 	}
 	var err error
-	for _, it := range items {
-		if err = l.append(it); err != nil {
+	for k := range items {
+		if err = l.append(items[k]); err != nil {
 			break
 		}
-		if err = offer(it); err != nil {
+		if err = offer(items[k : k+1]); err != nil {
 			break
 		}
 	}
@@ -225,16 +222,17 @@ func (l *Lifecycle) Recover(dir string) error {
 	}
 	l.replaying = true
 	defer func() { l.replaying = false }()
+	one := make([]stream.Item, 1)
 	return Replay(dir, l.lsn, func(lsn uint64, body []byte) error {
-		it, err := DecodeItem(body, l.Resolve)
-		if err != nil {
+		var err error
+		if one[0], err = DecodeItem(body, l.Resolve); err != nil {
 			return err
 		}
 		l.lsn = lsn
 		// Errors are deterministic re-manifestations of rejections the
 		// original run already returned to its caller (the journal holds
 		// exactly the offered items), so they do not abort recovery.
-		_ = l.Apply(it)
+		_ = l.Apply(one)
 		return nil
 	})
 }
