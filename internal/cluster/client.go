@@ -8,10 +8,10 @@ package cluster
 // decisions are made once, against the full query set, so a query never
 // has to migrate between nodes mid-stream.
 //
-// Data flow mirrors the in-process sharded engine one level up: pushes
-// buffer into a pending run, flushes route per-origin item runs (with the
-// same trailing/exact-clock heartbeat regimes), and per-origin output rows
-// re-merge through the bounded fan-in in timestamp order.
+// The feed side is the sharded engine's own shard.Front: ingest boundary,
+// order check, per-origin runs with the same heartbeat regimes, and the
+// bounded timestamp-ordered fan-in of per-origin rows. This file is the
+// wire transport behind it.
 //
 // Fail-over separates *origins* (logical node slots the ring addresses;
 // they never move) from *connections* (the TCP sessions hosting them).
@@ -28,12 +28,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/esl"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -43,7 +43,7 @@ type Config struct {
 	// and origin 0 is the pinned-work home.
 	Nodes []string
 	// BatchSize is the pending-run length that triggers a flush (0 =
-	// DefaultBatchSize).
+	// shard.DefaultBatchSize).
 	BatchSize int
 	// VNodes is the consistent-hash ring density (0 = DefaultVNodes).
 	VNodes int
@@ -80,14 +80,8 @@ type Config struct {
 	Options []esl.Option
 }
 
-// DefaultBatchSize matches the sharded engine's flush threshold.
-const DefaultBatchSize = 256
-
 // DefaultDialBackoff is the initial redial backoff.
 const DefaultDialBackoff = 50 * time.Millisecond
-
-// clusterFanInBuffer bounds the merge tier's buffered rows.
-const clusterFanInBuffer = 4096
 
 // Typed availability errors. A connection failure always wraps ErrNodeDown;
 // failures detected by a missed deadline additionally match ErrNodeTimeout
@@ -97,6 +91,8 @@ var (
 	ErrNodeDown    = errors.New("cluster: node down")
 	ErrNodeTimeout = fmt.Errorf("%w (i/o timeout)", ErrNodeDown)
 )
+
+var errClientClosed = errors.New("cluster: client closed")
 
 // NodeError is a node-scoped failure: only the named node is affected, and
 // with fail-over disabled the rest of the cluster keeps running.
@@ -140,31 +136,6 @@ func classifyNodeErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrNodeDown, err)
 }
 
-// feedEvent is one output event flowing through the merge tier.
-type feedEvent struct {
-	slot int
-	row  esl.Row
-	tup  *stream.Tuple
-	ts   stream.Timestamp
-	node int
-	seq  uint64 // per-origin arrival sequence, assigned by the reader
-}
-
-func feedLess(a, b feedEvent) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	return a.seq < b.seq
-}
-
-type feedSlot struct {
-	deliverRow func(esl.Row)
-	deliverTup func(*stream.Tuple)
-}
-
 // regSpec is one deferred registration, replayed onto nodes at Seal in the
 // original order (later statements may read streams earlier ones create).
 // The same specs replay again onto an adopting connection at fail-over.
@@ -183,6 +154,7 @@ type regSpec struct {
 	sql    string // query text
 	stream string // subscription stream
 	slot   int
+	rows   bool       // the query has a row callback
 	q      *esl.Query // planning handle, for placement lookup
 }
 
@@ -191,12 +163,14 @@ type regSpec struct {
 // goroutines, serialized by the merge tier, and must not call back into the
 // Client.
 type Client struct {
+	shard.Door // StreamSchema, Push, PushTuple, Heartbeat, Feed, PushBatch, OnDeadLetter
+
 	mu         sync.Mutex
 	plan       *esl.Engine
+	front      *shard.Front
 	conns      []*nodeConn
 	origins    []*originState
 	ringv      *ring
-	batchSize  int
 	ckptEvery  int
 	ioTimeout  time.Duration
 	onFailover func(FailoverEvent)
@@ -204,26 +178,12 @@ type Client struct {
 	closed     bool
 
 	specs []regSpec
-	slots []*feedSlot
+	slots int // registered output slots
 
 	pl      placement
-	fanin   *stream.FanIn[feedEvent]
-	pending []stream.Item
-	outRuns [][]stream.Item // per-origin routing scratch
-	lastTS  stream.Timestamp
-	rr      int
-
-	// nodesReorder is true when every node advertised a reorder boundary in
-	// its hello ack: the feed may then ship out-of-order tuples verbatim
-	// (node-side slack absorbs them, enabling node-side speculation).
-	nodesReorder bool
+	outRuns [][]stream.Item // per-origin runs, reused: each is encoded before the next flush
 
 	failovers int // completed origin adoptions
-
-	ingest        *stream.Ingest
-	ingestScratch []stream.Item
-	deadMu        sync.Mutex
-	onDead        []func(stream.DeadLetter)
 }
 
 // nodeConn is one TCP session. It hosts its own origin plus any origins it
@@ -264,9 +224,8 @@ type originState struct {
 
 	// Reader-side merge state.
 	shapes   map[int][]string // row shape cache (reader-only; handed off at fail-over)
-	seq      uint64
-	wm       stream.Timestamp
-	suppress uint64 // replayed rows to drop before the fan-in (already delivered)
+	seq      uint64           // emission sequence of the rows offered to the fan-in
+	suppress uint64           // replayed rows to drop before the fan-in (already delivered)
 
 	// Accounting (the identity checked by the soak harness).
 	tuplesSent uint64
@@ -283,7 +242,7 @@ type originState struct {
 	ckptBlob     []byte
 	retained     []retainedBatch // sent batches with lsn > ckptLSN, replay window
 
-	drainCh chan drainResult
+	drainCh chan NodeCounters // drain acknowledgments
 }
 
 // retainedBatch is one sent batch held for possible replay. Items are
@@ -292,11 +251,6 @@ type originState struct {
 type retainedBatch struct {
 	lsn   uint64
 	items []stream.Item
-}
-
-type drainResult struct {
-	wm       stream.Timestamp
-	counters NodeCounters
 }
 
 // Dial connects to every node and performs the hello exchange.
@@ -313,23 +267,33 @@ func Dial(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		plan:       esl.New(),
-		batchSize:  cfg.BatchSize,
 		ckptEvery:  cfg.CheckpointEvery,
 		ioTimeout:  cfg.IOTimeout,
 		onFailover: cfg.OnFailover,
-		lastTS:     stream.MinTimestamp,
-		// ANDed with each node's hello ack below; a single node without a
-		// reorder boundary pins the feed back to strict arrival order.
-		nodesReorder: true,
+		ringv:      newRing(len(cfg.Nodes), cfg.VNodes),
 	}
-	if c.batchSize <= 0 {
-		c.batchSize = DefaultBatchSize
-	}
-	if !ecfg.Ingest.IsZero() {
-		ecfg.Ingest.OnDead = c.dispatchDead
-		c.ingest = stream.NewIngest(ecfg.Ingest)
-	}
-	c.ringv = newRing(len(cfg.Nodes), cfg.VNodes)
+	c.front = shard.NewFront(shard.FrontConfig{
+		Name:       "cluster",
+		Partitions: len(cfg.Nodes),
+		BatchSize:  cfg.BatchSize,
+		Ingest:     ecfg.Ingest,
+		Lock:       &c.mu,
+		Resolve:    c.plan.StreamSchema,
+		Partition:  c.ringv.node,
+		Admit: func(items []stream.Item, offer func([]stream.Item) error) error {
+			if err := c.readyLocked(); err != nil {
+				return err
+			}
+			return offer(items)
+		},
+		Flush: func() error { return c.flushLocked(false) },
+	})
+	c.Door = c.front
+	// When every node advertises a reorder boundary in its hello ack, the
+	// feed ships out-of-order tuples verbatim (node-side slack absorbs them,
+	// enabling node-side speculation); a single node without one pins the
+	// feed to strict arrival order.
+	reorder := true
 	for i, addr := range cfg.Nodes {
 		conn, err := dialRetry(addr, cfg.DialAttempts, cfg.DialBackoff)
 		if err != nil {
@@ -376,16 +340,16 @@ func Dial(cfg Config) (*Client, error) {
 			c.teardown()
 			return nil, fmt.Errorf("cluster: node %d (%s): hello: %w", i, addr, err)
 		}
-		c.nodesReorder = c.nodesReorder && reorders
+		reorder = reorder && reorders
 		nc.gate = newCreditGate(credit)
 		c.origins = append(c.origins, &originState{
 			id:      i,
 			host:    nc,
 			shapes:  map[int][]string{},
-			wm:      stream.MinTimestamp,
-			drainCh: make(chan drainResult, 4),
+			drainCh: make(chan NodeCounters, 4),
 		})
 	}
+	c.front.Reorder = reorder
 	c.outRuns = make([][]stream.Item, len(c.origins))
 	return c, nil
 }
@@ -445,22 +409,6 @@ func (c *Client) teardown() {
 	}
 }
 
-// OnDeadLetter registers a sink for ingest-boundary dead letters.
-func (c *Client) OnDeadLetter(fn func(stream.DeadLetter)) {
-	c.deadMu.Lock()
-	c.onDead = append(c.onDead, fn)
-	c.deadMu.Unlock()
-}
-
-func (c *Client) dispatchDead(d stream.DeadLetter) {
-	c.deadMu.Lock()
-	sinks := append(make([]func(stream.DeadLetter), 0, len(c.onDead)), c.onDead...)
-	c.deadMu.Unlock()
-	for _, fn := range sinks {
-		fn(d)
-	}
-}
-
 // ---- registration -----------------------------------------------------------
 
 // Exec applies a script: DDL/DML statements broadcast to every node,
@@ -479,7 +427,7 @@ func (c *Client) Exec(script string) ([]*esl.Query, error) {
 		}
 		switch st.(type) {
 		case *esl.Select, *esl.InsertSelect:
-			q, err := c.registerLocked(fmt.Sprintf("q%d", len(c.slots)+1), text, nil)
+			q, err := c.registerLocked(fmt.Sprintf("q%d", c.slots+1), text, nil)
 			if err != nil {
 				return queries, err
 			}
@@ -520,9 +468,9 @@ func (c *Client) registerLocked(name, sql string, onRow func(esl.Row)) (*esl.Que
 	if err != nil {
 		return nil, err
 	}
-	slot := len(c.slots)
-	c.slots = append(c.slots, &feedSlot{deliverRow: onRow})
-	c.specs = append(c.specs, regSpec{kind: specQuery, name: name, sql: sql, slot: slot, q: q})
+	slot := c.front.AddSlot(onRow, nil)
+	c.slots++
+	c.specs = append(c.specs, regSpec{kind: specQuery, name: name, sql: sql, slot: slot, rows: onRow != nil, q: q})
 	return q, nil
 }
 
@@ -537,20 +485,15 @@ func (c *Client) Subscribe(name string, fn func(*stream.Tuple)) error {
 	if _, ok := c.plan.StreamSchema(name); !ok {
 		return fmt.Errorf("cluster: unknown stream %s", name)
 	}
-	slot := len(c.slots)
-	c.slots = append(c.slots, &feedSlot{deliverTup: fn})
+	slot := c.front.AddSlot(nil, fn)
+	c.slots++
 	c.specs = append(c.specs, regSpec{kind: specSub, stream: name, slot: slot})
 	return nil
 }
 
-// StreamSchema resolves a stream's schema from the planning replica.
-func (c *Client) StreamSchema(name string) (*stream.Schema, bool) {
-	return c.plan.StreamSchema(name)
-}
-
 func (c *Client) checkRegistrableLocked() error {
 	if c.closed {
-		return errors.New("cluster: client closed")
+		return errClientClosed
 	}
 	if c.sealed {
 		return errors.New("cluster: registration after the first push is not supported (placement is sealed; register everything before feeding)")
@@ -565,7 +508,7 @@ func (c *Client) checkRegistrableLocked() error {
 func (c *Client) specTargetsOrigin(spec regSpec, origin int) bool {
 	switch spec.kind {
 	case specQuery:
-		home := c.pl.homes[spec.q]
+		home := c.pl.Homes[spec.q]
 		return home < 0 || home == origin
 	default:
 		return true
@@ -582,30 +525,33 @@ func (c *Client) Seal() error {
 	return c.sealLocked()
 }
 
+// readyLocked admits feed traffic: the client is open and sealed.
+func (c *Client) readyLocked() error {
+	if c.closed {
+		return errClientClosed
+	}
+	return c.sealLocked()
+}
+
 func (c *Client) sealLocked() error {
 	if c.sealed {
 		return nil
 	}
 	if c.closed {
-		return errors.New("cluster: client closed")
+		return errClientClosed
 	}
 	c.pl = computePlacement(c.plan, c.ringv)
+	c.front.Place(c.pl.Placement)
 	for _, spec := range c.specs {
-		var slot *feedSlot
-		if spec.kind != specDDL {
-			slot = c.slots[spec.slot]
-		}
 		for _, o := range c.origins {
 			if !c.specTargetsOrigin(spec, o.id) {
 				continue
 			}
-			if err := o.host.registerSync(o.id, spec, slot); err != nil {
+			if err := o.host.registerSync(o.id, spec); err != nil {
 				return err
 			}
 		}
 	}
-	c.fanin = stream.NewFanIn(len(c.origins), clusterFanInBuffer, feedLess,
-		func(ev feedEvent) stream.Timestamp { return ev.ts }, c.deliverEvent)
 	for _, nc := range c.conns {
 		go nc.readLoop()
 		if c.ioTimeout > 0 {
@@ -617,7 +563,7 @@ func (c *Client) sealLocked() error {
 }
 
 // sendSpec encodes and sends one registration spec for one origin.
-func (nc *nodeConn) sendSpec(origin int, spec regSpec, slot *feedSlot) error {
+func (nc *nodeConn) sendSpec(origin int, spec regSpec) error {
 	nc.enc.reset()
 	switch spec.kind {
 	case specDDL:
@@ -625,8 +571,7 @@ func (nc *nodeConn) sendSpec(origin int, spec regSpec, slot *feedSlot) error {
 		nc.enc.String(spec.script)
 	case specQuery:
 		encodeFor(nc.enc, origin, frameRegister)
-		wantRows := slot != nil && slot.deliverRow != nil
-		encodeRegister(nc.enc, spec.slot, spec.name, spec.sql, wantRows)
+		encodeRegister(nc.enc, spec.slot, spec.name, spec.sql, spec.rows)
 	case specSub:
 		encodeFor(nc.enc, origin, frameSub)
 		encodeSubscribe(nc.enc, spec.slot, spec.stream)
@@ -639,8 +584,8 @@ func (nc *nodeConn) sendSpec(origin int, spec regSpec, slot *feedSlot) error {
 
 // registerSync ships one spec and waits for its OK synchronously (seal
 // time, before the reader goroutine exists).
-func (nc *nodeConn) registerSync(origin int, spec regSpec, slot *feedSlot) error {
-	if err := nc.sendSpec(origin, spec, slot); err != nil {
+func (nc *nodeConn) registerSync(origin int, spec regSpec) error {
+	if err := nc.sendSpec(origin, spec); err != nil {
 		return err
 	}
 	if err := nc.snd.flush(); err != nil {
@@ -665,127 +610,18 @@ func (nc *nodeConn) registerSync(origin int, spec regSpec, slot *feedSlot) error
 	}
 }
 
-// deliverEvent hands one merged event to its slot's callback.
-func (c *Client) deliverEvent(ev feedEvent) {
-	if ev.slot >= len(c.slots) {
-		return
-	}
-	slot := c.slots[ev.slot]
-	if ev.tup != nil {
-		if slot.deliverTup != nil {
-			slot.deliverTup(ev.tup)
-		}
-		return
-	}
-	if slot.deliverRow != nil {
-		slot.deliverRow(ev.row)
-	}
-}
-
-// ---- ingestion --------------------------------------------------------------
-
-// Push appends one tuple to a source stream.
-func (c *Client) Push(streamName string, ts stream.Timestamp, vals ...stream.Value) error {
-	schema, ok := c.plan.StreamSchema(streamName)
-	if !ok {
-		return fmt.Errorf("cluster: unknown stream %s", streamName)
-	}
-	t, err := stream.NewTuple(schema, ts, vals...)
-	if err != nil {
-		return err
-	}
-	return c.PushBatch([]stream.Item{stream.Of(t)})
-}
-
-// PushTuple appends a pre-built tuple; its schema must name the stream.
-func (c *Client) PushTuple(streamName string, t *stream.Tuple) error {
-	if !strings.EqualFold(t.Schema.Name(), streamName) {
-		return fmt.Errorf("cluster: tuple schema %q does not match stream %q", t.Schema.Name(), streamName)
-	}
-	return c.PushBatch([]stream.Item{stream.Of(t)})
-}
-
-// Heartbeat advances event time on every node (punctuation).
-func (c *Client) Heartbeat(ts stream.Timestamp) error {
-	return c.PushBatch([]stream.Item{stream.Heartbeat(ts)})
-}
-
-// Feed connects a stream.Merger emission to the cluster.
-func (c *Client) Feed(name string, it stream.Item) error {
-	if it.IsHeartbeat() {
-		return c.Heartbeat(it.TS)
-	}
-	return c.PushTuple(name, it.Tuple)
-}
-
-// PushBatch buffers a run of merged items — tuples and heartbeats in
-// joint-history order — flushing to the nodes whenever the buffer fills.
-func (c *Client) PushBatch(items []stream.Item) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("cluster: client closed")
-	}
-	if err := c.sealLocked(); err != nil {
-		return err
-	}
-	if c.ingest != nil {
-		for _, it := range items {
-			out, lateErr := c.ingest.Offer(it, c.ingestScratch[:0])
-			err := c.enqueueRunLocked(out)
-			c.ingestScratch = out[:0]
-			if err == nil {
-				err = lateErr
-			}
-			if err != nil {
-				return err
-			}
-		}
-	} else if err := c.enqueueRunLocked(items); err != nil {
-		return err
-	}
-	if len(c.pending) >= c.batchSize {
-		return c.flushLocked(false)
-	}
-	return nil
-}
-
-func (c *Client) enqueueRunLocked(items []stream.Item) error {
-	for _, it := range items {
-		// When every node runs a reorder boundary (hello-ack advertised),
-		// out-of-order tuples ship verbatim and node-side slack absorbs
-		// them; lastTS then tracks the high-water mark for trailing beats.
-		if !it.IsHeartbeat() && it.TS < c.lastTS && !c.nodesReorder {
-			return fmt.Errorf("cluster: out-of-order arrival on %s: %s is before %s (merge concurrent sources with stream.Merger, or enable slack with esl.WithSlack)",
-				it.Tuple.Schema.Name(), it.TS, c.lastTS)
-		}
-		if it.TS > c.lastTS {
-			c.lastTS = it.TS
-		}
-		c.pending = append(c.pending, it)
-	}
-	return nil
-}
-
 // Flush dispatches buffered input without waiting for node completion.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("cluster: client closed")
-	}
-	if err := c.sealLocked(); err != nil {
+	if err := c.readyLocked(); err != nil {
 		return err
 	}
 	return c.flushLocked(true)
 }
 
-// flushLocked routes the pending run into per-origin batches and sends
-// them, spending credit per batch frame. The heartbeat regimes mirror the
-// sharded engine: idle origins get a trailing high-water beat per flush
-// (watermark keepalive for the merge tier), and when a pinned query is
-// time-sensitive origin 0 additionally observes a beat at every foreign
-// tuple's position.
+// flushLocked splits the pending run into per-origin runs and sends them,
+// spending credit per batch frame.
 //
 // keepalive forces the trailing beat onto every origin, busy or not — an
 // exact watermark cut. Explicit Flush and Drain use it; size-triggered
@@ -799,44 +635,8 @@ func (c *Client) Flush() error {
 // the adopting connection; with fail-over disabled the error is
 // node-scoped and the surviving origins still receive their runs.
 func (c *Client) flushLocked(keepalive bool) error {
-	if len(c.pending) == 0 {
-		return nil
-	}
-	n := len(c.origins)
 	runs := c.outRuns
-	for i := range runs {
-		runs[i] = runs[i][:0]
-	}
-	maxTS := stream.MinTimestamp
-	for _, it := range c.pending {
-		if it.TS > maxTS {
-			maxTS = it.TS
-		}
-		if it.IsHeartbeat() {
-			for s := 0; s < n; s++ {
-				runs[s] = appendBeat(runs[s], it.TS)
-			}
-			continue
-		}
-		s, err := c.nodeForLocked(it.Tuple)
-		if err != nil {
-			return err
-		}
-		runs[s] = append(runs[s], it)
-		if s != 0 && c.pl.exactClock {
-			runs[0] = appendBeat(runs[0], it.TS)
-		}
-	}
-	c.pending = c.pending[:0]
-	for s := 0; s < n; s++ {
-		if s == 0 && c.pl.exactClock {
-			continue // already carries per-tuple beats through maxTS
-		}
-		if !keepalive && len(runs[s]) > 0 {
-			continue // its own tuples advance this origin's clock
-		}
-		runs[s] = appendBeat(runs[s], maxTS)
-	}
+	c.front.Split(runs, keepalive)
 	var firstErr error
 	for s, o := range c.origins {
 		if len(runs[s]) == 0 {
@@ -853,14 +653,6 @@ func (c *Client) flushLocked(keepalive bool) error {
 		}
 	}
 	return firstErr
-}
-
-// appendBeat appends a heartbeat unless the run already ends at ts.
-func appendBeat(run []stream.Item, ts stream.Timestamp) []stream.Item {
-	if n := len(run); n > 0 && run[n-1].TS >= ts {
-		return run
-	}
-	return append(run, stream.Heartbeat(ts))
 }
 
 // sendOriginRunLocked delivers one item run to an origin's current host,
@@ -944,22 +736,6 @@ func (nc *nodeConn) sendFor(origin int, inner byte, build func(*wireEnc)) error 
 	return nc.snd.send(frameFor, nc.enc.Buf)
 }
 
-func (c *Client) nodeForLocked(t *stream.Tuple) (int, error) {
-	rt, ok := c.pl.routes[strings.ToLower(t.Schema.Name())]
-	if !ok {
-		return 0, fmt.Errorf("cluster: unknown stream %s", t.Schema.Name())
-	}
-	switch rt.mode {
-	case srKeyed, srGuard:
-		return c.ringv.node(t.Get(rt.keyPos).Hash()), nil
-	case srFree:
-		c.rr++
-		return c.rr % len(c.origins), nil
-	default:
-		return 0, nil
-	}
-}
-
 func (c *Client) failoverEnabled() bool { return c.ckptEvery > 0 }
 
 // ---- reader -----------------------------------------------------------------
@@ -1037,22 +813,14 @@ func (nc *nodeConn) readOriginFrame(o *originState, inner byte) error {
 		}
 		kept := events[drop:]
 		o.rowsRecv += uint64(len(kept))
-		var fevs []feedEvent
-		if len(kept) > 0 {
-			fevs = make([]feedEvent, len(kept))
-			for i, ev := range kept {
-				o.seq++
-				ts := ev.row.TS
-				if ev.tup != nil {
-					ts = ev.tup.TS
-				}
-				fevs[i] = feedEvent{slot: ev.slot, row: ev.row, tup: ev.tup, ts: ts, node: o.id, seq: o.seq}
-			}
+		for i := range kept {
+			o.seq++
+			kept[i].Seq = o.seq
 		}
-		wm := o.wm
 		o.mu.Unlock()
-		if len(fevs) > 0 {
-			c.fanin.Offer(o.id, fevs, wm)
+		if len(kept) > 0 {
+			// Watermarks arrive with acks; the fan-in keeps the highest.
+			c.front.Output(o.id, kept, stream.MinTimestamp)
 		}
 	case frameAck:
 		credit, wm, err := decodeAck(nc.dec)
@@ -1060,27 +828,15 @@ func (nc *nodeConn) readOriginFrame(o *originState, inner byte) error {
 			return err
 		}
 		nc.gate.refund(credit)
-		o.mu.Lock()
-		if wm > o.wm {
-			o.wm = wm
-		}
-		wmNow := o.wm
-		o.mu.Unlock()
-		c.fanin.Offer(o.id, nil, wmNow)
+		c.front.Output(o.id, nil, wm)
 	case frameDrainAck:
 		wm, counters, err := decodeDrainAck(nc.dec)
 		if err != nil {
 			return err
 		}
-		o.mu.Lock()
-		if wm > o.wm {
-			o.wm = wm
-		}
-		wmNow := o.wm
-		o.mu.Unlock()
-		c.fanin.Offer(o.id, nil, wmNow)
+		c.front.Output(o.id, nil, wm)
 		select {
-		case o.drainCh <- drainResult{wm: wm, counters: counters}:
+		case o.drainCh <- counters:
 		default:
 			return protof("unsolicited drain ack for origin %d", o.id)
 		}
@@ -1173,19 +929,11 @@ func (nc *nodeConn) nodeErr() error {
 func (c *Client) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("cluster: client closed")
-	}
-	if err := c.sealLocked(); err != nil {
+	if err := c.readyLocked(); err != nil {
 		return err
 	}
-	if c.ingest != nil {
-		out := c.ingest.Flush(c.ingestScratch[:0])
-		err := c.enqueueRunLocked(out)
-		c.ingestScratch = out[:0]
-		if err != nil {
-			return err
-		}
+	if err := c.front.FlushIngest(); err != nil {
+		return err
 	}
 	var firstErr error
 	record := func(err error) {
@@ -1208,13 +956,13 @@ func (c *Client) Drain() error {
 		}
 	}
 	for _, o := range c.origins {
-		res, err := c.awaitDrainLocked(o, sent[o.id])
+		counters, err := c.awaitDrainLocked(o, sent[o.id])
 		if err != nil {
 			record(err)
 			continue
 		}
 		o.mu.Lock()
-		o.lastDrain = res.counters
+		o.lastDrain = counters
 		cur := o.lsn
 		due := c.ckptEvery > 0 && o.ckptLSN < cur
 		if due {
@@ -1232,9 +980,7 @@ func (c *Client) Drain() error {
 			o.host.sendFor(o.id, frameCkptReq, func(e *wireEnc) { encodeCkptReq(e, cur) })
 		}
 	}
-	if c.fanin != nil {
-		c.fanin.FlushAll()
-	}
+	c.front.FlushOutput()
 	return firstErr
 }
 
@@ -1243,7 +989,7 @@ func (c *Client) Drain() error {
 // acking is indistinguishable from one that died before — the resent drain
 // returns identical totals (every batch is applied exactly once in either
 // history), so stale results are simply discarded.
-func (c *Client) awaitDrainLocked(o *originState, sentTo *nodeConn) (drainResult, error) {
+func (c *Client) awaitDrainLocked(o *originState, sentTo *nodeConn) (NodeCounters, error) {
 	for round := 0; round <= len(c.conns)+2; round++ {
 		if sentTo == nil || sentTo.isDown() {
 			for {
@@ -1257,10 +1003,10 @@ func (c *Client) awaitDrainLocked(o *originState, sentTo *nodeConn) (drainResult
 			host := o.host
 			if host.isDown() {
 				if !c.failoverEnabled() {
-					return drainResult{}, host.nodeErr()
+					return NodeCounters{}, host.nodeErr()
 				}
 				if err := c.failoverLocked(host, nil); err != nil {
-					return drainResult{}, err
+					return NodeCounters{}, err
 				}
 				host = o.host
 			}
@@ -1278,7 +1024,7 @@ func (c *Client) awaitDrainLocked(o *originState, sentTo *nodeConn) (drainResult
 			sentTo = nil
 		}
 	}
-	return drainResult{}, fmt.Errorf("cluster: origin %d: drain did not settle", o.id)
+	return NodeCounters{}, fmt.Errorf("cluster: origin %d: drain did not settle", o.id)
 }
 
 // Close drains best-effort, says goodbye, and tears the connections down.
@@ -1377,16 +1123,20 @@ func (c *Client) Placement() (PlacementReport, error) {
 	if err := c.sealLocked(); err != nil {
 		return PlacementReport{}, err
 	}
-	rep := PlacementReport{Streams: map[string]string{}, Queries: map[string]int{}, ExactClock: c.pl.exactClock}
-	for name, rt := range c.pl.routes {
-		switch rt.mode {
-		case srKeyed, srGuard:
-			rep.Streams[name] = fmt.Sprintf("%s(%s)", rt.mode, rt.keyCol)
+	rep := PlacementReport{Streams: map[string]string{}, Queries: map[string]int{}, ExactClock: c.pl.ExactClock}
+	for name, rt := range c.pl.Routes {
+		switch {
+		case c.pl.guarded[name]:
+			rep.Streams[name] = "guard-keyed(" + rt.KeyCol + ")"
+		case rt.Mode == shard.RouteKeyed:
+			rep.Streams[name] = "keyed(" + rt.KeyCol + ")"
+		case rt.Mode == shard.RoutePinned:
+			rep.Streams[name] = "pinned"
 		default:
-			rep.Streams[name] = rt.mode.String()
+			rep.Streams[name] = "free"
 		}
 	}
-	for q, home := range c.pl.homes {
+	for q, home := range c.pl.Homes {
 		rep.Queries[q.Name] = home
 	}
 	return rep, nil

@@ -123,11 +123,7 @@ func (c *Client) adoptLocked(o *originState, target *nodeConn) error {
 		if !c.specTargetsOrigin(spec, o.id) {
 			continue
 		}
-		var slot *feedSlot
-		if spec.kind != specDDL {
-			slot = c.slots[spec.slot]
-		}
-		if err := target.sendSpec(o.id, spec, slot); err != nil {
+		if err := target.sendSpec(o.id, spec); err != nil {
 			return err
 		}
 		if err := c.ctrlReply(target); err != nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/esl"
+	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/stream"
 )
@@ -56,15 +57,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frameBatch, enc.Buf))
 
 	enc.reset()
-	encodeRows(enc, []outEvent{{slot: 0, tup: tp}}, map[int]*string{})
+	encodeRows(enc, []shard.Event{{Slot: 0, Tup: tp}}, map[int]*string{})
 	f.Add(appendFrame(nil, frameRows, enc.Buf))
 
 	// Polarity-tagged rows (wire v3): an assertion and its retraction.
 	enc.reset()
 	specRow := esl.Row{Names: []string{"n"}, Vals: []stream.Value{stream.Int(1)}, TS: ts(4)}
-	encodeRows(enc, []outEvent{
-		{slot: 0, row: esl.TagRecord(specRow, spec.Assert, 1, 0xfeed)},
-		{slot: 0, row: esl.TagRecord(specRow, spec.Retract, 1, 0xfeed)},
+	encodeRows(enc, []shard.Event{
+		{Slot: 0, Row: esl.TagRecord(specRow, spec.Assert, 1, 0xfeed)},
+		{Slot: 0, Row: esl.TagRecord(specRow, spec.Retract, 1, 0xfeed)},
 	}, map[int]*string{})
 	f.Add(appendFrame(nil, frameRows, enc.Buf))
 

@@ -119,7 +119,7 @@ type hostedEngine struct {
 	// worker goroutines during PushBatch/Drain; the per-batch drain
 	// barrier guarantees they have all landed before the buffer is read.
 	rmu    sync.Mutex
-	rows   []outEvent
+	rows   []shard.Event
 	shapes map[int]*string
 
 	scratch []stream.Item
@@ -289,7 +289,7 @@ func (s *nodeSession) originFrame(origin int, inner byte, payload []byte) error 
 		if wantRows {
 			onRow = func(row esl.Row) {
 				h.rmu.Lock()
-				h.rows = append(h.rows, outEvent{slot: slot, row: row})
+				h.rows = append(h.rows, shard.Event{Slot: slot, Row: row})
 				h.rmu.Unlock()
 			}
 		}
@@ -304,7 +304,7 @@ func (s *nodeSession) originFrame(origin int, inner byte, payload []byte) error 
 		}
 		if err := h.eng.Subscribe(streamName, func(t *stream.Tuple) {
 			h.rmu.Lock()
-			h.rows = append(h.rows, outEvent{slot: slot, tup: t})
+			h.rows = append(h.rows, shard.Event{Slot: slot, Tup: t})
 			h.rmu.Unlock()
 		}); err != nil {
 			return s.fatal(err)
@@ -332,7 +332,7 @@ func (s *nodeSession) originFrame(origin int, inner byte, payload []byte) error 
 			return s.fatal(err)
 		}
 		// Drain to a deterministic cut: all rows for this batch are in
-		// h.rows when Drain returns (worker barrier + combiner flush), so
+		// h.rows when Drain returns (worker barrier + fan-in flush), so
 		// the Ack watermark can never overrun a pending row — and a
 		// checkpoint cut after this point captures the batch entirely.
 		if err := h.eng.Drain(); err != nil {

@@ -23,47 +23,17 @@ package cluster
 // position (ExactClock).
 
 import (
-	"strings"
-
 	"repro/internal/esl"
 	"repro/internal/shard"
 )
 
-// streamRouteMode is the cluster-level dispatch decision for one stream.
-type streamRouteMode uint8
-
-const (
-	srPinned streamRouteMode = iota // every tuple to node 0
-	srKeyed                         // ring-hash of the partition key column
-	srGuard                         // ring-hash of the readers' guard column
-	srFree                          // round-robin (stateless readers only)
-)
-
-func (m streamRouteMode) String() string {
-	switch m {
-	case srPinned:
-		return "pinned"
-	case srKeyed:
-		return "keyed"
-	case srGuard:
-		return "guard-keyed"
-	default:
-		return "free"
-	}
-}
-
-type streamRoute struct {
-	mode   streamRouteMode
-	keyPos int // column hashed under srKeyed / srGuard
-	keyCol string
-}
-
-// placement is the sealed cluster plan: one route per stream and one home
-// per query (-1 = register on every node).
+// placement is the sealed cluster plan: the shard placement's routes —
+// with guard-keyed streams as RouteKeyed on the guard column, hashed onto
+// the ring like any keyed stream — and query homes (-1 = register on every
+// node), plus which streams route by guard, for PlacementReport.
 type placement struct {
-	routes     map[string]streamRoute
-	homes      map[*esl.Query]int
-	exactClock bool
+	shard.Placement
+	guarded map[string]bool
 }
 
 // computePlacement derives the cluster plan from the feed's planning
@@ -107,95 +77,58 @@ func computePlacement(plan *esl.Engine, rg *ring) placement {
 	// while all its streams guard-route and its guard values agree on one
 	// ring owner. Demoting a query can demote its streams, which demotes
 	// their other readers — iterate to stability.
-	guardOK := map[string]bool{}
-	guardPos := map[string]int{}
-	guardCol := map[string]string{}
+	byGuard := map[string]shard.Route{} // streams that route by guard
+	owner := func(q *esl.Query) (node int, ok bool) {
+		node = -1
+		for s, cg := range guards[q] {
+			n := rg.node(cg.Val.Hash())
+			if _, guarded := byGuard[s]; !guarded || (node != -1 && n != node) {
+				return -1, false
+			}
+			node = n
+		}
+		return node, true
+	}
 	for changed := true; changed; {
 		changed = false
 		for s, qs := range readersOf {
+			delete(byGuard, s)
 			if base.Routes[s].Mode == shard.RoutePinned {
-				guardOK[s] = false
 				continue
 			}
-			pos, col, ok := -1, "", true
+			rt := shard.Route{Mode: shard.RouteKeyed, KeyPos: -1}
 			for _, q := range qs {
-				if !homable[q] {
-					ok = false
-					break
-				}
 				cg := guards[q][s]
-				if pos == -1 {
-					pos, col = cg.Pos, cg.Col
-				} else if pos != cg.Pos {
-					ok = false
+				if !homable[q] || (rt.KeyPos != -1 && rt.KeyPos != cg.Pos) {
+					rt.KeyPos = -2
 					break
 				}
+				rt.KeyPos, rt.KeyCol = cg.Pos, cg.Col
 			}
-			guardOK[s] = ok
-			guardPos[s] = pos
-			guardCol[s] = col
+			if rt.KeyPos >= 0 {
+				byGuard[s] = rt
+			}
 		}
 		for q, h := range homable {
 			if !h {
 				continue
 			}
-			node := -1
-			first := true
-			bad := false
-			for s, cg := range guards[q] {
-				if !guardOK[s] {
-					bad = true
-					break
-				}
-				n := rg.node(cg.Val.Hash())
-				if first {
-					node, first = n, false
-				} else if node != n {
-					bad = true
-					break
-				}
-			}
-			if bad {
+			if _, ok := owner(q); !ok {
 				homable[q] = false
 				changed = true
 			}
 		}
 	}
 
-	p := placement{
-		routes:     map[string]streamRoute{},
-		homes:      map[*esl.Query]int{},
-		exactClock: base.ExactClock,
-	}
-	for _, q := range queries {
-		switch {
-		case base.Homes[q] == 0:
-			p.homes[q] = 0
-		case homable[q]:
-			// Every stream agreed on one ring owner; any guard value
-			// names it.
-			for s, cg := range guards[q] {
-				_ = s
-				p.homes[q] = rg.node(cg.Val.Hash())
-				break
-			}
-		default:
-			p.homes[q] = -1
+	p := placement{Placement: base, guarded: map[string]bool{}}
+	for q, h := range homable {
+		if h {
+			p.Homes[q], _ = owner(q)
 		}
 	}
-	for _, name := range plan.StreamNames() {
-		lower := strings.ToLower(name)
-		rt := base.Routes[lower]
-		switch {
-		case rt.Mode == shard.RoutePinned:
-			p.routes[lower] = streamRoute{mode: srPinned}
-		case guardOK[lower]:
-			p.routes[lower] = streamRoute{mode: srGuard, keyPos: guardPos[lower], keyCol: guardCol[lower]}
-		case rt.Mode == shard.RouteKeyed:
-			p.routes[lower] = streamRoute{mode: srKeyed, keyPos: rt.KeyPos, keyCol: rt.KeyCol}
-		default:
-			p.routes[lower] = streamRoute{mode: srFree}
-		}
+	for s, rt := range byGuard {
+		p.Routes[s] = rt
+		p.guarded[s] = true
 	}
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/esl"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -42,7 +43,7 @@ func TestPlacementGuardHoming(t *testing.T) {
 	p := computePlacement(plan, rg)
 	seen := map[int]bool{}
 	for q, rd := range queries {
-		home := p.homes[q]
+		home := p.Homes[q]
 		if home < 0 {
 			t.Fatalf("query for %s did not home", rd)
 		}
@@ -55,9 +56,9 @@ func TestPlacementGuardHoming(t *testing.T) {
 		t.Fatalf("16 reader-local queries all homed to %v: no distribution", seen)
 	}
 	for _, s := range []string{"c1", "c2"} {
-		rt := p.routes[s]
-		if rt.mode != srGuard || rt.keyCol != "readerid" {
-			t.Fatalf("stream %s: route %v(%s), want guard-keyed(readerid)", s, rt.mode, rt.keyCol)
+		rt := p.Routes[s]
+		if !p.guarded[s] || rt.Mode != shard.RouteKeyed || rt.KeyCol != "readerid" {
+			t.Fatalf("stream %s: route %+v (guarded=%v), want guard-keyed(readerid)", s, rt, p.guarded[s])
 		}
 	}
 }
@@ -74,12 +75,12 @@ func TestPlacementKeyedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := computePlacement(plan, newRing(4, 0))
-	if p.homes[q] != -1 {
-		t.Fatalf("unguarded keyed query homed to %d, want -1 (all nodes)", p.homes[q])
+	if p.Homes[q] != -1 {
+		t.Fatalf("unguarded keyed query homed to %d, want -1 (all nodes)", p.Homes[q])
 	}
 	for _, s := range []string{"c1", "c2"} {
-		if rt := p.routes[s]; rt.mode != srKeyed || rt.keyCol != "tagid" {
-			t.Fatalf("stream %s: route %v(%s), want keyed(tagid)", s, rt.mode, rt.keyCol)
+		if rt := p.Routes[s]; p.guarded[s] || rt.Mode != shard.RouteKeyed || rt.KeyCol != "tagid" {
+			t.Fatalf("stream %s: route %+v (guarded=%v), want keyed(tagid)", s, rt, p.guarded[s])
 		}
 	}
 }
@@ -102,12 +103,12 @@ func TestPlacementMixedReadersDemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := computePlacement(plan, newRing(4, 0))
-	if p.homes[guarded] != -1 {
-		t.Fatalf("guarded query homed to %d despite an unguarded co-reader", p.homes[guarded])
+	if p.Homes[guarded] != -1 {
+		t.Fatalf("guarded query homed to %d despite an unguarded co-reader", p.Homes[guarded])
 	}
 	for _, s := range []string{"c1", "c2"} {
-		if rt := p.routes[s]; rt.mode != srKeyed {
-			t.Fatalf("stream %s: route %v, want keyed fallback", s, rt.mode)
+		if rt := p.Routes[s]; p.guarded[s] || rt.Mode != shard.RouteKeyed {
+			t.Fatalf("stream %s: route %+v (guarded=%v), want keyed fallback", s, rt, p.guarded[s])
 		}
 	}
 }
@@ -127,10 +128,10 @@ func TestPlacementPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := computePlacement(plan, newRing(4, 0))
-	if rt := p.routes["readings"]; rt.mode != srPinned {
-		t.Fatalf("readings route %v, want pinned", rt.mode)
+	if rt := p.Routes["readings"]; rt.Mode != shard.RoutePinned {
+		t.Fatalf("readings route %+v, want pinned", rt)
 	}
-	for q, home := range p.homes {
+	for q, home := range p.Homes {
 		if home != 0 {
 			t.Fatalf("query %s homed to %d, want 0 (pinned)", q.Name, home)
 		}
@@ -149,7 +150,7 @@ func TestPlacementSingleNodeDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := computePlacement(plan, newRing(1, 0))
-	if h := p.homes[q]; h != 0 {
+	if h := p.Homes[q]; h != 0 {
 		t.Fatalf("single-node home %d, want 0", h)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/esl"
+	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
@@ -191,40 +192,36 @@ func decodeBatch(d *wireDec, resolve func(string) (*stream.Schema, bool), scratc
 
 // ---- output rows ------------------------------------------------------------
 
-// outEvent is one output a node ships back: a query row or a subscribed
-// tuple, tagged with the feed-assigned registration slot. Order within and
-// across Rows frames is the node's emission order; the feed reconstructs
-// per-node sequence numbers from it, so they never travel.
-type outEvent struct {
-	slot int
-	row  esl.Row
-	tup  *stream.Tuple
-}
+// Rows frames carry shard.Event values: the output a node ships back, a
+// query row or a subscribed tuple tagged with the feed-assigned
+// registration slot. Order within and across Rows frames is the node's
+// emission order; the feed reconstructs per-origin sequence numbers from it,
+// so they never travel.
 
 // encodeRows appends a run of output events. Row column-name shapes are
 // cached per slot on the encoder (the planner shares one Names slice across
 // every row a query emits, so pointer identity is a reliable cache key);
 // steady state ships values only.
-func encodeRows(e *wireEnc, events []outEvent, shapes map[int]*string) {
+func encodeRows(e *wireEnc, events []shard.Event, shapes map[int]*string) {
 	e.Uvarint(uint64(len(events)))
 	prev := int64(0)
 	for _, ev := range events {
-		e.Uvarint(uint64(ev.slot))
-		if ev.tup != nil {
+		e.Uvarint(uint64(ev.Slot))
+		if ev.Tup != nil {
 			e.Byte(1)
-			e.Varint(int64(ev.tup.TS) - prev)
-			prev = int64(ev.tup.TS)
-			e.str(ev.tup.Schema.Name())
-			e.values(ev.tup.Vals)
+			e.Varint(int64(ev.Tup.TS) - prev)
+			prev = int64(ev.Tup.TS)
+			e.str(ev.Tup.Schema.Name())
+			e.values(ev.Tup.Vals)
 			continue
 		}
 		e.Byte(0)
-		e.Varint(int64(ev.row.TS) - prev)
-		prev = int64(ev.row.TS)
+		e.Varint(int64(ev.Row.TS) - prev)
+		prev = int64(ev.Row.TS)
 		// Record tag (wire v3): 0 = plain strict final (nothing follows),
 		// else polarity + MatchID so the feed reconstructs the speculative
 		// record stream exactly.
-		pol, mseq, mhash := esl.RecordTags(ev.row)
+		pol, mseq, mhash := esl.RecordTags(ev.Row)
 		if pol == spec.Final && mseq == 0 && mhash == 0 {
 			e.Byte(0)
 		} else {
@@ -240,39 +237,39 @@ func encodeRows(e *wireEnc, events []outEvent, shapes map[int]*string) {
 			e.Uvarint(mhash)
 		}
 		var key *string
-		if len(ev.row.Names) > 0 {
-			key = &ev.row.Names[0]
+		if len(ev.Row.Names) > 0 {
+			key = &ev.Row.Names[0]
 		}
-		if cached, ok := shapes[ev.slot]; ok && cached == key {
+		if cached, ok := shapes[ev.Slot]; ok && cached == key {
 			e.Byte(0) // same shape as this slot's previous row
 		} else {
 			e.Byte(1)
-			e.Uvarint(uint64(len(ev.row.Names)))
-			for _, n := range ev.row.Names {
+			e.Uvarint(uint64(len(ev.Row.Names)))
+			for _, n := range ev.Row.Names {
 				e.str(n)
 			}
-			shapes[ev.slot] = key
+			shapes[ev.Slot] = key
 		}
-		e.values(ev.row.Vals)
+		e.values(ev.Row.Vals)
 	}
 }
 
 // decodeRows parses a Rows payload. shapes caches each slot's current
 // column-name slice (shared across rows, mirroring the planner); resolve
 // maps subscribed tuple streams to the feed-side planning schemas.
-func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes map[int][]string) ([]outEvent, error) {
+func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes map[int][]string) ([]shard.Event, error) {
 	count, err := d.Len()
 	if err != nil {
 		return nil, err
 	}
 	// Cap the up-front capacity: count is screened against the payload
 	// length, but trusting it verbatim would still let a 4-byte-per-event
-	// claim reserve ~20x the frame size in outEvent headers.
+	// claim reserve ~20x the frame size in event headers.
 	cap0 := count
 	if cap0 > 4096 {
 		cap0 = 4096
 	}
-	events := make([]outEvent, 0, cap0)
+	events := make([]shard.Event, 0, cap0)
 	var arena tupleArena
 	prev := int64(0)
 	for i := 0; i < count; i++ {
@@ -310,7 +307,7 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			}
 			t := arena.tuple()
 			*t = stream.Tuple{Schema: schema, Vals: vals, TS: stream.Timestamp(ts)}
-			events = append(events, outEvent{slot: slot, tup: t})
+			events = append(events, shard.Event{Slot: slot, Tup: t, TS: t.TS})
 		case 0:
 			tag, err := d.Byte()
 			if err != nil {
@@ -362,7 +359,7 @@ func decodeRows(d *wireDec, resolve func(string) (*stream.Schema, bool), shapes 
 			if tag != 0 {
 				row = esl.TagRecord(row, pol, mseq, mhash)
 			}
-			events = append(events, outEvent{slot: slot, row: row})
+			events = append(events, shard.Event{Slot: slot, Row: row, TS: row.TS})
 		default:
 			return nil, snapshot.Corruptf("unknown rows event kind %d", kind)
 		}

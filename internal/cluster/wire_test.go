@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/esl"
+	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
@@ -268,11 +269,11 @@ func TestRowsRecordTagRoundtrip(t *testing.T) {
 	mkRow := func(ts stream.Timestamp, v int64) esl.Row {
 		return esl.Row{Names: names, Vals: []stream.Value{stream.Int(v), stream.Int(v + 1)}, TS: ts}
 	}
-	in := []outEvent{
-		{slot: 0, row: esl.TagRecord(mkRow(ts(1), 1), spec.Assert, 7, 0xabc)},
-		{slot: 0, row: esl.TagRecord(mkRow(ts(2), 2), spec.Final, 8, 0)},
-		{slot: 0, row: esl.TagRecord(mkRow(ts(1), 1), spec.Retract, 7, 0xabc)},
-		{slot: 0, row: mkRow(ts(3), 3)}, // plain strict final
+	in := []shard.Event{
+		{Slot: 0, Row: esl.TagRecord(mkRow(ts(1), 1), spec.Assert, 7, 0xabc)},
+		{Slot: 0, Row: esl.TagRecord(mkRow(ts(2), 2), spec.Final, 8, 0)},
+		{Slot: 0, Row: esl.TagRecord(mkRow(ts(1), 1), spec.Retract, 7, 0xabc)},
+		{Slot: 0, Row: mkRow(ts(3), 3)}, // plain strict final
 	}
 	enc := newWireEnc()
 	encodeRows(enc, in, map[int]*string{})
@@ -286,16 +287,16 @@ func TestRowsRecordTagRoundtrip(t *testing.T) {
 		t.Fatalf("decoded %d events, want %d", len(out), len(in))
 	}
 	for i := range in {
-		wp, ws, wh := esl.RecordTags(in[i].row)
-		gp, gs, gh := esl.RecordTags(out[i].row)
+		wp, ws, wh := esl.RecordTags(in[i].Row)
+		gp, gs, gh := esl.RecordTags(out[i].Row)
 		if wp != gp || ws != gs || wh != gh {
 			t.Fatalf("event %d tags: got (%v,%d,%x), want (%v,%d,%x)", i, gp, gs, gh, wp, ws, wh)
 		}
-		if out[i].row.TS != in[i].row.TS || len(out[i].row.Vals) != len(in[i].row.Vals) {
+		if out[i].Row.TS != in[i].Row.TS || len(out[i].Row.Vals) != len(in[i].Row.Vals) {
 			t.Fatalf("event %d body diverged", i)
 		}
 	}
-	if pol, seq, hash := esl.RecordTags(out[3].row); pol != spec.Final || seq != 0 || hash != 0 {
+	if pol, seq, hash := esl.RecordTags(out[3].Row); pol != spec.Final || seq != 0 || hash != 0 {
 		t.Fatalf("strict final grew tags: (%v,%d,%x)", pol, seq, hash)
 	}
 }

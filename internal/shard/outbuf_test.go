@@ -1,7 +1,7 @@
 package shard
 
 // Regression test for worker output-buffer recycling: a one-time output
-// burst must not pin a peak-sized rowEvent slice on the worker forever.
+// burst must not pin a peak-sized Event slice on the worker forever.
 
 import (
 	"testing"

@@ -179,21 +179,17 @@ func ComputePlacement(replica *esl.Engine, retained map[string]bool) Placement {
 	return p
 }
 
-// recomputeRoutesLocked rebuilds the stream routing table from the
-// registered queries' shardability metadata via ComputePlacement and applies
-// it to the engine: routes, per-slot output homes, and the exact-clock flag.
+// recomputeRoutesLocked rebuilds the placement from the registered queries'
+// shardability metadata via ComputePlacement and applies it: routes and the
+// exact-clock flag to the Front, output homes to the slots.
 func (e *Engine) recomputeRoutesLocked() {
 	// Workers are idle here (every registration path barriers first), so
 	// reading the replica is race-free.
 	p := ComputePlacement(e.replicas[0], e.retained)
-	e.routes = p.Routes
-	e.homes = p.Homes
+	e.front.Place(p)
 	for _, slot := range e.slots {
-		if slot.q != nil {
-			if h, ok := e.homes[slot.q]; ok {
-				slot.home = h
-			}
+		if h, ok := p.Homes[slot.q]; ok && slot.q != nil {
+			slot.home = h
 		}
 	}
-	e.exactClock = p.ExactClock
 }

@@ -6,7 +6,9 @@
 // whose outcome depends on global state or the global clock — aggregates,
 // exception timers, EXISTS windows, table access — runs on shard 0, which
 // observes the exact serial event-time sequence via per-item heartbeats.
-// Output rows re-merge in timestamp order through a bounded fan-in combiner.
+// The feed side — ingest boundary, order check, routing, heartbeats and the
+// timestamp-ordered output fan-in — is the Front (front.go) the cluster
+// client shares; this file is the in-process transport behind it.
 package shard
 
 import (
@@ -28,18 +30,12 @@ type Row = esl.Row
 // errClosed rejects calls on a closed (or killed) engine.
 var errClosed = errors.New("shard: engine closed")
 
-// DefaultBatchSize is the ingestion buffer length at which pending items
-// flush to the workers.
-const DefaultBatchSize = 256
-
-// querySlot is one registered output sink (query callback or stream
-// subscription).
+// querySlot is the shard side of one output slot (query callback or stream
+// subscription); the Front holds its callbacks under the same index.
 type querySlot struct {
-	q          *esl.Query   // replica-0 instance; nil for subscriptions
-	perRep     []*esl.Query // per-replica instances (RegisterQuery slots only)
-	home       int          // -1 = rows may come from any shard; else only this shard
-	deliverRow func(Row)
-	deliverTup func(*stream.Tuple)
+	q      *esl.Query   // replica-0 instance; nil for subscriptions
+	perRep []*esl.Query // per-replica instances (RegisterQuery slots only)
+	home   int          // -1 = rows may come from any shard; else only this shard
 }
 
 // command is one unit of worker input: a batch of items and/or an ack
@@ -57,20 +53,19 @@ type worker struct {
 	done chan struct{}
 	err  error // sticky: first batch failure; later items drop
 
-	out []rowEvent
+	out []Event
 	seq uint64
 }
 
 // collect buffers one output event produced while this worker (or, during
 // registration, the caller's goroutine with all workers idle) executes its
 // replica.
-func (w *worker) collect(ev rowEvent) {
-	slot := w.par.slots[ev.slot]
-	if slot.home >= 0 && slot.home != w.id {
+func (w *worker) collect(ev Event) {
+	if h := w.par.slots[ev.Slot].home; h >= 0 && h != w.id {
 		return // pinned query output counts only from its home shard
 	}
 	w.seq++
-	ev.seq = w.seq
+	ev.Seq = w.seq
 	w.out = append(w.out, ev)
 }
 
@@ -90,7 +85,7 @@ func (w *worker) run() {
 }
 
 // outBufCap bounds the capacity a worker's output buffer may retain between
-// flushes. The combiner copies events into its heaps during Offer, so the
+// flushes. The fan-in copies events into its heaps during Offer, so the
 // buffer is dead storage afterwards — without the cap, a one-time output
 // burst (a CHRONICLE match fan-out, a backlogged FOLLOWING window firing)
 // would pin a peak-sized slice on every worker forever.
@@ -100,7 +95,7 @@ func (w *worker) flushOut() {
 	if len(w.out) == 0 {
 		return
 	}
-	w.par.comb.Offer(w.id, w.out, w.eng.Now())
+	w.par.front.Output(w.id, w.out, w.eng.Now())
 	if cap(w.out) > outBufCap {
 		w.out = nil // drop the burst-sized array; steady state re-grows small
 	} else {
@@ -110,45 +105,24 @@ func (w *worker) flushOut() {
 
 // Engine is the sharded facade. All registration and ingestion methods are
 // safe for use from one goroutine (the feed); output callbacks run on
-// worker goroutines, serialized by the combiner, and must not call back
-// into the Engine (the same reentrancy rule as the serial engine).
+// worker goroutines, serialized by the fan-in, and must not call back into
+// the Engine (the same reentrancy rule as the serial engine).
 type Engine struct {
+	Door // StreamSchema, Push, PushTuple, Heartbeat, Feed, PushBatch, OnDeadLetter
+
 	mu       sync.Mutex
 	n        int
 	replicas []*esl.Engine
 	workers  []*worker
-	comb     *combiner
 
-	routes   map[string]Route
-	homes    map[*esl.Query]int
+	// front is the feed side: its ingest stage runs once, before routing,
+	// so every replica receives strictly ordered input, and its fan-in
+	// re-merges the workers' output.
+	front *Front
+
 	slots    []*querySlot
 	retained map[string]bool
-
-	// exactClock mirrors replicas[0].TimeSensitive(), cached at registration
-	// time (workers idle) so the hot flush path never touches the replica
-	// lock. True when a pinned query defers work against event time —
-	// exception timers, expiry windows, deferred EXISTS — in which case shard
-	// 0 must observe a heartbeat at every foreign tuple's position. False
-	// means the clock only gates space reclamation and derived-tuple
-	// restamping, both insensitive to intermediate beats, so one trailing
-	// batch-high-water beat suffices.
-	exactClock bool
-
-	pending   []stream.Item
-	batchSize int
-	rr        int // round-robin cursor for free streams
-	lastTS    stream.Timestamp
-	closed    bool
-
-	// Fault tolerance: the ingest stage guards the sharded boundary — slack
-	// reordering, lateness policy, screening, and dedup all run once, before
-	// hash routing, so every replica still receives strictly ordered input.
-	// Dead letters (boundary and replica query panics) fan into onDead under
-	// deadMu: replica panics surface on worker goroutines concurrently.
-	ingest        *stream.Ingest
-	ingestScratch []stream.Item
-	deadMu        sync.Mutex
-	onDead        []func(stream.DeadLetter)
+	closed   bool
 
 	// Durability (snapshot.go): the journal and checkpoint cadence live at
 	// the sharded boundary — items are logged before routing, and snapshots
@@ -167,17 +141,32 @@ func New(n int, opts ...esl.Option) *Engine {
 		n = 1
 	}
 	e := &Engine{
-		n:         n,
-		routes:    map[string]Route{},
-		homes:     map[*esl.Query]int{},
-		retained:  map[string]bool{},
-		batchSize: DefaultBatchSize,
-		lastTS:    stream.MinTimestamp,
+		n:        n,
+		retained: map[string]bool{},
 	}
 	var cfg esl.Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	e.front = NewFront(FrontConfig{
+		Name:       "shard",
+		Partitions: n,
+		Ingest:     cfg.Ingest,
+		Lock:       &e.mu,
+		Resolve:    func(name string) (*stream.Schema, bool) { return e.replicas[0].StreamSchema(name) },
+		Partition:  func(h uint64) int { return int(h % uint64(n)) },
+		Admit: func(items []stream.Item, offer func([]stream.Item) error) error {
+			if e.closed {
+				return errClosed
+			}
+			// A journaling lifecycle offers item by item, so on a mid-batch
+			// rejection the journal holds exactly the offered items and
+			// replay rebuilds the identical boundary state.
+			return e.dur.Offer(items, offer)
+		},
+		Flush: e.flushLocked,
+	})
+	e.Door = e.front
 	e.dur = snapshot.NewLifecycle(cfg.JournalDir, cfg.Journal, cfg.CheckpointEvery, snapshot.Hooks{
 		Name:    "shard",
 		Save:    e.saveStateLocked,
@@ -189,10 +178,6 @@ func New(n int, opts ...esl.Option) *Engine {
 		// authoritative copy the checkpoint names as the version at lsn.
 		Cut: func(lsn uint64) { e.replicas[0].CutVersions(lsn) },
 	})
-	if !cfg.Ingest.IsZero() {
-		cfg.Ingest.OnDead = e.dispatchDead
-		e.ingest = stream.NewIngest(cfg.Ingest)
-	}
 	// The execution escape hatches and the version-retention bound propagate
 	// to the replicas; the ingest and durability knobs are consumed at the
 	// sharded boundary above.
@@ -203,7 +188,6 @@ func New(n int, opts ...esl.Option) *Engine {
 	if cfg.NoPlanMerge {
 		ropts = append(ropts, esl.WithoutPlanMerge())
 	}
-	e.comb = newCombiner(n, combinerMaxBuffer, e.deliverEvent)
 	for i := 0; i < n; i++ {
 		w := &worker{
 			id:   i,
@@ -212,29 +196,12 @@ func New(n int, opts ...esl.Option) *Engine {
 			in:   make(chan command, 1),
 			done: make(chan struct{}),
 		}
-		w.eng.OnDeadLetter(e.dispatchDead)
+		w.eng.OnDeadLetter(e.front.deadLetter)
 		e.replicas = append(e.replicas, w.eng)
 		e.workers = append(e.workers, w)
 		go w.run()
 	}
 	return e
-}
-
-// OnDeadLetter subscribes to the quarantine stream: boundary records (late,
-// malformed, oversized) and replica query-panic records all arrive here. fn
-// may be called from worker goroutines; calls are serialized.
-func (e *Engine) OnDeadLetter(fn func(stream.DeadLetter)) {
-	e.deadMu.Lock()
-	defer e.deadMu.Unlock()
-	e.onDead = append(e.onDead, fn)
-}
-
-func (e *Engine) dispatchDead(dl stream.DeadLetter) {
-	e.deadMu.Lock()
-	defer e.deadMu.Unlock()
-	for _, fn := range e.onDead {
-		fn(dl)
-	}
 }
 
 // EngineStats aggregates the robustness counters: the shared boundary's
@@ -243,17 +210,17 @@ func (e *Engine) dispatchDead(dl stream.DeadLetter) {
 func (e *Engine) EngineStats() esl.EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := esl.EngineStats{Watermark: e.lastTS}
-	if e.ingest != nil {
-		is := e.ingest.Stats()
+	st := esl.EngineStats{Watermark: e.front.lastTS}
+	if ing := e.front.ingest; ing != nil {
+		is := ing.Stats()
 		st.Ingested = is.Ingested
 		st.Emitted = is.Emitted
 		st.Reordered = is.Reordered
 		st.DroppedLate = is.DroppedLate
 		st.DroppedDup = is.DroppedDup
 		st.DeadLettered = is.DeadLettered
-		st.PendingReorder = e.ingest.Pending()
-		if wm := e.ingest.Watermark(); wm > stream.MinTimestamp {
+		st.PendingReorder = ing.Pending()
+		if wm := ing.Watermark(); wm > stream.MinTimestamp {
 			st.Watermark = wm
 		}
 	}
@@ -264,16 +231,6 @@ func (e *Engine) EngineStats() esl.EngineStats {
 		st.SkippedDeliveries += rs.SkippedDeliveries
 	}
 	return st
-}
-
-func (e *Engine) deliverEvent(ev rowEvent) {
-	slot := e.slots[ev.slot]
-	switch {
-	case ev.tup != nil && slot.deliverTup != nil:
-		slot.deliverTup(ev.tup)
-	case slot.deliverRow != nil:
-		slot.deliverRow(ev.row)
-	}
 }
 
 // Shards returns the shard count.
@@ -288,7 +245,7 @@ func (e *Engine) SetBatchSize(k int) {
 	if k < 1 {
 		k = 1
 	}
-	e.batchSize = k
+	e.front.cfg.BatchSize = k
 }
 
 // ---- registration ----------------------------------------------------------
@@ -318,7 +275,7 @@ func (e *Engine) barrierLocked() error {
 
 // drainRegistrationOutput offers rows produced synchronously during a
 // registration call (e.g. a script's immediate table-sourced INSERT
-// SELECT) to the combiner. Workers are idle here, so reading their buffers
+// SELECT) to the fan-in. Workers are idle here, so reading their buffers
 // is safe.
 func (e *Engine) drainRegistrationOutput() {
 	for _, w := range e.workers {
@@ -345,11 +302,6 @@ func (e *Engine) CreateStream(name string, cols ...stream.Field) (*stream.Schema
 	}
 	e.recomputeRoutesLocked()
 	return schema, nil
-}
-
-// StreamSchema returns a declared stream's schema.
-func (e *Engine) StreamSchema(name string) (*stream.Schema, bool) {
-	return e.replicas[0].StreamSchema(name)
 }
 
 // RetainHistory keeps recent history for snapshot queries. The stream pins
@@ -400,15 +352,15 @@ func (e *Engine) RegisterQuery(name, sql string, onRow func(Row)) (*esl.Query, e
 	if err := e.barrierLocked(); err != nil {
 		return nil, err
 	}
-	slotIdx := len(e.slots)
-	slot := &querySlot{home: -1, deliverRow: onRow}
+	slotIdx := e.front.AddSlot(onRow, nil)
+	slot := &querySlot{home: -1}
 	e.slots = append(e.slots, slot)
 	var q0 *esl.Query
 	for i, r := range e.replicas {
 		w := e.workers[i]
 		var cb func(Row)
 		if onRow != nil {
-			cb = func(row Row) { w.collect(rowEvent{slot: slotIdx, row: row, ts: row.TS}) }
+			cb = func(row Row) { w.collect(Event{Slot: slotIdx, Row: row, TS: row.TS}) }
 		}
 		q, err := r.RegisterQuery(name, sql, cb)
 		if err != nil {
@@ -438,7 +390,7 @@ func (e *Engine) Unregister(q *esl.Query) error {
 	if err := e.barrierLocked(); err != nil {
 		return err
 	}
-	for _, slot := range e.slots {
+	for i, slot := range e.slots {
 		if slot.q == nil || slot.q != q {
 			continue
 		}
@@ -449,8 +401,8 @@ func (e *Engine) Unregister(q *esl.Query) error {
 		}
 		// The slot index stays live (other slots hold positions after it);
 		// clearing its sinks makes any straggler event a no-op.
-		slot.q, slot.perRep, slot.deliverRow = nil, nil, nil
-		delete(e.homes, q)
+		slot.q, slot.perRep = nil, nil
+		e.front.slots[i].row = nil
 		e.recomputeRoutesLocked()
 		return nil
 	}
@@ -465,12 +417,12 @@ func (e *Engine) Subscribe(name string, fn func(*stream.Tuple)) error {
 	if err := e.barrierLocked(); err != nil {
 		return err
 	}
-	slotIdx := len(e.slots)
-	e.slots = append(e.slots, &querySlot{home: -1, deliverTup: fn})
+	slotIdx := e.front.AddSlot(nil, fn)
+	e.slots = append(e.slots, &querySlot{home: -1})
 	for i, r := range e.replicas {
 		w := e.workers[i]
 		if err := r.Subscribe(name, func(t *stream.Tuple) {
-			w.collect(rowEvent{slot: slotIdx, tup: t, ts: t.TS})
+			w.collect(Event{Slot: slotIdx, Tup: t, TS: t.TS})
 		}); err != nil {
 			return err
 		}
@@ -518,189 +470,24 @@ func (e *Engine) Query(sql string) ([]Row, error) {
 func (e *Engine) Now() stream.Timestamp {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.lastTS == stream.MinTimestamp {
+	if e.front.lastTS == stream.MinTimestamp {
 		return 0
 	}
-	return e.lastTS
+	return e.front.lastTS
 }
 
-// ---- ingestion -------------------------------------------------------------
-
-// Push appends one tuple to a source stream.
-func (e *Engine) Push(streamName string, ts stream.Timestamp, vals ...stream.Value) error {
-	schema, ok := e.StreamSchema(streamName)
-	if !ok {
-		return fmt.Errorf("shard: unknown stream %s", streamName)
-	}
-	t, err := stream.NewTuple(schema, ts, vals...)
-	if err != nil {
-		return err
-	}
-	return e.PushTuple(streamName, t)
-}
-
-// PushTuple appends a pre-built tuple; its schema must name the stream.
-func (e *Engine) PushTuple(streamName string, t *stream.Tuple) error {
-	if !strings.EqualFold(t.Schema.Name(), streamName) {
-		return fmt.Errorf("shard: tuple schema %q does not match stream %q (sharded routing dispatches by schema name)",
-			t.Schema.Name(), streamName)
-	}
-	return e.PushBatch([]stream.Item{stream.Of(t)})
-}
-
-// Heartbeat advances event time on every shard (punctuation).
-func (e *Engine) Heartbeat(ts stream.Timestamp) error {
-	return e.PushBatch([]stream.Item{stream.Heartbeat(ts)})
-}
-
-// Feed connects a stream.Merger emission to the sharded engine.
-func (e *Engine) Feed(name string, it stream.Item) error {
-	if it.IsHeartbeat() {
-		return e.Heartbeat(it.TS)
-	}
-	return e.PushTuple(name, it.Tuple)
-}
-
-// PushBatch buffers a run of merged items — tuples and heartbeats in
-// joint-history (non-decreasing timestamp) order — flushing to the workers
-// whenever the buffer fills. Results become observable after the flush that
-// carries them; call Flush or Drain for a deterministic cut.
-func (e *Engine) PushBatch(items []stream.Item) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return errClosed
-	}
-	// A journaling lifecycle offers item by item, so on a mid-batch rejection
-	// the journal holds exactly the offered items and replay rebuilds the
-	// identical boundary state.
-	if err := e.dur.Offer(items, e.offerLocked); err != nil {
-		return err
-	}
-	if len(e.pending) >= e.batchSize {
-		return e.flushLocked()
-	}
-	return nil
-}
-
-// offerLocked admits items into the pending buffer, one at a time through
-// the ingest stage when one is configured.
-func (e *Engine) offerLocked(items []stream.Item) error {
-	if e.ingest == nil {
-		return e.enqueueRunLocked(items)
-	}
-	for _, it := range items {
-		out, lateErr := e.ingest.Offer(it, e.ingestScratch[:0])
-		err := e.enqueueRunLocked(out)
-		e.ingestScratch = out[:0]
-		if err == nil {
-			err = lateErr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// enqueueRunLocked appends an ordered run of items to the pending buffer,
-// enforcing the joint-history arrival contract. Items released by the ingest
-// stage always satisfy it; direct input must arrive pre-merged.
-func (e *Engine) enqueueRunLocked(items []stream.Item) error {
-	for _, it := range items {
-		if !it.IsHeartbeat() {
-			if it.TS < e.lastTS {
-				return fmt.Errorf("shard: out-of-order arrival on %s: %s is before %s (merge concurrent sources with stream.Merger, or enable slack with esl.WithSlack)",
-					it.Tuple.Schema.Name(), it.TS, e.lastTS)
-			}
-			e.lastTS = it.TS
-		} else if it.TS > e.lastTS {
-			e.lastTS = it.TS
-		}
-		e.pending = append(e.pending, it)
-	}
-	return nil
-}
-
-// flushLocked routes the pending buffer into per-shard batches and
-// dispatches them.
-//
-// When a pinned query is time-sensitive (exactClock), shard 0 receives a
-// heartbeat at the position (and timestamp) of every tuple routed
-// elsewhere, so its replica — home of all pinned queries — observes the
-// exact event-time sequence the serial engine would: deferred windows and
-// exception timers fire at the same points. Otherwise those per-tuple
-// beats coalesce into the trailing batch-high-water beat that every shard
-// gets anyway — enough to evict windows, restamp derived tuples (input is
-// non-decreasing, so no shard-0 tuple ever lands below a dropped beat),
-// and advance the combiner watermark.
+// flushLocked splits the pending buffer into one run per shard and hands
+// each run to its worker. Every flush is a keepalive: each shard's run ends
+// on the flush's high-water beat, which advances the fan-in watermark.
 func (e *Engine) flushLocked() error {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	for s, b := range e.routeBatchesLocked() {
-		if len(b) > 0 {
-			e.workers[s].in <- command{items: b}
+	runs := make([][]stream.Item, e.n)
+	e.front.Split(runs, true)
+	for s, run := range runs {
+		if len(run) > 0 {
+			e.workers[s].in <- command{items: run}
 		}
 	}
 	return nil
-}
-
-// routeBatchesLocked splits the pending buffer into per-shard item runs
-// (consuming it) without dispatching — split out of flushLocked so the
-// heartbeat regimes are testable against idle workers.
-func (e *Engine) routeBatchesLocked() [][]stream.Item {
-	batches := make([][]stream.Item, e.n)
-	maxTS := stream.MinTimestamp
-	for _, it := range e.pending {
-		if it.TS > maxTS {
-			maxTS = it.TS
-		}
-		if it.IsHeartbeat() {
-			for s := 0; s < e.n; s++ {
-				batches[s] = appendBeat(batches[s], it.TS)
-			}
-			continue
-		}
-		s := e.shardForLocked(it.Tuple)
-		batches[s] = append(batches[s], it)
-		if s != 0 && e.exactClock {
-			batches[0] = appendBeat(batches[0], it.TS)
-		}
-	}
-	e.pending = e.pending[:0]
-	for s := 0; s < e.n; s++ {
-		if s == 0 && e.exactClock {
-			continue // already carries per-tuple beats through maxTS
-		}
-		batches[s] = appendBeat(batches[s], maxTS)
-	}
-	return batches
-}
-
-// appendBeat appends a heartbeat unless the batch already ends at ts
-// (input is non-decreasing, so equal timestamps collapse).
-func appendBeat(batch []stream.Item, ts stream.Timestamp) []stream.Item {
-	if n := len(batch); n > 0 && batch[n-1].TS >= ts {
-		return batch
-	}
-	return append(batch, stream.Heartbeat(ts))
-}
-
-func (e *Engine) shardForLocked(t *stream.Tuple) int {
-	rt, ok := e.routes[strings.ToLower(t.Schema.Name())]
-	if !ok {
-		return 0 // unknown stream: shard 0's replica reports the error
-	}
-	switch rt.Mode {
-	case RouteKeyed:
-		return int(t.Get(rt.KeyPos).Hash() % uint64(e.n))
-	case RouteFree:
-		e.rr++
-		return e.rr % e.n
-	default:
-		return 0
-	}
 }
 
 // ---- lifecycle -------------------------------------------------------------
@@ -715,29 +502,17 @@ func (e *Engine) Flush() error {
 	return e.flushLocked()
 }
 
-// flushIngestLocked releases every tuple still held back by the reorder
-// stage (end of stream: the frontier has arrived) into the pending buffer.
-func (e *Engine) flushIngestLocked() error {
-	if e.ingest == nil {
-		return nil
-	}
-	out := e.ingest.Flush(e.ingestScratch[:0])
-	err := e.enqueueRunLocked(out)
-	e.ingestScratch = out[:0]
-	return err
-}
-
 // Drain flushes — including tuples held back by the reorder slack — waits
 // for every worker to finish, and releases all buffered output in merged
 // order. It returns the first ingestion error any shard hit.
 func (e *Engine) Drain() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.flushIngestLocked(); err != nil {
+	if err := e.front.FlushIngest(); err != nil {
 		return err
 	}
 	err := e.barrierLocked()
-	e.comb.FlushAll()
+	e.front.FlushOutput()
 	return err
 }
 
@@ -748,12 +523,12 @@ func (e *Engine) Close() error {
 	if e.closed {
 		return nil
 	}
-	ferr := e.flushIngestLocked()
+	ferr := e.front.FlushIngest()
 	err := e.barrierLocked()
 	if err == nil {
 		err = ferr
 	}
-	e.comb.FlushAll()
+	e.front.FlushOutput()
 	e.closed = true
 	for _, w := range e.workers {
 		close(w.in)

@@ -1,7 +1,7 @@
 package shard
 
 // White-box tests of the sharding machinery itself: route derivation,
-// actual cross-shard distribution, the combiner's merge order, and
+// actual cross-shard distribution, the fan-in's merge order, and
 // lifecycle/error behavior.
 
 import (
@@ -17,7 +17,7 @@ func routesOf(e *Engine) map[string]Route {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := map[string]Route{}
-	for k, v := range e.routes {
+	for k, v := range e.front.routes {
 		out[k] = v
 	}
 	return out
@@ -159,21 +159,23 @@ func TestKeyedWorkDistributes(t *testing.T) {
 	}
 }
 
-// TestCombinerMergeOrder drives the combiner directly: events buffered from
-// two shards must release in (ts, seq) order gated by the slower shard's
-// watermark.
+func eventAt(ev Event) stream.Timestamp { return ev.TS }
+
+// TestCombinerMergeOrder drives the shared output fan-in directly: events
+// buffered from two shards must release in timestamp order gated by the
+// slower shard's watermark.
 func TestCombinerMergeOrder(t *testing.T) {
 	var got []stream.Timestamp
-	c := newCombiner(2, combinerMaxBuffer, func(ev rowEvent) { got = append(got, ev.ts) })
-	ev := func(ts int, seq uint64) rowEvent {
-		return rowEvent{ts: stream.Timestamp(ts), seq: seq}
+	c := stream.NewFanIn(2, fanInBuffer, eventBefore, eventAt, func(ev Event) { got = append(got, ev.TS) })
+	ev := func(ts int, seq uint64) Event {
+		return Event{TS: stream.Timestamp(ts), Seq: seq}
 	}
 	// Shard 0 is ahead: nothing releases until shard 1's watermark catches up.
-	c.Offer(0, []rowEvent{ev(10, 1), ev(30, 2)}, 40)
+	c.Offer(0, []Event{ev(10, 1), ev(30, 2)}, 40)
 	if len(got) != 0 {
 		t.Fatalf("released %v before slow shard reported", got)
 	}
-	c.Offer(1, []rowEvent{ev(20, 1)}, 25)
+	c.Offer(1, []Event{ev(20, 1)}, 25)
 	if want := []stream.Timestamp{10, 20}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("after wm 25: released %v, want %v", got, want)
 	}
@@ -187,14 +189,15 @@ func TestCombinerMergeOrder(t *testing.T) {
 	}
 }
 
-// TestCombinerBufferBound: past maxBuffer the oldest events release even
-// though a shard's watermark lags (bounded memory beats perfect order).
+// TestCombinerBufferBound: past its buffer bound the fan-in releases the
+// oldest events even though a shard's watermark lags (bounded memory beats
+// perfect order).
 func TestCombinerBufferBound(t *testing.T) {
 	released := 0
-	c := newCombiner(2, 8, func(rowEvent) { released++ })
-	evs := make([]rowEvent, 10)
+	c := stream.NewFanIn(2, 8, eventBefore, eventAt, func(Event) { released++ })
+	evs := make([]Event, 10)
 	for i := range evs {
-		evs[i] = rowEvent{ts: stream.Timestamp(i), seq: uint64(i)}
+		evs[i] = Event{TS: stream.Timestamp(i), Seq: uint64(i)}
 	}
 	c.Offer(0, evs, 100) // shard 1's watermark still MinTimestamp
 	if released == 0 {
@@ -217,23 +220,24 @@ func TestOutOfOrderRejected(t *testing.T) {
 }
 
 // TestStickyWorkerError: an ingestion failure inside a worker surfaces at
-// the next barrier (Drain) instead of being lost.
+// the next barrier (Drain) instead of being lost. A query cycle (a -> b ->
+// a) passes the front door and fails inside shard 0's replica, where the
+// derived-stream recursion cap stops it.
 func TestStickyWorkerError(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	schema, err := stream.NewSchema("ghost", stream.Field{Name: "a"})
-	if err != nil {
+	if _, err := e.Exec(`
+		CREATE STREAM a(x, ts);
+		CREATE STREAM b(x, ts);
+		INSERT INTO b SELECT x, ts FROM a;
+		INSERT INTO a SELECT x, ts FROM b;`); err != nil {
 		t.Fatal(err)
 	}
-	tup, err := stream.NewTuple(schema, sec(1), stream.Str("x"))
-	if err != nil {
-		t.Fatal(err)
+	if err := e.Push("a", sec(1), stream.Int(1), stream.Time(sec(1))); err != nil {
+		t.Fatal(err) // buffered; the replica fails at flush
 	}
-	if err := e.PushTuple("ghost", tup); err != nil {
-		t.Fatal(err) // buffered; the replica rejects it at flush
-	}
-	if err := e.Drain(); err == nil {
-		t.Fatal("Drain did not surface the worker's ingestion error")
+	if err := e.Drain(); err == nil || !strings.Contains(err.Error(), "recursion") {
+		t.Fatalf("Drain did not surface the worker's ingestion error: %v", err)
 	}
 }
 

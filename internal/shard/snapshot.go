@@ -19,14 +19,14 @@ import (
 // topology change surfaces as ErrShardMismatch, not a garbled decode.
 
 // quiesceLocked pushes buffered input through the workers and waits for
-// them, then releases combiner output, leaving all mutable state at rest.
+// them, then releases fan-in output, leaving all mutable state at rest.
 // The reorder stage is NOT flushed — held-back tuples are serialized as
 // boundary state, exactly as a crash would leave them durable.
 func (e *Engine) quiesceLocked() error {
 	if err := e.barrierLocked(); err != nil {
 		return err
 	}
-	e.comb.FlushAll()
+	e.front.FlushOutput()
 	return nil
 }
 
@@ -34,11 +34,12 @@ func (e *Engine) saveStateLocked(enc *snapshot.Encoder) error {
 	enc.Uvarint(snapshot.SnapSharded)
 	enc.Int(e.n)
 	enc.Uvarint(e.dur.LSN())
-	enc.TS(e.lastTS)
-	enc.Int(e.rr)
-	enc.Bool(e.ingest != nil)
-	if e.ingest != nil {
-		snapshot.EncodeIngestState(enc, e.ingest.State())
+	f := e.front
+	enc.TS(f.lastTS)
+	enc.Int(f.rr)
+	enc.Bool(f.ingest != nil)
+	if f.ingest != nil {
+		snapshot.EncodeIngestState(enc, f.ingest.State())
 	}
 	// Shard sections: replicas are quiescent and independent, so their
 	// snapshots encode in parallel and are stitched in shard order.
@@ -86,25 +87,26 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 		return err
 	}
 	e.dur.SetLSN(lsn)
-	if e.lastTS, err = dec.TS(); err != nil {
+	f := e.front
+	if f.lastTS, err = dec.TS(); err != nil {
 		return err
 	}
-	if e.rr, err = dec.Int(); err != nil {
+	if f.rr, err = dec.Int(); err != nil {
 		return err
 	}
 	hasIngest, err := dec.Bool()
 	if err != nil {
 		return err
 	}
-	if hasIngest != (e.ingest != nil) {
-		return snapshot.Mismatchf("engine ingest boundary=%v, snapshot=%v", e.ingest != nil, hasIngest)
+	if hasIngest != (f.ingest != nil) {
+		return snapshot.Mismatchf("engine ingest boundary=%v, snapshot=%v", f.ingest != nil, hasIngest)
 	}
 	if hasIngest {
 		st, err := snapshot.DecodeIngestState(dec)
 		if err != nil {
 			return err
 		}
-		e.ingest.SetState(st)
+		f.ingest.SetState(st)
 	}
 	for i, r := range e.replicas {
 		blob, err := dec.String()
@@ -115,12 +117,12 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	e.pending = e.pending[:0]
+	f.pending, f.parts = f.pending[:0], f.parts[:0]
 	return nil
 }
 
 // Checkpoint quiesces the engine — buffered input flushed through the
-// workers, combiner drained — and writes one self-describing snapshot:
+// workers, fan-in drained — and writes one self-describing snapshot:
 // boundary state plus every shard's serial snapshot. Restore it into a
 // freshly built engine with the same shard count, DDL, and queries.
 func (e *Engine) Checkpoint(w io.Writer) error {
@@ -191,15 +193,13 @@ func (e *Engine) Recover(dir string) error {
 // Flush boundaries may differ from the original run, which only moves
 // heartbeat coalescing points, not output content.
 func (e *Engine) applyReplayLocked(items []stream.Item) error {
-	err := e.offerLocked(items)
-	if len(e.pending) >= e.batchSize {
-		_ = e.flushLocked() // dispatch only; it cannot fail
-	}
+	err := e.front.offer(items)
+	_ = e.front.flushIfFull() // dispatch only; it cannot fail
 	return err
 }
 
 // Kill abandons the engine without draining: buffered input, reorder-stage
-// tuples, combiner output, and all worker state are discarded, simulating a
+// tuples, fan-in output, and all worker state are discarded, simulating a
 // crash at this instant. The chaos harness pairs Kill with Recover on a
 // freshly built engine to certify crash-consistency.
 func (e *Engine) Kill() {

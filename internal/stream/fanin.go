@@ -3,12 +3,11 @@ package stream
 import "sync"
 
 // FanIn is the bounded fan-in stage that re-merges per-source event streams
-// into one timestamp-ordered delivery sequence. It backs both the sharded
-// engine's output combiner (sources = worker shards) and the cluster merge
-// tier (sources = remote engine nodes): each source owns a min-heap of
-// pending events, and events release once their timestamp is covered by
-// every source's watermark — the event time that source has fully processed
-// — so a slower source cannot be overtaken by a faster one.
+// into one timestamp-ordered delivery sequence: the output side of
+// shard.Front, whose sources are worker shards or remote engine nodes. Each
+// source owns a min-heap of pending events, and events release once their
+// timestamp is covered by every source's watermark — the event time that
+// source has fully processed — so a slower source cannot be overtaken.
 //
 // Deferred emissions (FOLLOWING windows) legitimately carry timestamps below
 // the watermark; they sit at their heap's root and release immediately,
@@ -32,10 +31,11 @@ type FanIn[E any] struct {
 	deliver   func(E)
 }
 
-// NewFanIn builds a fan-in over n sources. less orders events within and
-// across sources ((timestamp, source sequence) in practice), at extracts an
-// event's timestamp for watermark gating, and deliver receives released
-// events — serialized, on whichever goroutine offered the releasing batch.
+// NewFanIn builds a fan-in over n sources. less orders one source's events
+// ((timestamp, emission sequence) in practice); across sources events
+// release by (at(e), source index). at also gates release on watermarks, and
+// deliver receives released events — serialized, on whichever goroutine
+// offered the releasing batch.
 func NewFanIn[E any](n, maxBuffer int, less func(a, b E) bool, at func(E) Timestamp, deliver func(E)) *FanIn[E] {
 	c := &FanIn[E]{
 		queues:    make([]*Heap[E], n),
@@ -95,8 +95,8 @@ func (c *FanIn[E]) Pending() int {
 }
 
 // collectLocked pops releasable events in merged order. The source count is
-// small, so the cross-source minimum is a linear scan; per-source order
-// comes from the heaps.
+// small, so the cross-source minimum is a linear scan by (timestamp, source
+// index); per-source order comes from the heaps.
 func (c *FanIn[E]) collectLocked(all bool) []E {
 	minWM := MaxTimestamp
 	for _, w := range c.wm {
@@ -111,7 +111,7 @@ func (c *FanIn[E]) collectLocked(all bool) []E {
 			if q.Len() == 0 {
 				continue
 			}
-			if best == -1 || c.less(q.Min(), c.queues[best].Min()) {
+			if best == -1 || c.at(q.Min()) < c.at(c.queues[best].Min()) {
 				best = s // strict less keeps the lower source index on ties
 			}
 		}

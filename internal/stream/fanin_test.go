@@ -126,3 +126,30 @@ func TestFanInBufferBound(t *testing.T) {
 		t.Fatalf("flush released %d total, want 10", len(got))
 	}
 }
+
+// TestFanInTiesBreakBySourceIndex: less orders events within one source
+// only; across sources equal timestamps release the lower source first,
+// whatever the events' own sequence numbers say.
+func TestFanInTiesBreakBySourceIndex(t *testing.T) {
+	var got []finEvent
+	seqLess := func(a, b finEvent) bool {
+		if a.ts != b.ts {
+			return a.ts < b.ts
+		}
+		return a.seq < b.seq
+	}
+	c := NewFanIn(2, 4096, seqLess,
+		func(ev finEvent) Timestamp { return ev.ts },
+		func(ev finEvent) { got = append(got, ev) })
+	c.Offer(1, []finEvent{{1, 10, 1}, {1, 10, 2}}, 10)
+	c.Offer(0, []finEvent{{0, 10, 7}}, 10)
+	want := []finEvent{{0, 10, 7}, {1, 10, 1}, {1, 10, 2}}
+	if len(got) != len(want) {
+		t.Fatalf("released %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tie-break order: got %v, want %v", got, want)
+		}
+	}
+}
