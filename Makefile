@@ -22,8 +22,9 @@ test:
 # Fuzz smoke: `test` replays the checked-in corpora; this also mutates them
 # for a few seconds per target, so every decoder of outside input — snapshot
 # bodies, journal records and segments, wire frames, MVCC table sections,
-# query text through parser, planner and expression compiler — sees fresh
-# hostile input on every run. -fuzz takes one target per run.
+# matcher state, query text through parser, planner and expression
+# compiler — sees fresh hostile input on every run. -fuzz takes one target
+# per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 5s ./internal/esl
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 5s ./internal/snapshot
@@ -31,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 5s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzTableLoad$$' -fuzztime 5s ./internal/db
+	$(GO) test -run '^$$' -fuzz '^FuzzMatcherLoad$$' -fuzztime 5s ./internal/core
 
 # Fault-injection soak: 1M events through the serial and sharded engines
 # with disorder, duplication, corruption, late tuples, and injected UDF

@@ -8,10 +8,10 @@ import (
 	"repro/internal/window"
 )
 
-// Matcher, ExceptionMatcher and the per-partition engines serialize data
-// only: the Def (steps, filters, predicates) is rebuilt by re-executing the
-// same query against a fresh engine, and Load verifies the snapshot's shape
-// against it. Copy-on-write sharing between forked runs is flattened — the
+// Matcher and its per-partition engines serialize data only: the Def
+// (steps, filters, predicates) is rebuilt by re-executing the same query
+// against a fresh engine, and Load verifies the snapshot's shape against
+// it. Copy-on-write sharing between forked runs is flattened — the
 // cap-limited group slices reallocate on append either way, so a deep
 // restore is behaviorally identical.
 
@@ -28,7 +28,9 @@ func saveMatch(enc *snapshot.Encoder, m *Match) {
 	}
 }
 
-func loadMatch(dec *snapshot.Decoder) (*Match, error) {
+// loadMatch reads a match saved for a pattern of nsteps steps; any other
+// group count is ErrStateMismatch.
+func loadMatch(dec *snapshot.Decoder, nsteps int) (*Match, error) {
 	key, err := dec.Value()
 	if err != nil {
 		return nil, err
@@ -36,6 +38,9 @@ func loadMatch(dec *snapshot.Decoder) (*Match, error) {
 	ng, err := dec.Len()
 	if err != nil {
 		return nil, err
+	}
+	if ng != nsteps {
+		return nil, snapshot.Mismatchf("match has %d groups, pattern has %d steps", ng, nsteps)
 	}
 	m := &Match{Groups: make([][]*stream.Tuple, ng), Key: key}
 	for i := 0; i < ng; i++ {
@@ -60,6 +65,17 @@ func loadMatch(dec *snapshot.Decoder) (*Match, error) {
 		m.Groups[i] = g
 	}
 	return m, nil
+}
+
+// boundThrough reports whether m holds tuples at every step before k and
+// none after it — the shape every live partial has while step k fills.
+func boundThrough(m *Match, k int) bool {
+	for i, g := range m.Groups {
+		if (i < k && len(g) == 0) || (i > k && len(g) != 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // --- run engine ---
@@ -87,8 +103,10 @@ func saveRun(enc *snapshot.Encoder, r *run) {
 	enc.Uvarint(r.ord)
 }
 
-func loadRun(dec *snapshot.Decoder) (*run, error) {
-	m, err := loadMatch(dec)
+// loadRun reads one pending run and checks it is a partial filling a
+// step of the pattern, so no later push or eviction can index past it.
+func (e *runEngine) loadRun(dec *snapshot.Decoder) (*run, error) {
+	m, err := loadMatch(dec, len(e.def.Steps))
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +121,9 @@ func loadRun(dec *snapshot.Decoder) (*run, error) {
 	ord, err := dec.Uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if cur < 0 || cur >= len(e.def.Steps) || !boundThrough(m, cur) {
+		return nil, snapshot.Corruptf("run at step %d does not fit its bound groups", cur)
 	}
 	return &run{m: m, cur: cur, last: last, ord: ord}, nil
 }
@@ -123,12 +144,12 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 		}
 		bkt := e.buckets[bi][:0]
 		for j := 0; j < n; j++ {
-			r, err := loadRun(dec)
+			r, err := e.loadRun(dec)
 			if err != nil {
 				return err
 			}
-			if len(r.m.Groups) != len(e.def.Steps) {
-				return snapshot.Mismatchf("run has %d groups, pattern has %d steps", len(r.m.Groups), len(e.def.Steps))
+			if r.cur != bi/2 || e.open(r) != (bi%2 == 1) {
+				return snapshot.Corruptf("run at step %d filed in bucket %d", r.cur, bi)
 			}
 			r.bkt = int32(bi)
 			r.pos = int32(j)
@@ -143,7 +164,7 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 	}
 	e.cons = nil
 	if hasCons {
-		r, err := loadRun(dec)
+		r, err := e.loadRun(dec)
 		if err != nil {
 			return err
 		}
@@ -210,31 +231,87 @@ func (e *chainEngine) load(dec *snapshot.Decoder) error {
 			e.chains[i] = nil
 			continue
 		}
-		if e.chains[i], err = loadMatch(dec); err != nil {
+		if e.chains[i], err = loadMatch(dec, len(e.def.Steps)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// --- exception engine ---
+
+// save writes the tracked sequence and its level; the engine's timer is
+// written by Matcher.Save with the rest of the queue.
+func (e *exEngine) save(enc *snapshot.Encoder) {
+	enc.Bool(e.run != nil)
+	if e.run != nil {
+		saveMatch(enc, e.run)
+	}
+	enc.Int(e.cur)
+}
+
+func (e *exEngine) load(dec *snapshot.Decoder) error {
+	hasRun, err := dec.Bool()
+	if err != nil {
+		return err
+	}
+	e.run, e.timer = nil, nil
+	if hasRun {
+		if e.run, err = loadMatch(dec, len(e.m.def.Steps)); err != nil {
+			return err
+		}
+	}
+	if e.cur, err = dec.Int(); err != nil {
+		return err
+	}
+	if hasRun && (e.cur < 1 || e.cur >= len(e.m.def.Steps) ||
+		!boundThrough(e.run, e.cur) || len(e.run.Groups[e.cur]) != 0) ||
+		!hasRun && e.cur != 0 {
+		return snapshot.Corruptf("exception state at level %d does not fit its %d-step pattern", e.cur, len(e.m.def.Steps))
+	}
+	return nil
+}
+
 // --- Matcher ---
 
-// Save serializes the matcher's live state: every partition's engine, in
-// deterministic (key hash, collision-chain position) order so the same
-// logical state always yields the same bytes.
+// Save serializes the matcher's live state in one frame for every engine
+// kind: the clock, every partition's engine in deterministic (key hash,
+// collision-chain position) order so the same logical state always yields
+// the same bytes, then the live timers in schedule order as (partition
+// ordinal, deadline). Writing timers in order normalizes their schedule
+// ordinals to ranks, so Load re-arms them on a fresh queue with the same
+// same-instant firing order and a save→load→save cycle is byte-stable.
 func (m *Matcher) Save(enc *snapshot.Encoder) {
 	enc.TS(m.clock)
-	if m.single != nil {
-		enc.Bool(false)
+	enc.Bool(m.single == nil)
+	engs := []engine{m.single}
+	if m.single == nil {
+		refs := sortedPartitions(m.parts)
+		enc.Uvarint(uint64(len(refs)))
+		engs = make([]engine, len(refs))
+		for i, p := range refs {
+			enc.Value(p.key)
+			p.eng.save(enc)
+			engs[i] = p.eng
+		}
+	} else {
 		m.single.save(enc)
-		return
 	}
-	enc.Bool(true)
-	refs := sortedPartitions(m.parts)
-	enc.Uvarint(uint64(len(refs)))
-	for _, p := range refs {
-		enc.Value(p.key)
-		p.eng.save(enc)
+	type armed struct {
+		ord int
+		tm  *window.Timer
+	}
+	var live []armed
+	for i, eng := range engs {
+		if x, ok := eng.(*exEngine); ok && x.timer != nil {
+			live = append(live, armed{i, x.timer})
+		}
+	}
+	sort.Slice(live, func(a, b int) bool { return live[a].tm.Seq() < live[b].tm.Seq() })
+	enc.Uvarint(uint64(len(live)))
+	for _, a := range live {
+		enc.Uvarint(uint64(a.ord))
+		enc.TS(a.tm.At)
 	}
 }
 
@@ -265,7 +342,9 @@ func sortedPartitions(parts map[uint64][]*partition) []*partition {
 
 // Load restores state saved by Save into a matcher built from the same
 // pattern. Loading into a differently-shaped matcher (partitioning, step
-// count, mode) returns ErrStateMismatch.
+// count, mode) returns ErrStateMismatch; bytes Save never writes —
+// partitions out of order or repeated, state that does not fit the
+// pattern, a timer without a run to expire — return ErrCorrupt.
 func (m *Matcher) Load(dec *snapshot.Decoder) error {
 	clock, err := dec.TS()
 	if err != nil {
@@ -279,157 +358,11 @@ func (m *Matcher) Load(dec *snapshot.Decoder) error {
 	if part != m.def.Partitioned() {
 		return snapshot.Mismatchf("matcher partitioned=%v, snapshot partitioned=%v", m.def.Partitioned(), part)
 	}
+	m.timers = window.Timers{}
+	m.exs = nil
+	engs := []engine{m.single}
 	if !part {
-		return m.single.load(dec)
-	}
-	n, err := dec.Len()
-	if err != nil {
-		return err
-	}
-	m.parts = make(map[uint64][]*partition, n)
-	m.nparts = 0
-	for i := 0; i < n; i++ {
-		key, err := dec.Value()
-		if err != nil {
-			return err
-		}
-		if err := m.partitionFor(key).eng.load(dec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- ExceptionMatcher ---
-
-// Save serializes the exception automaton: per-partition run state plus the
-// pending active-expiration deadlines. Timer schedule ordinals are
-// rank-normalized (1..k over the live timers) so a save→load→save cycle is
-// byte-stable; only relative order among live timers affects firing.
-func (m *ExceptionMatcher) Save(enc *snapshot.Encoder) {
-	ranks := m.timerRanks()
-	if m.single != nil {
-		enc.Bool(false)
-		saveExState(enc, m.single, ranks)
-		return
-	}
-	enc.Bool(true)
-	type ref struct {
-		h uint64
-		i int
-		p *exPartition
-	}
-	refs := make([]ref, 0, len(m.parts))
-	for h, chain := range m.parts {
-		for i, p := range chain {
-			refs = append(refs, ref{h: h, i: i, p: p})
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		if refs[a].h != refs[b].h {
-			return refs[a].h < refs[b].h
-		}
-		return refs[a].i < refs[b].i
-	})
-	enc.Uvarint(uint64(len(refs)))
-	for _, r := range refs {
-		enc.Value(r.p.key)
-		saveExState(enc, r.p.st, ranks)
-	}
-}
-
-// timerRanks maps each live timer to its 1-based rank by schedule ordinal.
-func (m *ExceptionMatcher) timerRanks() map[*window.Timer]uint64 {
-	collect := func(st *exState, tms *[]*window.Timer) {
-		if st.timer != nil {
-			*tms = append(*tms, st.timer)
-		}
-	}
-	var tms []*window.Timer
-	if m.single != nil {
-		collect(m.single, &tms)
-	} else {
-		for _, chain := range m.parts {
-			for _, p := range chain {
-				collect(p.st, &tms)
-			}
-		}
-	}
-	sort.Slice(tms, func(i, j int) bool { return tms[i].Seq() < tms[j].Seq() })
-	ranks := make(map[*window.Timer]uint64, len(tms))
-	for i, tm := range tms {
-		ranks[tm] = uint64(i + 1)
-	}
-	return ranks
-}
-
-func saveExState(enc *snapshot.Encoder, st *exState, ranks map[*window.Timer]uint64) {
-	enc.Bool(st.run != nil)
-	if st.run != nil {
-		saveMatch(enc, st.run)
-	}
-	enc.Int(st.cur)
-	enc.Bool(st.timer != nil)
-	if st.timer != nil {
-		enc.TS(st.timer.At)
-		enc.Uvarint(ranks[st.timer])
-	}
-}
-
-type exTimerLoad struct {
-	rank uint64
-	at   stream.Timestamp
-	st   *exState
-}
-
-func loadExState(dec *snapshot.Decoder, st *exState, pend *[]exTimerLoad) error {
-	hasRun, err := dec.Bool()
-	if err != nil {
-		return err
-	}
-	if hasRun {
-		if st.run, err = loadMatch(dec); err != nil {
-			return err
-		}
-	} else {
-		st.run = nil
-	}
-	if st.cur, err = dec.Int(); err != nil {
-		return err
-	}
-	hasTimer, err := dec.Bool()
-	if err != nil {
-		return err
-	}
-	if !hasTimer {
-		st.timer = nil
-		return nil
-	}
-	at, err := dec.TS()
-	if err != nil {
-		return err
-	}
-	rank, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	*pend = append(*pend, exTimerLoad{rank: rank, at: at, st: st})
-	return nil
-}
-
-// Load restores state saved by Save into a matcher built from the same
-// pattern, re-arming the expiration timers in their saved relative order.
-func (m *ExceptionMatcher) Load(dec *snapshot.Decoder) error {
-	part, err := dec.Bool()
-	if err != nil {
-		return err
-	}
-	if part != m.def.Partitioned() {
-		return snapshot.Mismatchf("exception matcher partitioned=%v, snapshot partitioned=%v", m.def.Partitioned(), part)
-	}
-	var pend []exTimerLoad
-	if !part {
-		if err := loadExState(dec, m.single, &pend); err != nil {
+		if err := m.single.load(dec); err != nil {
 			return err
 		}
 	} else {
@@ -437,23 +370,47 @@ func (m *ExceptionMatcher) Load(dec *snapshot.Decoder) error {
 		if err != nil {
 			return err
 		}
-		m.parts = make(map[uint64][]*exPartition, n)
-		for i := 0; i < n; i++ {
+		m.parts = make(map[uint64][]*partition, n)
+		m.nparts = 0
+		engs = make([]engine, n)
+		var prev uint64
+		for i := range engs {
 			key, err := dec.Value()
 			if err != nil {
 				return err
 			}
-			if err := loadExState(dec, m.partitionFor(key), &pend); err != nil {
+			h := key.Hash()
+			if (i > 0 && h < prev) || m.lookup(key) != nil {
+				return snapshot.Corruptf("partition %d out of key order or repeated", i)
+			}
+			prev = h
+			engs[i] = m.partitionFor(key).eng
+			if err := engs[i].load(dec); err != nil {
 				return err
 			}
 		}
 	}
-	// Re-arm in saved rank order: a fresh Timers queue assigns ordinals
-	// 1..k, reproducing both same-instant firing order and the saved ranks.
-	sort.Slice(pend, func(i, j int) bool { return pend[i].rank < pend[j].rank })
-	m.timers = window.Timers{}
-	for _, tl := range pend {
-		tl.st.timer = m.timers.Schedule(tl.at, tl.st)
+	k, err := dec.Len()
+	if err != nil {
+		return err
+	}
+	for j := 0; j < k; j++ {
+		ord, err := dec.Uvarint()
+		if err != nil {
+			return err
+		}
+		at, err := dec.TS()
+		if err != nil {
+			return err
+		}
+		var x *exEngine
+		if ord < uint64(len(engs)) {
+			x, _ = engs[ord].(*exEngine)
+		}
+		if x == nil || x.run == nil || x.timer != nil {
+			return snapshot.Corruptf("timer %d names partition %d, which has no run awaiting it", j, ord)
+		}
+		x.timer = m.timers.Schedule(at, x)
 	}
 	return nil
 }

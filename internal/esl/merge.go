@@ -254,7 +254,6 @@ type mergeGroup struct {
 	guardsDirty bool
 
 	acceptBuf []int
-	resolved  []resolvedEntry
 }
 
 func (g *mergeGroup) leader() *memberOp {
@@ -282,18 +281,6 @@ func (g *mergeGroup) memberByID(id int) *memberOp {
 		return g.members[lo]
 	}
 	return nil
-}
-
-func (g *mergeGroup) resolveFor(aliases []string) *core.Resolved {
-	for i := range g.resolved {
-		re := &g.resolved[i]
-		if len(re.aliases) == len(aliases) && (len(aliases) == 0 || &re.aliases[0] == &aliases[0]) {
-			return re.res
-		}
-	}
-	res := g.seq.Resolve(aliases...)
-	g.resolved = append(g.resolved, resolvedEntry{aliases: aliases, res: res})
-	return res
 }
 
 // emitMatch attributes one completed shared match to the accepting members,
@@ -338,8 +325,7 @@ func (op *mergedOp) pushBatch(aliases []string, b *stream.Batch) error {
 	if len(b.Tuples) > 0 {
 		g.virgin = false
 	}
-	r := g.resolveFor(aliases)
-	bms, err := g.seq.PushBatchAt(r, b.Tuples, b.Prev)
+	bms, err := g.seq.PushBatchAt(g.seq.Resolve(aliases...), b.Tuples, b.Prev)
 	if err != nil {
 		return err
 	}

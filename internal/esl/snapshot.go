@@ -474,12 +474,8 @@ func (op *aggregateOp) loadOpState(dec *snapshot.Decoder) error {
 // --- event (SEQ / EXCEPTION_SEQ / CLEVEL_SEQ) ---
 
 func (op *eventOp) saveOpState(enc *snapshot.Encoder) error {
-	enc.Bool(op.exc != nil)
-	if op.exc != nil {
-		op.exc.Save(enc)
-	} else {
-		op.seq.Save(enc)
-	}
+	enc.Bool(op.exceptional())
+	op.seq.Save(enc)
 	return nil
 }
 
@@ -488,11 +484,8 @@ func (op *eventOp) loadOpState(dec *snapshot.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if exc != (op.exc != nil) {
+	if exc != op.exceptional() {
 		return snapshot.Mismatchf("query %s: exception-automaton snapshot mismatch", op.kindName)
-	}
-	if op.exc != nil {
-		return op.exc.Load(dec)
 	}
 	return op.seq.Load(dec)
 }

@@ -41,21 +41,11 @@ type stateSizer interface {
 	kind() string
 }
 
-func (op *eventOp) stateSize() int {
-	if op.seq != nil {
-		return op.seq.StateSize()
-	}
-	return op.exc.StateSize()
-}
+func (op *eventOp) stateSize() int { return op.seq.StateSize() }
 
 func (op *eventOp) kind() string { return "event(" + op.kindName + ")" }
 
-func (op *eventOp) runCount() int {
-	if op.seq != nil {
-		return op.seq.RunCount()
-	}
-	return 0
-}
+func (op *eventOp) runCount() int { return op.seq.RunCount() }
 
 func (op *filterProjectOp) stateSize() int {
 	n := len(op.pending)

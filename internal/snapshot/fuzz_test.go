@@ -48,8 +48,8 @@ func seedBlobs() [][]byte {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x10
 	// A structurally valid blob stamped with the previous format version:
-	// keeps the version-negotiation rejection (v4 reader vs v3 snapshot) in
-	// the corpus permanently.
+	// keeps the version-negotiation rejection (this reader vs a snapshot of
+	// the previous version) in the corpus permanently.
 	stale := append([]byte(nil), valid...)
 	stale[len(magic)] = Version - 1
 	stale = fixupCRC(stale)

@@ -46,8 +46,10 @@ import (
 // MVCC AS OF cuts across a restore; v4 appended the speculation section
 // (per-query reconciler state + per-level arrival gates and shadow-replica
 // state), so in-flight FAST/MIDDLE assertions survive fail-over without
-// double emission.
-const Version = 4
+// double emission; v5 wrote every core matcher in one frame (clock,
+// partitions, then the live timers in schedule order), so EXCEPTION_SEQ
+// state gained the clock prefix and SEQ state an empty timer list.
+const Version = 5
 
 // magic identifies a snapshot file. The trailing newline guards against
 // text-mode corruption, the classic PNG trick.
