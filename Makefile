@@ -22,11 +22,12 @@ test:
 # Fuzz smoke: `test` replays the checked-in corpora; this also mutates them
 # for a few seconds per target, so every decoder of outside input — snapshot
 # bodies, journal records and segments, wire frames, MVCC table sections,
-# matcher state, query text through parser, planner and expression
-# compiler — sees fresh hostile input on every run. -fuzz takes one target
-# per run.
+# matcher state, query operator state, query text through parser, planner
+# and expression compiler — sees fresh hostile input on every run. -fuzz
+# takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 5s ./internal/esl
+	$(GO) test -run '^$$' -fuzz '^FuzzOpStateLoad$$' -fuzztime 5s ./internal/esl
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 5s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 5s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 5s ./internal/snapshot

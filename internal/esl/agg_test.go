@@ -277,8 +277,8 @@ func TestWindowedAggregateStateEviction(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pushVital(t, e, time.Duration(i)*time.Second, "p", int64(i))
 	}
-	if op.timeBuf.Len() > 6 {
-		t.Fatalf("window buffer not evicted: %d", op.timeBuf.Len())
+	if op.fifo.len() > 6 {
+		t.Fatalf("window buffer not evicted: %d", op.fifo.len())
 	}
 	if n, _ := got[99].Vals[0].AsInt(); n != 6 {
 		t.Fatalf("windowed count = %v", got[99].Vals[0])
@@ -287,8 +287,8 @@ func TestWindowedAggregateStateEviction(t *testing.T) {
 	if err := e.Heartbeat(ts(500 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if op.timeBuf.Len() != 0 {
-		t.Fatalf("advance did not evict: %d", op.timeBuf.Len())
+	if op.fifo.len() != 0 {
+		t.Fatalf("advance did not evict: %d", op.fifo.len())
 	}
 }
 

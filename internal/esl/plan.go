@@ -55,7 +55,7 @@ func (e *Engine) compile(sel *Select, q *Query) (queryOp, map[string][]string, e
 		if len(tableItems) > 0 {
 			return nil, nil, fmt.Errorf("esl: aggregates over stream-table joins are not supported")
 		}
-		op, err := e.compileAggregate(sel, outer, q)
+		op, err := e.compileAggregate(sel, outer, aliasSchemas, q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -66,8 +66,7 @@ func (e *Engine) compile(sel *Select, q *Query) (queryOp, map[string][]string, e
 		e:          e,
 		q:          q,
 		outerAlias: outer.Alias,
-		distinct:   sel.Distinct,
-		limit:      sel.Limit,
+		out:        newOutputStage(sel.Distinct, sel.Limit),
 		nslots:     len(aliasSchemas),
 	}
 	inputs := map[string][]string{outer.Source: {outer.Alias}}
@@ -112,7 +111,7 @@ func (e *Engine) compile(sel *Select, q *Query) (queryOp, map[string][]string, e
 	// LIMIT, table joins and EXISTS sub-queries all observe global state and
 	// stay serial and unfused.
 	op.fused = len(op.tables) == 0 && len(op.exists) == 0 && len(op.tableExists) == 0 &&
-		!op.distinct && op.limit < 0 && !op.deferred
+		op.out.open && !op.deferred
 	if op.fused {
 		q.shard = Shardability{Shardable: true}
 	}
@@ -348,10 +347,7 @@ type filterProjectOp struct {
 	outerAlias string
 	where      boolFn // nil without a WHERE clause
 	proj       *projection
-	distinct   bool
-	limit      int
-	emitted    int
-	seen       map[uint64]int
+	out        outputStage
 	// nslots is the frame size: the outer tuple plus one slot per table.
 	nslots int
 
@@ -556,20 +552,9 @@ func (op *filterProjectOp) joinTables(f *frame, t *stream.Tuple, i int) error {
 }
 
 func (op *filterProjectOp) sinkRow(r Row) error {
-	if op.distinct {
-		if op.seen == nil {
-			op.seen = map[uint64]int{}
-		}
-		h := hashRow(r.Vals)
-		if op.seen[h] > 0 {
-			return nil
-		}
-		op.seen[h]++
-	}
-	if op.limit >= 0 && op.emitted >= op.limit {
+	if !op.out.admit(r.Vals) {
 		return nil
 	}
-	op.emitted++
 	return op.q.sink(r)
 }
 
@@ -906,13 +891,4 @@ func appendUnique(list []string, s string) []string {
 		return list
 	}
 	return append(list, s)
-}
-
-func hashRow(vals []stream.Value) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range vals {
-		h = (h ^ v.Hash()) * prime
-	}
-	return h
 }

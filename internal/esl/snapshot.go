@@ -3,6 +3,7 @@ package esl
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -151,7 +152,16 @@ func (a *minmaxAcc) loadAccState(dec *snapshot.Decoder) error {
 		if a.entries == nil {
 			return snapshot.Corruptf("min/max entries on a nil multiset")
 		}
-		a.entries = append(a.entries, mmEntry{h: v.Hash(), v: v, n: c})
+		h := v.Hash()
+		if c < 1 {
+			return snapshot.Corruptf("min/max count %d", c)
+		}
+		for j := len(a.entries) - 1; j >= 0 && a.entries[j].h >= h; j-- {
+			if a.entries[j].h > h || a.entries[j].v.Equal(v) {
+				return snapshot.Corruptf("min/max entry %s out of order or repeated", v)
+			}
+		}
+		a.entries = append(a.entries, mmEntry{h: h, v: v, n: c})
 	}
 	return nil
 }
@@ -201,40 +211,49 @@ func (a *udaAccum) loadAccState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// --- hash-count multisets (DISTINCT tracking) ---
+// --- group tables ---
 
-func saveHashCounts(enc *snapshot.Encoder, m map[uint64]int) {
-	enc.Bool(m != nil)
-	if m == nil {
-		return
+// save writes the table's entries in (hash, chain position) order, so the
+// same contents always give the same bytes and a loaded table re-saves
+// identically, and numbers each entry's ord; body writes what an entry
+// carries beyond its key and count.
+func (t *groupTable) save(enc *snapshot.Encoder, body func(*group) error) error {
+	hs := make([]uint64, 0, len(t.buckets))
+	for h := range t.buckets {
+		hs = append(hs, h)
 	}
-	keys := make([]uint64, 0, len(m))
-	for h := range m {
-		keys = append(keys, h)
+	slices.Sort(hs)
+	enc.Uvarint(uint64(t.n))
+	ord := 0
+	for _, h := range hs {
+		for _, g := range t.buckets[h] {
+			g.ord = ord
+			ord++
+			enc.Values(g.key)
+			enc.Int(g.n)
+			if body != nil {
+				if err := body(g); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.Uvarint(uint64(len(keys)))
-	for _, h := range keys {
-		enc.Uvarint(h)
-		enc.Int(m[h])
-	}
+	return nil
 }
 
-func loadHashCounts(dec *snapshot.Decoder) (map[uint64]int, error) {
-	has, err := dec.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !has {
-		return nil, nil
-	}
+// load replaces the table's entries with saved ones and returns them in
+// saved order. Keys must come in save order and appear once, and every
+// count must be at least min; body reads the rest of each entry.
+func (t *groupTable) load(dec *snapshot.Decoder, min int, body func(*group) error) ([]*group, error) {
 	n, err := dec.Len()
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[uint64]int, n)
+	*t = groupTable{}
+	out := make([]*group, 0, n)
+	var last uint64
 	for i := 0; i < n; i++ {
-		h, err := dec.Uvarint()
+		key, err := dec.Values()
 		if err != nil {
 			return nil, err
 		}
@@ -242,16 +261,49 @@ func loadHashCounts(dec *snapshot.Decoder) (map[uint64]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[h] = c
+		if c < min {
+			return nil, snapshot.Corruptf("group count %d below %d", c, min)
+		}
+		h := hashRow(key)
+		if h < last {
+			return nil, snapshot.Corruptf("group key %v out of hash order", key)
+		}
+		last = h
+		g, fresh := t.getHashed(h, key)
+		if !fresh {
+			return nil, snapshot.Corruptf("duplicate group key %v", key)
+		}
+		g.n = c
+		if body != nil {
+			if err := body(g); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, g)
 	}
-	return m, nil
+	return out, nil
+}
+
+func (s *outputStage) save(enc *snapshot.Encoder) error {
+	enc.Int(s.emitted)
+	return s.seen.save(enc, nil)
+}
+
+func (s *outputStage) load(dec *snapshot.Decoder) error {
+	var err error
+	if s.emitted, err = dec.Int(); err != nil {
+		return err
+	}
+	_, err = s.seen.load(dec, 1, nil)
+	return err
 }
 
 // --- filter/project ---
 
 func (op *filterProjectOp) saveOpState(enc *snapshot.Encoder) error {
-	enc.Int(op.emitted)
-	saveHashCounts(enc, op.seen)
+	if err := op.out.save(enc); err != nil {
+		return err
+	}
 	enc.Uvarint(uint64(len(op.pending)))
 	for _, p := range op.pending {
 		enc.Tuple(p.t)
@@ -265,11 +317,7 @@ func (op *filterProjectOp) saveOpState(enc *snapshot.Encoder) error {
 }
 
 func (op *filterProjectOp) loadOpState(dec *snapshot.Decoder) error {
-	var err error
-	if op.emitted, err = dec.Int(); err != nil {
-		return err
-	}
-	if op.seen, err = loadHashCounts(dec); err != nil {
+	if err := op.out.load(dec); err != nil {
 		return err
 	}
 	np, err := dec.Len()
@@ -307,168 +355,104 @@ func (op *filterProjectOp) loadOpState(dec *snapshot.Decoder) error {
 }
 
 // --- aggregate ---
+//
+// Groups (key, count, accumulators, DISTINCT multisets), the output stage,
+// then for a window its rows oldest first: timestamp, group ord, argument
+// values.
 
 func (op *aggregateOp) saveOpState(enc *snapshot.Encoder) error {
-	// Groups in (hash, insertion) order; the index over that order names
-	// each buffered tuple's group.
-	type ref struct {
-		h  uint64
-		i  int
-		gs *groupState
-	}
-	var refs []ref
-	for h, chain := range op.groups {
-		for i, gs := range chain {
-			refs = append(refs, ref{h: h, i: i, gs: gs})
-		}
-	}
-	sort.Slice(refs, func(x, y int) bool {
-		if refs[x].h != refs[y].h {
-			return refs[x].h < refs[y].h
-		}
-		return refs[x].i < refs[y].i
-	})
-	idx := make(map[*groupState]int, len(refs))
-	enc.Uvarint(uint64(len(refs)))
-	for i, r := range refs {
-		idx[r.gs] = i
-		enc.Values(r.gs.keyVals)
-		enc.Int(r.gs.n)
-		for ai, acc := range r.gs.accs {
+	err := op.groups.save(enc, func(g *group) error {
+		for i, acc := range g.accs {
 			if err := saveAcc(enc, acc); err != nil {
 				return err
 			}
-			saveHashCounts(enc, r.gs.seen[ai])
-		}
-	}
-	if op.win == nil {
-		return nil
-	}
-	saveEntry := func(t *stream.Tuple) error {
-		entry := op.entries[t]
-		if entry == nil {
-			return snapshot.Corruptf("buffered tuple without a window entry")
-		}
-		gi, ok := idx[entry.group]
-		if !ok {
-			return snapshot.Corruptf("window entry references an unknown group")
-		}
-		enc.Uvarint(uint64(gi))
-		for _, args := range entry.args {
-			enc.Values(args)
-		}
-		return nil
-	}
-	if op.win.Rows {
-		enc.Uvarint(uint64(len(op.rowBuf)))
-		for _, t := range op.rowBuf {
-			enc.Tuple(t)
-		}
-		for _, t := range op.rowBuf {
-			if err := saveEntry(t); err != nil {
-				return err
+			if op.aggs[i].distinct {
+				if err := g.distinct[i].save(enc, nil); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
-	}
-	op.timeBuf.Save(enc)
-	var err error
-	op.timeBuf.Each(func(t *stream.Tuple) bool {
-		err = saveEntry(t)
-		return err == nil
 	})
-	return err
-}
-
-func (op *aggregateOp) loadOpState(dec *snapshot.Decoder) error {
-	ng, err := dec.Len()
 	if err != nil {
 		return err
 	}
-	op.groups = make(map[uint64][]*groupState, ng)
-	ordered := make([]*groupState, 0, ng)
-	for i := 0; i < ng; i++ {
-		keyVals, err := dec.Values()
-		if err != nil {
-			return err
+	if err := op.out.save(enc); err != nil || op.win == nil {
+		return err
+	}
+	enc.Uvarint(uint64(op.fifo.len()))
+	for _, ent := range op.fifo.live() {
+		enc.TS(ent.ts)
+		enc.Uvarint(uint64(ent.group.ord))
+		for _, args := range ent.args {
+			enc.Values(args)
 		}
-		n, err := dec.Int()
-		if err != nil {
-			return err
-		}
-		gs := &groupState{keyVals: keyVals, n: n}
-		for ai := range op.aggs {
-			acc := op.aggs[ai].factory()
+	}
+	return nil
+}
+
+func (op *aggregateOp) loadOpState(dec *snapshot.Decoder) error {
+	// Every cumulative group holds a row; a windowed group whose rows have
+	// all left the window stays, at count 0.
+	minCount := 1
+	if op.win != nil {
+		minCount = 0
+	}
+	groups, err := op.groups.load(dec, minCount, func(g *group) error {
+		op.initGroup(g)
+		for i, acc := range g.accs {
 			if err := loadAcc(dec, acc); err != nil {
 				return err
 			}
-			seen, err := loadHashCounts(dec)
-			if err != nil {
-				return err
+			if op.aggs[i].distinct {
+				if _, err := g.distinct[i].load(dec, 1, nil); err != nil {
+					return err
+				}
 			}
-			gs.accs = append(gs.accs, acc)
-			gs.seen = append(gs.seen, seen)
 		}
-		// Re-derive the hash exactly as groupKey does: ungrouped state
-		// lives under key 0, grouped state under the key-row hash.
-		h := uint64(0)
-		if len(op.groupBy) > 0 {
-			h = hashRow(keyVals)
-		}
-		op.groups[h] = append(op.groups[h], gs)
-		ordered = append(ordered, gs)
-	}
-	if op.win == nil {
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	loadEntry := func(t *stream.Tuple) (*winEntry, error) {
+	if err := op.out.load(dec); err != nil || op.win == nil {
+		return err
+	}
+	n, err := dec.Len()
+	if err != nil {
+		return err
+	}
+	if op.win.Rows && n > op.win.NRows {
+		return snapshot.Corruptf("ROWS %d window holds %d rows", op.win.NRows, n)
+	}
+	op.fifo = winFIFO{ents: make([]winEntry, 0, n)}
+	for i := 0; i < n; i++ {
+		ent := winEntry{args: make([][]stream.Value, len(op.aggs))}
+		if ent.ts, err = dec.TS(); err != nil {
+			return err
+		}
+		if last := op.fifo.live(); !op.win.Rows && i > 0 && ent.ts < last[i-1].ts {
+			return snapshot.Corruptf("RANGE window row at %s after %s", ent.ts, last[i-1].ts)
+		}
 		gi, err := dec.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if gi >= uint64(len(ordered)) {
-			return nil, snapshot.Corruptf("window entry references group %d of %d", gi, len(ordered))
-		}
-		entry := &winEntry{group: ordered[gi], args: make([][]stream.Value, len(op.aggs))}
-		for ai := range op.aggs {
-			if entry.args[ai], err = dec.Values(); err != nil {
-				return nil, err
-			}
-		}
-		return entry, nil
-	}
-	op.entries = make(map[*stream.Tuple]*winEntry)
-	if op.win.Rows {
-		nr, err := dec.Len()
 		if err != nil {
 			return err
 		}
-		op.rowBuf = nil
-		for i := 0; i < nr; i++ {
-			t, err := dec.Tuple()
-			if err != nil {
+		if gi >= uint64(len(groups)) {
+			return snapshot.Corruptf("window row references group %d of %d", gi, len(groups))
+		}
+		ent.group = groups[gi]
+		for ai, s := range op.aggs {
+			if ent.args[ai], err = dec.Values(); err != nil {
 				return err
 			}
-			if t == nil {
-				return snapshot.Corruptf("nil tuple in ROWS buffer")
-			}
-			op.rowBuf = append(op.rowBuf, t)
-		}
-		for _, t := range op.rowBuf {
-			if op.entries[t], err = loadEntry(t); err != nil {
-				return err
+			if len(ent.args[ai]) != len(s.args) {
+				return snapshot.Corruptf("window row has %d arguments for a %d-argument aggregate", len(ent.args[ai]), len(s.args))
 			}
 		}
-		return nil
+		op.fifo.push(ent)
 	}
-	if err := op.timeBuf.Load(dec); err != nil {
-		return err
-	}
-	op.timeBuf.Each(func(t *stream.Tuple) bool {
-		op.entries[t], err = loadEntry(t)
-		return err == nil
-	})
-	return err
+	return nil
 }
 
 // --- event (SEQ / EXCEPTION_SEQ / CLEVEL_SEQ) ---

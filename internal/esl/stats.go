@@ -57,17 +57,7 @@ func (op *filterProjectOp) stateSize() int {
 
 func (op *filterProjectOp) kind() string { return "transducer" }
 
-func (op *aggregateOp) stateSize() int {
-	n := 0
-	if op.timeBuf != nil {
-		n += op.timeBuf.Len()
-	}
-	n += len(op.rowBuf)
-	for _, chain := range op.groups {
-		n += len(chain)
-	}
-	return n
-}
+func (op *aggregateOp) stateSize() int { return op.fifo.len() + op.groups.n }
 
 func (op *aggregateOp) kind() string { return "aggregate" }
 

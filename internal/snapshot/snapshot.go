@@ -48,8 +48,12 @@ import (
 // state), so in-flight FAST/MIDDLE assertions survive fail-over without
 // double emission; v5 wrote every core matcher in one frame (clock,
 // partitions, then the live timers in schedule order), so EXCEPTION_SEQ
-// state gained the clock prefix and SEQ state an empty timer list.
-const Version = 5
+// state gained the clock prefix and SEQ state an empty timer list; v6
+// saved every esl group table (aggregate groups, DISTINCT multisets, the
+// DISTINCT/LIMIT output stage) as key values instead of hashes, and an
+// aggregate's window as (timestamp, group, arguments) rows instead of
+// tuples.
+const Version = 6
 
 // magic identifies a snapshot file. The trailing newline guards against
 // text-mode corruption, the classic PNG trick.

@@ -254,6 +254,10 @@ func cmpFloat(a, b float64) int {
 
 // Hash returns a 64-bit FNV-1a hash of the value, coherent with Equal:
 // values that compare equal hash equally (ints and whole floats included).
+// It is a bucket index, never an identity: different values may collide
+// (every int above 2^53 hashes through its float64 rounding), so every
+// table keyed by it compares candidates with Equal, and code that only
+// places values (shard and node routing) relies on coherence alone.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
