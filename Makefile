@@ -94,9 +94,11 @@ spec-soak:
 	$(GO) run ./cmd/eslev chaos -events 300000 -consistency FAST -late-heavy -kill-every 60000
 
 # A fast pass over every benchmark family to catch bit-rot without paying
-# for full measurement runs.
+# for full measurement runs: the facade's at 50 iterations, the internal
+# packages' (windowed aggregates, journal, matcher) at one.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 50x .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/...
 
 # The end-to-end benchmark's own tests (metric list in sync with
 # BENCHMARK.json, generator determinism, the -selfcheck run). bench/ is a

@@ -24,7 +24,7 @@ type chainEngine struct {
 
 	// bufs[i] is the retained history for step i (UNRESTRICTED/CHRONICLE);
 	// the final step needs no history.
-	bufs []*window.TimeBuffer
+	bufs []window.TimeBuffer
 
 	// chains[i] is the RECENT-mode chain covering steps 0..i (final step
 	// excluded: completions are emitted, not stored).
@@ -37,10 +37,7 @@ func newChainEngine(def *Def, key stream.Value) engine {
 	if def.Mode == ModeRecent {
 		e.chains = make([]*Match, n-1)
 	} else {
-		e.bufs = make([]*window.TimeBuffer, n-1)
-		for i := range e.bufs {
-			e.bufs[i] = &window.TimeBuffer{}
-		}
+		e.bufs = make([]window.TimeBuffer, n-1)
 	}
 	return e
 }
@@ -62,7 +59,7 @@ func (e *chainEngine) push(steps []int, _ uint64, t *stream.Tuple) ([]*Match, er
 			}
 		}
 	}
-	e.evict(t.TS)
+	e.advance(t.TS)
 	return out, nil
 }
 
@@ -123,7 +120,8 @@ func (e *chainEngine) complete(t *stream.Tuple) []*Match {
 			partial.Groups[last] = []*stream.Tuple{t}
 			// Consume participants: each tuple forms at most one event.
 			for i := 0; i < last; i++ {
-				e.bufs[i].Remove(partial.Groups[i][0])
+				used := partial.Groups[i][0]
+				e.bufs[i].Remove(func(t *stream.Tuple) bool { return t == used })
 			}
 			return []*Match{partial}
 		}
@@ -202,22 +200,15 @@ func (e *chainEngine) enumerate(partial *Match, si int, t *stream.Tuple, out *[]
 	})
 }
 
-// evict drops history that no future match can use. With a PRECEDING window
-// anchored on the final step, every bound tuple must lie within the span
-// before a future terminal tuple, whose timestamp is at least the current
-// event time — so anything older than now-span is dead.
-func (e *chainEngine) evict(now stream.Timestamp) {
-	w := e.def.Window
-	if w == nil || w.Following || w.Step != len(e.def.Steps)-1 || e.bufs == nil {
-		return
-	}
-	cut := now.Add(-w.Span)
-	for _, b := range e.bufs {
-		b.EvictBefore(cut)
+// advance drops the history of every step cut below now − span; a cut
+// that holds only while the anchor is unbound does not apply, since the
+// anchor may already sit in a buffer.
+func (e *chainEngine) advance(now stream.Timestamp) {
+	hz := &e.def.hz
+	for i := hz.cutFrom; i < len(e.bufs); i++ {
+		e.bufs[i].EvictBefore(now.Add(-hz.span))
 	}
 }
-
-func (e *chainEngine) advance(ts stream.Timestamp) { e.evict(ts) }
 
 func (e *chainEngine) runCount() int {
 	n := 0
@@ -231,8 +222,8 @@ func (e *chainEngine) runCount() int {
 
 func (e *chainEngine) stateSize() int {
 	n := 0
-	for _, b := range e.bufs {
-		n += b.Len()
+	for i := range e.bufs {
+		n += e.bufs[i].Len()
 	}
 	for _, c := range e.chains {
 		if c == nil {

@@ -109,18 +109,6 @@ type WindowAnchor struct {
 	Following bool
 }
 
-// Covers reports whether a tuple at ts is admissible given the anchor bound
-// at anchorTS.
-func (w *WindowAnchor) Covers(anchorTS, ts stream.Timestamp) bool {
-	if w == nil {
-		return true
-	}
-	if w.Following {
-		return ts >= anchorTS && ts <= anchorTS.Add(w.Span)
-	}
-	return ts >= anchorTS.Add(-w.Span) && ts <= anchorTS
-}
-
 // Def declares a complete SEQ pattern.
 type Def struct {
 	Steps  []Step
@@ -138,6 +126,49 @@ type Def struct {
 	// deduce an eviction horizon itself), such as Example 7's
 	// "R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS".
 	ExpireAfter time.Duration
+
+	// hz is the pruning horizon Window implies, derived once by newMatcher.
+	hz horizon
+}
+
+// horizon is the pruning rule of a Def's window, derived once per Def. A
+// tuple older than now − span can join no match its window must cover
+// (SASE), so the window is also a pruning horizon. Each step's history has
+// one of three horizons: steps from cutFrom on are dead below now − span;
+// steps up to unboundTo are dead below it only while the anchor step is
+// unbound (a bound anchor may still cover them); other steps have none.
+type horizon struct {
+	span      time.Duration
+	cutFrom   int  // len(Steps) when no step is cut
+	unboundTo int  // -1 when no step is cut while unbound
+	fromLast  bool // FOLLOWING: the cut measures the anchor from LAST(anchor)
+}
+
+// deriveHorizon places the cuts:
+//
+//   - PRECEDING on the final step: every bound tuple must lie within span
+//     before a terminal tuple yet to come, so every step is cut;
+//   - PRECEDING on an earlier step k: steps up to k are cut while the
+//     anchor is unbound; once it binds, the window constrains nothing
+//     still to come;
+//   - FOLLOWING on step k: every later tuple must lie within span after
+//     LAST(k), so steps from k on are cut; a star anchor's group is dead
+//     only once its last tuple is.
+func deriveHorizon(d *Def) horizon {
+	h := horizon{cutFrom: len(d.Steps), unboundTo: -1}
+	w := d.Window
+	switch {
+	case w == nil:
+		return h
+	case w.Following:
+		h.cutFrom, h.fromLast = w.Step, true
+	case w.Step == len(d.Steps)-1:
+		h.cutFrom = 0
+	default:
+		h.unboundTo = w.Step
+	}
+	h.span = w.Span
+	return h
 }
 
 // Validate checks structural soundness of the pattern.

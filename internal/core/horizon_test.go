@@ -1,0 +1,214 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/snapshot"
+	"repro/internal/stream"
+)
+
+// The paper's OVER [.. FOLLOWING C1] form bounds SEQ history exactly as its
+// PRECEDING twin does: 10,000 unmatched C1 tuples 10 ms apart under a 1 s
+// window leave the 101 inside the last second.
+func TestFollowingWindowEvictsHistory(t *testing.T) {
+	retained := func(mode Mode, following bool) int {
+		def := seqDef(mode, "C1", "C2")
+		def.Window = &WindowAnchor{Span: time.Second, Step: 1}
+		if following {
+			def.Window = &WindowAnchor{Span: time.Second, Step: 0, Following: true}
+		}
+		m := MustMatcher(def)
+		for i := 0; i < 10000; i++ {
+			tu := mk("C1", time.Duration(i)*10*time.Millisecond, "x")
+			feed(t, m, tu)
+			m.Advance(tu.TS)
+		}
+		return m.StateSize()
+	}
+	for _, mode := range []Mode{ModeChronicle, ModeUnrestricted} {
+		pre, fol := retained(mode, false), retained(mode, true)
+		if pre != 101 || fol > pre {
+			t.Errorf("%s: FOLLOWING retains %d tuples, PRECEDING %d; want both 101", mode, fol, pre)
+		}
+	}
+}
+
+// A star anchor's FOLLOWING window is measured from its last tuple: the
+// group's first tuple falling below now - span does not end the run.
+func TestFollowingWindowStarAnchorMeasuredFromLast(t *testing.T) {
+	def := Def{
+		Steps:  []Step{{Alias: "R1", Star: true}, {Alias: "R2"}},
+		Mode:   ModeUnrestricted,
+		Window: &WindowAnchor{Span: 5 * time.Second, Step: 0, Following: true},
+	}
+	m := MustMatcher(def)
+	feed(t, m, mk("R1", 1*time.Second, "p"), mk("R1", 4*time.Second, "p"))
+	m.Advance(stream.TS(8 * time.Second))
+	wantSigs(t, feed(t, m, mk("R2", 9*time.Second, "p")), "t1,t4,t9")
+}
+
+// A chain-history body whose timestamps decrease is corrupt: loaded as is,
+// it would break the binary search eviction relies on.
+func TestLoadRejectsReversedHistory(t *testing.T) {
+	enc := snapshot.NewEncoder()
+	enc.TS(0)
+	enc.Bool(false) // unpartitioned
+	enc.Uvarint(1)  // one history buffer, for C1
+	enc.Uvarint(2)
+	enc.Tuple(mk("C1", 2*time.Second, "x"))
+	enc.Tuple(mk("C1", 1*time.Second, "x"))
+	enc.Uvarint(0) // no RECENT chains
+	enc.Uvarint(0) // no timers
+	m := MustMatcher(seqDef(ModeUnrestricted, "C1", "C2"))
+	if err := m.Load(reopen(t, enc)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("Load = %v, want ErrCorrupt", err)
+	}
+}
+
+// bruteWindow restates the window rule for a full binding (one tuple per
+// step): PRECEDING at k puts every earlier tuple within span before the
+// anchor; FOLLOWING at k puts every later tuple within span after it.
+type bruteWindow struct {
+	name      string
+	steps     int
+	anchor    int
+	following bool
+}
+
+func (w bruteWindow) admits(b []*stream.Tuple, span time.Duration) bool {
+	a := b[w.anchor].TS
+	for i, t := range b {
+		if w.following && i > w.anchor && t.TS > a.Add(span) ||
+			!w.following && i < w.anchor && t.TS < a.Add(-span) {
+			return false
+		}
+	}
+	return true
+}
+
+// bruteUnrestricted enumerates every time-ordered binding of the trace to
+// the steps by nested loops, keeping those the window admits, and returns
+// their signatures (the Seq of each bound tuple).
+func bruteUnrestricted(trace []*stream.Tuple, aliases []string, keyed bool, w bruteWindow, span time.Duration) []string {
+	var out []string
+	var walk func(b []*stream.Tuple, from int)
+	walk = func(b []*stream.Tuple, from int) {
+		if len(b) == len(aliases) {
+			if w.admits(b, span) {
+				out = append(out, seqSig(b))
+			}
+			return
+		}
+		for i := from; i < len(trace); i++ {
+			t := trace[i]
+			if t.Schema.Name() != aliases[len(b)] || keyed && len(b) > 0 && !t.Get(1).Equal(b[0].Get(1)) {
+				continue
+			}
+			walk(append(b, t), i+1)
+		}
+	}
+	walk(nil, 0)
+	slices.Sort(out)
+	return out
+}
+
+func seqSig(b []*stream.Tuple) string {
+	s := ""
+	for _, t := range b {
+		s += fmt.Sprintf("%d,", t.Seq)
+	}
+	return s
+}
+
+// TestUnrestrictedMatchesBruteForce drives small random traces through an
+// UNRESTRICTED matcher, advancing event time after every tuple (and, at
+// random, to the next tuple's time before it arrives), and compares the
+// match multiset with a nested-loop enumeration that shares no code with
+// the matcher. Eviction that dropped a live tuple would lose matches.
+func TestUnrestrictedMatchesBruteForce(t *testing.T) {
+	windows := []bruteWindow{
+		{"PRECEDING on the final step", 2, 1, false},
+		{"PRECEDING on the final of three", 3, 2, false},
+		{"PRECEDING on a middle step", 3, 1, false},
+		{"FOLLOWING on step 0", 2, 0, true},
+		{"FOLLOWING on step 0 of three", 3, 0, true},
+		{"FOLLOWING on a middle step", 3, 1, true},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, w := range windows {
+		for _, keyedRun := range []bool{false, true} {
+			aliases := []string{"C1", "C2", "C3"}[:w.steps]
+			for trial := 0; trial < 60; trial++ {
+				span := time.Duration(1+rng.Intn(4)) * time.Second
+				def := seqDef(ModeUnrestricted, aliases...)
+				def.Window = &WindowAnchor{Span: span, Step: w.anchor, Following: w.following}
+				if keyedRun {
+					def = keyed(def)
+				}
+				m := MustMatcher(def)
+				var trace []*stream.Tuple
+				var got []string
+				at := time.Duration(0)
+				for i := 0; i < 30; i++ {
+					at += time.Duration(rng.Intn(1500)) * time.Millisecond
+					tu := mk(aliases[rng.Intn(len(aliases))], at, []string{"a", "b"}[rng.Intn(2)])
+					trace = append(trace, tu)
+					if rng.Intn(2) == 0 {
+						m.Advance(tu.TS)
+					}
+					for _, match := range feed(t, m, tu) {
+						var b []*stream.Tuple
+						for _, g := range match.Groups {
+							b = append(b, g...)
+						}
+						got = append(got, seqSig(b))
+					}
+					m.Advance(tu.TS)
+				}
+				slices.Sort(got)
+				if want := bruteUnrestricted(trace, aliases, keyedRun, w, span); !slices.Equal(got, want) {
+					t.Fatalf("%s (keyed=%v, span %s) trial %d:\n got %v\nwant %v", w.name, keyedRun, span, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAdvanceFreshKeys measures the fresh-keys shape of RFID traffic,
+// where most tags are seen once: a keyed two-step CHRONICLE SEQ with a 1 s
+// PRECEDING window on the last step, K partitions pre-filled by Push
+// alone, then per op one fresh key's Push and an Advance to its time.
+// Tuples are 10 ms apart, so about 101 stay live whatever K is. Op i
+// reuses key i mod K, last seen K·10 ms earlier and far outside the
+// window, so the matcher holds K partitions however long the run.
+func BenchmarkAdvanceFreshKeys(b *testing.B) {
+	for _, k := range []int{5000, 10000, 20000, 40000} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			def := keyed(seqDef(ModeChronicle, "C1", "C2"))
+			def.Window = &WindowAnchor{Span: time.Second, Step: 1}
+			m := MustMatcher(def)
+			tuple := func(i int) *stream.Tuple {
+				return stream.MustTuple(qcSchema["C1"], stream.TS(time.Duration(i)*10*time.Millisecond),
+					stream.Str("C1"), stream.Int(int64(i%k)), stream.Null)
+			}
+			for i := 0; i < k; i++ {
+				if _, err := m.Push(tuple(i), "C1"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := k; i < k+b.N; i++ {
+				tu := tuple(i)
+				if _, err := m.Push(tu, "C1"); err != nil {
+					b.Fatal(err)
+				}
+				m.Advance(tu.TS)
+			}
+		})
+	}
+}

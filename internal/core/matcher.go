@@ -118,6 +118,7 @@ func NewMatcher(def Def) (*Matcher, error) {
 
 func newMatcher(def Def, exceptions bool) *Matcher {
 	m := &Matcher{def: def, exceptions: exceptions}
+	m.def.hz = deriveHorizon(&m.def)
 	if def.Partitioned() {
 		m.parts = make(map[uint64][]*partition)
 	} else {

@@ -190,8 +190,8 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 
 func (e *chainEngine) save(enc *snapshot.Encoder) {
 	enc.Uvarint(uint64(len(e.bufs)))
-	for _, b := range e.bufs {
-		b.Save(enc)
+	for i := range e.bufs {
+		e.bufs[i].Save(enc, (*snapshot.Encoder).Tuple)
 	}
 	enc.Uvarint(uint64(len(e.chains)))
 	for _, c := range e.chains {
@@ -210,8 +210,8 @@ func (e *chainEngine) load(dec *snapshot.Decoder) error {
 	if nb != len(e.bufs) {
 		return snapshot.Mismatchf("chain engine has %d history buffers, snapshot has %d", len(e.bufs), nb)
 	}
-	for _, b := range e.bufs {
-		if err := b.Load(dec); err != nil {
+	for i := range e.bufs {
+		if err := e.bufs[i].Load(dec, window.LoadTuple); err != nil {
 			return err
 		}
 	}

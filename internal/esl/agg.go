@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // Accumulator is one aggregate computation instance (per group, per
@@ -759,38 +760,23 @@ type aggregateOp struct {
 	win     *WindowClause
 	removal bool // all accumulators support Remove (incremental windows)
 	out     outputStage
-	fifo    winFIFO
+	fifo    winRows
 }
 
-// winFIFO is a windowed aggregate's window: its rows oldest first, each
-// with its group and the argument values eviction removes.
-type winFIFO struct {
-	ents []winEntry
-	head int
-}
+// winRows is a windowed aggregate's window: its rows, oldest first.
+type winRows struct{ window.Store[winEntry] }
 
+func (w *winRows) len() int { return w.Len() }
+
+// winEntry is one row of a windowed aggregate's window: its group and the
+// argument values eviction removes.
 type winEntry struct {
 	ts    stream.Timestamp
 	group *group
 	args  [][]stream.Value
 }
 
-func (w *winFIFO) len() int          { return len(w.ents) - w.head }
-func (w *winFIFO) live() []winEntry  { return w.ents[w.head:] }
-func (w *winFIFO) push(ent winEntry) { w.ents = append(w.ents, ent) }
-
-// pop drops the oldest row; storage compacts once the dead prefix
-// dominates.
-func (w *winFIFO) pop() winEntry {
-	ent := w.ents[w.head]
-	w.ents[w.head] = winEntry{}
-	if w.head++; w.head > 64 && w.head*2 >= len(w.ents) {
-		n := copy(w.ents, w.ents[w.head:])
-		clear(w.ents[n:])
-		w.ents, w.head = w.ents[:n], 0
-	}
-	return ent
-}
+func (ent winEntry) Time() stream.Timestamp { return ent.ts }
 
 // compileAggregate compiles a continuous aggregate over its one stream
 // source, the only entry of schemas.
@@ -857,7 +843,9 @@ func (op *aggregateOp) pushOne(f *frame, t *stream.Tuple) error {
 		return err
 	}
 	if op.win != nil {
-		op.fifo.push(winEntry{ts: t.TS, group: g, args: args})
+		if err := op.fifo.Add(winEntry{ts: t.TS, group: g, args: args}); err != nil {
+			return err
+		}
 		if err := op.evict(t.TS); err != nil {
 			return err
 		}
@@ -884,17 +872,20 @@ func (op *aggregateOp) advance(ts stream.Timestamp) error {
 // now - PRECEDING.
 func (op *aggregateOp) evict(now stream.Timestamp) error {
 	cut := now.Add(-op.win.Preceding)
-	for op.fifo.len() > 0 {
-		if op.win.Rows && op.fifo.len() <= op.win.NRows || !op.win.Rows && op.fifo.live()[0].ts >= cut {
-			return nil
+	var err error
+	n := 0
+	op.fifo.Each(func(ent winEntry) bool {
+		if op.win.Rows && op.fifo.Len()-n <= op.win.NRows || !op.win.Rows && ent.ts >= cut {
+			return false
 		}
-		ent := op.fifo.pop()
+		n++
 		if !op.removal {
-			return fmt.Errorf("esl: windowed aggregate lacks removal support")
+			err = fmt.Errorf("esl: windowed aggregate lacks removal support")
+		} else {
+			err = op.removeFromGroup(ent.group, ent.args)
 		}
-		if err := op.removeFromGroup(ent.group, ent.args); err != nil {
-			return err
-		}
-	}
-	return nil
+		return err == nil
+	})
+	op.fifo.Drop(n)
+	return err
 }

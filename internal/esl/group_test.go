@@ -152,28 +152,51 @@ func TestRestoreRejectsOverlongRowsWindow(t *testing.T) {
 // The loader rejects the other states the engine can never produce: a
 // RANGE window out of timestamp order, and a group or DISTINCT count of 0
 // or less (a cumulative group always holds a row; a multiset drops a value
-// with its last occurrence).
+// with its last occurrence). Each case returns the body to load.
 func TestOpStateLoadRejectsImpossibleState(t *testing.T) {
+	save := func(op *aggregateOp) []byte {
+		enc := snapshot.NewEncoder()
+		if err := op.saveOpState(enc); err != nil {
+			t.Fatal(err)
+		}
+		return enc.Buf
+	}
 	for _, c := range []struct {
 		name    string
 		shape   int // opStateShapes index
-		corrupt func(op *aggregateOp)
+		corrupt func(op *aggregateOp) []byte
 	}{
-		{"range out of order", 3, func(op *aggregateOp) {
-			w := op.fifo.live()
-			w[0].ts, w[len(w)-1].ts = w[len(w)-1].ts, w[0].ts
+		{"range out of order", 3, func(op *aggregateOp) []byte {
+			// The window is the body's tail: save it empty, then write
+			// its rows newest first.
+			var rows []winEntry
+			op.fifo.Each(func(r winEntry) bool { rows = append(rows, r); return true })
+			op.fifo = winRows{}
+			body := save(op)
+			enc := snapshot.Writer{Buf: body[:len(body)-1]}
+			enc.Uvarint(uint64(len(rows)))
+			for i := len(rows) - 1; i >= 0; i-- {
+				enc.TS(rows[i].ts)
+				enc.Uvarint(uint64(rows[i].group.ord))
+				for _, args := range rows[i].args {
+					enc.Values(args)
+				}
+			}
+			return enc.Buf
 		}},
-		{"cumulative group count 0", 1, func(op *aggregateOp) {
+		{"cumulative group count 0", 1, func(op *aggregateOp) []byte {
 			for _, chain := range op.groups.buckets {
 				chain[0].n = 0
 			}
+			return save(op)
 		}},
-		{"distinct count 0", 3, func(op *aggregateOp) {
+		{"distinct count 0", 3, func(op *aggregateOp) []byte {
 			for _, chain := range op.groups.buckets {
 				for _, m := range chain[0].distinct[0].buckets {
 					m[0].n = 0
 				}
 			}
+			return save(op)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -183,13 +206,7 @@ func TestOpStateLoadRejectsImpossibleState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			op := q.op.(*aggregateOp)
-			c.corrupt(op)
-			enc := snapshot.NewEncoder()
-			if err := op.saveOpState(enc); err != nil {
-				t.Fatal(err)
-			}
-			_, _, _, _, err := loadOpStateBody(t, c.shape, enc.Buf)
+			_, _, _, _, err := loadOpStateBody(t, c.shape, c.corrupt(q.op.(*aggregateOp)))
 			if !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("load: %v, want ErrCorrupt", err)
 			}

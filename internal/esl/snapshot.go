@@ -10,6 +10,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/spec"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // Durability (ties into internal/snapshot): Checkpoint serializes every
@@ -311,7 +312,7 @@ func (op *filterProjectOp) saveOpState(enc *snapshot.Encoder) error {
 	}
 	enc.Uvarint(uint64(len(op.exists)))
 	for _, ex := range op.exists {
-		ex.buffer.Save(enc)
+		ex.buffer.Save(enc, (*snapshot.Encoder).Tuple)
 	}
 	return nil
 }
@@ -347,7 +348,7 @@ func (op *filterProjectOp) loadOpState(dec *snapshot.Decoder) error {
 		return snapshot.Mismatchf("query has %d EXISTS buffers, snapshot has %d", len(op.exists), ne)
 	}
 	for _, ex := range op.exists {
-		if err := ex.buffer.Load(dec); err != nil {
+		if err := ex.buffer.Load(dec, window.LoadTuple); err != nil {
 			return err
 		}
 	}
@@ -380,14 +381,13 @@ func (op *aggregateOp) saveOpState(enc *snapshot.Encoder) error {
 	if err := op.out.save(enc); err != nil || op.win == nil {
 		return err
 	}
-	enc.Uvarint(uint64(op.fifo.len()))
-	for _, ent := range op.fifo.live() {
+	op.fifo.Save(enc, func(enc *snapshot.Encoder, ent winEntry) {
 		enc.TS(ent.ts)
 		enc.Uvarint(uint64(ent.group.ord))
 		for _, args := range ent.args {
 			enc.Values(args)
 		}
-	}
+	})
 	return nil
 }
 
@@ -418,41 +418,34 @@ func (op *aggregateOp) loadOpState(dec *snapshot.Decoder) error {
 	if err := op.out.load(dec); err != nil || op.win == nil {
 		return err
 	}
-	n, err := dec.Len()
-	if err != nil {
-		return err
-	}
-	if op.win.Rows && n > op.win.NRows {
-		return snapshot.Corruptf("ROWS %d window holds %d rows", op.win.NRows, n)
-	}
-	op.fifo = winFIFO{ents: make([]winEntry, 0, n)}
-	for i := 0; i < n; i++ {
+	err = op.fifo.Load(dec, func(dec *snapshot.Decoder) (winEntry, error) {
 		ent := winEntry{args: make([][]stream.Value, len(op.aggs))}
+		var err error
 		if ent.ts, err = dec.TS(); err != nil {
-			return err
-		}
-		if last := op.fifo.live(); !op.win.Rows && i > 0 && ent.ts < last[i-1].ts {
-			return snapshot.Corruptf("RANGE window row at %s after %s", ent.ts, last[i-1].ts)
+			return ent, err
 		}
 		gi, err := dec.Uvarint()
 		if err != nil {
-			return err
+			return ent, err
 		}
 		if gi >= uint64(len(groups)) {
-			return snapshot.Corruptf("window row references group %d of %d", gi, len(groups))
+			return ent, snapshot.Corruptf("window row references group %d of %d", gi, len(groups))
 		}
 		ent.group = groups[gi]
 		for ai, s := range op.aggs {
 			if ent.args[ai], err = dec.Values(); err != nil {
-				return err
+				return ent, err
 			}
 			if len(ent.args[ai]) != len(s.args) {
-				return snapshot.Corruptf("window row has %d arguments for a %d-argument aggregate", len(ent.args[ai]), len(s.args))
+				return ent, snapshot.Corruptf("window row has %d arguments for a %d-argument aggregate", len(ent.args[ai]), len(s.args))
 			}
 		}
-		op.fifo.push(ent)
+		return ent, nil
+	})
+	if err == nil && op.win.Rows && op.fifo.Len() > op.win.NRows {
+		err = snapshot.Corruptf("ROWS %d window holds %d rows", op.win.NRows, op.fifo.Len())
 	}
-	return nil
+	return err
 }
 
 // --- event (SEQ / EXCEPTION_SEQ / CLEVEL_SEQ) ---
@@ -532,7 +525,7 @@ func (e *Engine) saveStateLocked(enc *snapshot.Encoder) error {
 		enc.Uvarint(si.ntuples)
 		enc.Bool(si.history != nil)
 		if si.history != nil {
-			si.history.Save(enc)
+			si.history.Save(enc, (*snapshot.Encoder).Tuple)
 		}
 		enc.Uvarint(uint64(len(si.readers)))
 		for i := range si.readers {
@@ -660,7 +653,7 @@ func (e *Engine) loadStateLocked(dec *snapshot.Decoder) error {
 			return snapshot.Mismatchf("stream %s history retention=%v, snapshot=%v", key, si.history != nil, hasHist)
 		}
 		if hasHist {
-			if err := si.history.Load(dec); err != nil {
+			if err := si.history.Load(dec, window.LoadTuple); err != nil {
 				return err
 			}
 		}

@@ -57,7 +57,7 @@ func (op *filterProjectOp) stateSize() int {
 
 func (op *filterProjectOp) kind() string { return "transducer" }
 
-func (op *aggregateOp) stateSize() int { return op.fifo.len() + op.groups.n }
+func (op *aggregateOp) stateSize() int { return op.fifo.Len() + op.groups.n }
 
 func (op *aggregateOp) kind() string { return "aggregate" }
 

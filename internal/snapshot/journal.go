@@ -15,8 +15,9 @@
 //	          lsn   uvarint     ┐
 //	          body  bytes       ┘ the CRC'd region
 //
-// Segments rotate at a size threshold so old prefixes can be pruned after a
-// newer snapshot covers them. A torn final record (crash mid-append) is
+// Segments rotate at a size threshold, so a prefix a newer snapshot covers
+// could be deleted segment by segment; nothing prunes them yet, and the
+// journal grows until an operator removes old segments. A torn final record (crash mid-append) is
 // detected by the CRC and treated as end-of-log; corruption anywhere before
 // the tail is a typed error.
 package snapshot

@@ -113,3 +113,6 @@ func Of(t *Tuple) Item { return Item{Tuple: t, TS: t.TS} }
 
 // IsHeartbeat reports whether the item carries no tuple.
 func (it Item) IsHeartbeat() bool { return it.Tuple == nil }
+
+// Time returns the tuple's event time, ordering it in a window.Store.
+func (t *Tuple) Time() Timestamp { return t.TS }

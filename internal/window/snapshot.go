@@ -1,88 +1,52 @@
 package window
 
 import (
+	"slices"
+
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
-// Save serializes the retained tuples (live region only — the evicted
-// prefix is dead state).
-func (b *TimeBuffer) Save(enc *snapshot.Encoder) {
-	live := b.items[b.start:]
+// Save writes the retained elements oldest-first, each with save (the
+// evicted prefix is dead state).
+func (s *Store[E]) Save(enc *snapshot.Encoder, save func(*snapshot.Encoder, E)) {
+	live := s.items[s.start:]
 	enc.Uvarint(uint64(len(live)))
-	for _, t := range live {
-		enc.Tuple(t)
+	for _, e := range live {
+		save(enc, e)
 	}
 }
 
-// Load replaces the buffer contents with the serialized tuples, preserving
-// their encoded order (which Save wrote oldest-first).
-func (b *TimeBuffer) Load(dec *snapshot.Decoder) error {
+// Load replaces the contents with elements decoded by load. Times that
+// decrease are corrupt: they would break the binary search behind
+// EvictBefore and EachInRange.
+func (s *Store[E]) Load(dec *snapshot.Decoder, load func(*snapshot.Decoder) (E, error)) error {
 	n, err := dec.Len()
 	if err != nil {
 		return err
 	}
-	b.Clear()
-	if cap(b.items) < n {
-		b.items = make([]*stream.Tuple, 0, n)
-	}
+	clear(s.items)
+	s.items, s.start = slices.Grow(s.items[:0], n), 0
 	for i := 0; i < n; i++ {
-		t, err := dec.Tuple()
+		e, err := load(dec)
 		if err != nil {
 			return err
 		}
-		if t == nil {
-			return snapshot.Corruptf("nil tuple in time buffer")
+		if err := s.Add(e); err != nil {
+			return snapshot.Corruptf("%v", err)
 		}
-		// Append directly: a snapshot taken from a live buffer is already in
-		// joint-history order, and Add's order check would reject legitimate
-		// equal-timestamp reloads of removed-then-compacted state only on
-		// corrupt input, which the caller-level checks already cover.
-		b.items = append(b.items, t)
 	}
 	return nil
 }
 
-// Save serializes the ring contents oldest-first plus the capacity for
-// shape verification.
-func (b *RowBuffer) Save(enc *snapshot.Encoder) {
-	enc.Uvarint(uint64(len(b.ring)))
-	enc.Uvarint(uint64(b.count))
-	b.Each(func(t *stream.Tuple) bool {
-		enc.Tuple(t)
-		return true
-	})
-}
-
-// Load restores the ring; the capacity must match the compiled window.
-func (b *RowBuffer) Load(dec *snapshot.Decoder) error {
-	capN, err := dec.Len()
-	if err != nil {
-		return err
+// LoadTuple decodes one tuple element for Load; a nil tuple is
+// corrupt. (*snapshot.Encoder).Tuple is its Save counterpart.
+func LoadTuple(dec *snapshot.Decoder) (*stream.Tuple, error) {
+	t, err := dec.Tuple()
+	if err == nil && t == nil {
+		err = snapshot.Corruptf("nil tuple in time buffer")
 	}
-	if capN != len(b.ring) {
-		return snapshot.Mismatchf("ROWS window capacity %d, snapshot has %d", len(b.ring), capN)
-	}
-	count, err := dec.Len()
-	if err != nil {
-		return err
-	}
-	if count > capN {
-		return snapshot.Corruptf("ROWS window count %d exceeds capacity %d", count, capN)
-	}
-	for i := range b.ring {
-		b.ring[i] = nil
-	}
-	b.head = 0
-	b.count = 0
-	for i := 0; i < count; i++ {
-		t, err := dec.Tuple()
-		if err != nil {
-			return err
-		}
-		b.Add(t)
-	}
-	return nil
+	return t, err
 }
 
 // Seq exposes the timer's schedule ordinal so matchers can persist

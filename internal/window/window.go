@@ -1,263 +1,143 @@
-// Package window implements the sliding-window machinery of ESL-EV:
-// time-range (RANGE ... PRECEDING / FOLLOWING / PRECEDING AND FOLLOWING) and
-// row-count buffers, plus the earliest-deadline timer queue that provides
-// Active Expiration semantics — windows whose expiry must be detected even
-// when no new tuple arrives (§3.1.3 of the paper).
+// Package window holds the time-ordered state of ESL-EV's windowed
+// operators: Store, one slice-backed buffer kept in event-time order that
+// evicts below a horizon and scans a time range, and Timers, the
+// earliest-deadline queue behind Active Expiration — windows whose expiry
+// must be detected even when no new tuple arrives (§3.1.3 of the paper).
 package window
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/stream"
 )
 
-// ErrOutOfOrder reports an attempt to add a tuple behind the buffer's
-// newest retained timestamp. The engine feeds buffers in joint-history
+// ErrOutOfOrder reports an attempt to add an element behind the store's
+// newest retained timestamp. The engine feeds stores in joint-history
 // order, so callers surface this as an internal consistency error rather
 // than a data error; it is a returned error (not a panic) so one corrupted
 // query can be quarantined without taking the process down.
 var ErrOutOfOrder = errors.New("window: out-of-order add")
 
-// ErrBadSize reports a non-positive ROWS window extent.
-var ErrBadSize = errors.New("window: RowBuffer size must be positive")
+// Timed is an element a Store keeps in event-time order.
+type Timed interface{ Time() stream.Timestamp }
 
-// Spec declares a sliding window as written in ESL-EV. For RANGE windows
-// the extent is a time span around the anchor tuple; for ROWS windows it is
-// a count of most-recent rows. Anchor names which event in a multi-stream
-// operator the window is measured from (e.g. OVER [1 HOURS FOLLOWING A2]).
-type Spec struct {
-	Rows      bool          // ROWS window (count-based) instead of RANGE
-	NRows     int           // extent for ROWS windows
-	Preceding time.Duration // span before the anchor (0 = none)
-	Following time.Duration // span after the anchor (0 = none)
-	Anchor    string        // anchoring stream/alias; "" = current tuple
-}
-
-// IsZero reports whether no window was specified.
-func (s Spec) IsZero() bool {
-	return !s.Rows && s.NRows == 0 && s.Preceding == 0 && s.Following == 0 && s.Anchor == ""
-}
-
-// Bounds returns the inclusive event-time range covered by the window when
-// anchored at ts.
-func (s Spec) Bounds(ts stream.Timestamp) (lo, hi stream.Timestamp) {
-	return ts.Add(-s.Preceding), ts.Add(s.Following)
-}
-
-// String renders the spec in the paper's OVER [...] notation.
-func (s Spec) String() string {
-	if s.Rows {
-		return fmt.Sprintf("[%d ROWS PRECEDING %s]", s.NRows, anchorName(s.Anchor))
-	}
-	switch {
-	case s.Preceding > 0 && s.Following > 0:
-		return fmt.Sprintf("[%s PRECEDING AND FOLLOWING %s]", fmtDur(s.Preceding), anchorName(s.Anchor))
-	case s.Following > 0:
-		return fmt.Sprintf("[%s FOLLOWING %s]", fmtDur(s.Following), anchorName(s.Anchor))
-	default:
-		return fmt.Sprintf("[%s PRECEDING %s]", fmtDur(s.Preceding), anchorName(s.Anchor))
-	}
-}
-
-func anchorName(a string) string {
-	if a == "" {
-		return "CURRENT"
-	}
-	return a
-}
-
-// fmtDur renders a duration in the paper's unit spelling when it is a whole
-// number of a standard unit.
-func fmtDur(d time.Duration) string {
-	type unit struct {
-		d    time.Duration
-		name string
-	}
-	for _, u := range []unit{{time.Hour, "HOURS"}, {time.Minute, "MINUTES"}, {time.Second, "SECONDS"}, {time.Millisecond, "MILLISECONDS"}} {
-		if d >= u.d && d%u.d == 0 {
-			return fmt.Sprintf("%d %s", d/u.d, u.name)
-		}
-	}
-	return d.String()
-}
-
-// TimeBuffer retains tuples of one stream ordered by event time, supporting
-// range scans and watermark-driven eviction. Tuples must be added in joint
-// history order (non-decreasing TS; ties by Seq), which the engine
-// guarantees. Eviction is amortized O(1) per tuple.
-type TimeBuffer struct {
-	items []*stream.Tuple
+// Store retains elements ordered by event time: the history of a stream or
+// of a SEQ step, a windowed EXISTS buffer, a windowed aggregate's rows.
+// Elements must be added in non-decreasing Time order, which the engine
+// guarantees. Eviction and range scans binary-search the cut, and storage
+// compacts once the evicted prefix dominates, so eviction is amortized
+// O(1) per element.
+type Store[E Timed] struct {
+	items []E
 	start int
 }
 
-// Add appends a tuple. It returns ErrOutOfOrder if order is violated, which
+// TimeBuffer is the store of tuples.
+type TimeBuffer = Store[*stream.Tuple]
+
+// Add appends e. It returns ErrOutOfOrder if order is violated, which
 // indicates an engine bug upstream, not a data error.
-func (b *TimeBuffer) Add(t *stream.Tuple) error {
-	if n := b.len(); n > 0 {
-		last := b.items[len(b.items)-1]
-		if t.TS < last.TS {
-			return fmt.Errorf("%w: %s after %s", ErrOutOfOrder, t.TS, last.TS)
+func (s *Store[E]) Add(e E) error {
+	if n := len(s.items); n > s.start {
+		if last := s.items[n-1].Time(); e.Time() < last {
+			return fmt.Errorf("%w: %s after %s", ErrOutOfOrder, e.Time(), last)
 		}
 	}
-	b.items = append(b.items, t)
+	s.items = append(s.items, e)
 	return nil
 }
 
-func (b *TimeBuffer) len() int { return len(b.items) - b.start }
+// Len returns the number of retained elements.
+func (s *Store[E]) Len() int { return len(s.items) - s.start }
 
-// Len returns the number of retained tuples.
-func (b *TimeBuffer) Len() int { return b.len() }
-
-// EvictBefore drops all tuples with TS strictly before ts and returns how
-// many were dropped. The eviction cut is found by binary search, so one
-// call at a batch boundary costs O(log n + evicted) rather than a linear
-// probe per tuple. Storage is compacted once the dead prefix dominates.
-func (b *TimeBuffer) EvictBefore(ts stream.Timestamp) int {
-	live := b.items[b.start:]
-	// First retained index: the earliest tuple with TS >= ts.
+// before returns how many retained elements lie strictly before ts.
+func (s *Store[E]) before(ts stream.Timestamp) int {
+	live := s.items[s.start:]
 	i, j := 0, len(live)
 	for i < j {
 		m := (i + j) >> 1
-		if live[m].TS < ts {
+		if live[m].Time() < ts {
 			i = m + 1
 		} else {
 			j = m
 		}
-	}
-	for k := 0; k < i; k++ {
-		live[k] = nil // release for GC
-	}
-	b.start += i
-	if b.start > 64 && b.start*2 >= len(b.items) {
-		b.items = append(b.items[:0], b.items[b.start:]...)
-		b.start = 0
 	}
 	return i
 }
 
-// Each visits retained tuples oldest-first; fn returning false stops.
-func (b *TimeBuffer) Each(fn func(*stream.Tuple) bool) {
-	for _, t := range b.items[b.start:] {
-		if !fn(t) {
+// EvictBefore drops all elements strictly before ts and returns how many
+// were dropped. One call costs O(log n + evicted), and O(1) when nothing
+// is due, the common case when a matcher advances every partition.
+func (s *Store[E]) EvictBefore(ts stream.Timestamp) int {
+	if s.start == len(s.items) || s.items[s.start].Time() >= ts {
+		return 0
+	}
+	n := s.before(ts)
+	s.Drop(n)
+	return n
+}
+
+// Drop removes the n oldest elements.
+func (s *Store[E]) Drop(n int) {
+	clear(s.items[s.start : s.start+n])
+	s.start += n
+	s.compact()
+}
+
+// compact moves the live region to the front once the dead prefix
+// dominates the backing array.
+func (s *Store[E]) compact() {
+	if s.start > 64 && s.start*2 >= len(s.items) {
+		n := copy(s.items, s.items[s.start:])
+		clear(s.items[n:])
+		s.items, s.start = s.items[:n], 0
+	}
+}
+
+// Each visits retained elements oldest-first; fn returning false stops.
+func (s *Store[E]) Each(fn func(E) bool) {
+	for _, e := range s.items[s.start:] {
+		if !fn(e) {
 			return
 		}
 	}
 }
 
-// EachInRange visits tuples with lo <= TS <= hi oldest-first.
-func (b *TimeBuffer) EachInRange(lo, hi stream.Timestamp, fn func(*stream.Tuple) bool) {
-	live := b.items[b.start:]
-	// Binary search for the first tuple at or after lo.
-	i, j := 0, len(live)
-	for i < j {
-		m := (i + j) / 2
-		if live[m].TS < lo {
-			i = m + 1
+// EachInRange visits elements with lo <= Time <= hi oldest-first; fn
+// returning false stops.
+func (s *Store[E]) EachInRange(lo, hi stream.Timestamp, fn func(E) bool) {
+	for _, e := range s.items[s.start+s.before(lo):] {
+		if e.Time() > hi || !fn(e) {
+			return
+		}
+	}
+}
+
+// Remove deletes the oldest element match accepts and reports whether
+// there was one. It supports CHRONICLE consumption, where matched tuples
+// leave the history; the consumed tuple is the earliest qualifying one,
+// so Remove shifts whichever side of it is shorter.
+func (s *Store[E]) Remove(match func(E) bool) bool {
+	var zero E
+	for i := s.start; i < len(s.items); i++ {
+		if !match(s.items[i]) {
+			continue
+		}
+		if end := len(s.items) - 1; i-s.start < end-i {
+			copy(s.items[s.start+1:i+1], s.items[s.start:i])
+			s.items[s.start] = zero
+			s.start++
+			s.compact()
 		} else {
-			j = m
+			copy(s.items[i:], s.items[i+1:])
+			s.items[end] = zero
+			s.items = s.items[:end]
 		}
-	}
-	for ; i < len(live) && live[i].TS <= hi; i++ {
-		if !fn(live[i]) {
-			return
-		}
-	}
-}
-
-// EachNewestFirst visits retained tuples newest-first.
-func (b *TimeBuffer) EachNewestFirst(fn func(*stream.Tuple) bool) {
-	for i := len(b.items) - 1; i >= b.start; i-- {
-		if !fn(b.items[i]) {
-			return
-		}
-	}
-}
-
-// Oldest returns the earliest retained tuple, or nil when empty.
-func (b *TimeBuffer) Oldest() *stream.Tuple {
-	if b.len() == 0 {
-		return nil
-	}
-	return b.items[b.start]
-}
-
-// Newest returns the latest retained tuple, or nil when empty.
-func (b *TimeBuffer) Newest() *stream.Tuple {
-	if b.len() == 0 {
-		return nil
-	}
-	return b.items[len(b.items)-1]
-}
-
-// Remove deletes one specific tuple (identity match) from the buffer; it
-// supports CHRONICLE-mode consumption, where participating tuples leave the
-// history once matched. Returns whether the tuple was present.
-func (b *TimeBuffer) Remove(t *stream.Tuple) bool {
-	live := b.items[b.start:]
-	for i, x := range live {
-		if x == t {
-			copy(live[i:], live[i+1:])
-			b.items = b.items[:len(b.items)-1]
-			return true
-		}
+		return true
 	}
 	return false
-}
-
-// Clear drops all retained tuples.
-func (b *TimeBuffer) Clear() {
-	b.items = b.items[:0]
-	b.start = 0
-}
-
-// RowBuffer retains the most recent N tuples of one stream (ROWS windows)
-// in a ring.
-type RowBuffer struct {
-	ring  []*stream.Tuple
-	head  int // next write position
-	count int
-}
-
-// NewRowBuffer builds a buffer holding up to n rows; it returns ErrBadSize
-// when n is not positive.
-func NewRowBuffer(n int) (*RowBuffer, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadSize, n)
-	}
-	return &RowBuffer{ring: make([]*stream.Tuple, n)}, nil
-}
-
-// Add appends a tuple, evicting the oldest when full. It returns the
-// evicted tuple, if any.
-func (b *RowBuffer) Add(t *stream.Tuple) *stream.Tuple {
-	var evicted *stream.Tuple
-	if b.count == len(b.ring) {
-		evicted = b.ring[b.head]
-	} else {
-		b.count++
-	}
-	b.ring[b.head] = t
-	b.head = (b.head + 1) % len(b.ring)
-	return evicted
-}
-
-// Len returns the number of retained rows.
-func (b *RowBuffer) Len() int { return b.count }
-
-// Each visits retained tuples oldest-first.
-func (b *RowBuffer) Each(fn func(*stream.Tuple) bool) {
-	start := b.head - b.count
-	if start < 0 {
-		start += len(b.ring)
-	}
-	for i := 0; i < b.count; i++ {
-		if !fn(b.ring[(start+i)%len(b.ring)]) {
-			return
-		}
-	}
 }
 
 // Timer is one scheduled expiration: fire At with an opaque payload.

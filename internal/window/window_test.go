@@ -24,27 +24,20 @@ func mustAdd(t *testing.T, b *TimeBuffer, tu *stream.Tuple) {
 	}
 }
 
-func TestSpecBoundsAndString(t *testing.T) {
-	s := Spec{Preceding: time.Minute, Following: time.Minute, Anchor: "person"}
-	lo, hi := s.Bounds(stream.TS(10 * time.Minute))
-	if lo != stream.TS(9*time.Minute) || hi != stream.TS(11*time.Minute) {
-		t.Errorf("Bounds = %v..%v", lo, hi)
+// tuples lists a buffer's contents oldest-first.
+func tuples(b *TimeBuffer) []*stream.Tuple {
+	var out []*stream.Tuple
+	b.Each(func(tu *stream.Tuple) bool { out = append(out, tu); return true })
+	return out
+}
+
+// times lists a buffer's timestamps oldest-first.
+func times(b *TimeBuffer) []stream.Timestamp {
+	var out []stream.Timestamp
+	for _, tu := range tuples(b) {
+		out = append(out, tu.TS)
 	}
-	if got := s.String(); got != "[1 MINUTES PRECEDING AND FOLLOWING person]" {
-		t.Errorf("String = %q", got)
-	}
-	if got := (Spec{Preceding: 30 * time.Minute, Anchor: "C4"}).String(); got != "[30 MINUTES PRECEDING C4]" {
-		t.Errorf("String = %q", got)
-	}
-	if got := (Spec{Following: time.Hour, Anchor: "A1"}).String(); got != "[1 HOURS FOLLOWING A1]" {
-		t.Errorf("String = %q", got)
-	}
-	if got := (Spec{Rows: true, NRows: 5}).String(); got != "[5 ROWS PRECEDING CURRENT]" {
-		t.Errorf("String = %q", got)
-	}
-	if !(Spec{}).IsZero() || (Spec{Preceding: 1}).IsZero() {
-		t.Error("IsZero wrong")
-	}
+	return out
 }
 
 func TestTimeBufferEvictAndRange(t *testing.T) {
@@ -58,8 +51,8 @@ func TestTimeBufferEvictAndRange(t *testing.T) {
 	if n := b.EvictBefore(stream.TS(4 * time.Second)); n != 4 {
 		t.Fatalf("evicted %d, want 4", n)
 	}
-	if b.Len() != 6 || b.Oldest().TS != stream.TS(4*time.Second) || b.Newest().TS != stream.TS(9*time.Second) {
-		t.Fatalf("post-evict state wrong: len=%d", b.Len())
+	if got := times(&b); len(got) != 6 || got[0] != stream.TS(4*time.Second) || got[5] != stream.TS(9*time.Second) {
+		t.Fatalf("post-evict state wrong: %v", got)
 	}
 	var seen []stream.Timestamp
 	b.EachInRange(stream.TS(5*time.Second), stream.TS(7*time.Second), func(tu *stream.Tuple) bool {
@@ -75,11 +68,11 @@ func TestTimeBufferEvictAndRange(t *testing.T) {
 	if count != 2 {
 		t.Errorf("Each early stop visited %d", count)
 	}
-	// Newest-first order.
-	var rev []stream.Timestamp
-	b.EachNewestFirst(func(tu *stream.Tuple) bool { rev = append(rev, tu.TS); return true })
-	if rev[0] != stream.TS(9*time.Second) || rev[len(rev)-1] != stream.TS(4*time.Second) {
-		t.Errorf("newest-first order wrong: %v", rev)
+	// Early stop inside a range.
+	count = 0
+	b.EachInRange(stream.TS(5*time.Second), stream.TS(9*time.Second), func(*stream.Tuple) bool { count++; return false })
+	if count != 1 {
+		t.Errorf("EachInRange early stop visited %d", count)
 	}
 }
 
@@ -89,18 +82,21 @@ func TestTimeBufferRemoveAndClear(t *testing.T) {
 	mustAdd(t, &b, t1)
 	mustAdd(t, &b, t2)
 	mustAdd(t, &b, t3)
-	if !b.Remove(t2) {
+	is := func(x *stream.Tuple) func(*stream.Tuple) bool {
+		return func(y *stream.Tuple) bool { return y == x }
+	}
+	if !b.Remove(is(t2)) {
 		t.Fatal("Remove(t2) failed")
 	}
-	if b.Remove(t2) {
+	if b.Remove(is(t2)) {
 		t.Fatal("double Remove should fail")
 	}
-	if b.Len() != 2 || b.Oldest() != t1 || b.Newest() != t3 {
+	if got := tuples(&b); len(got) != 2 || got[0] != t1 || got[1] != t3 {
 		t.Fatal("buffer corrupted after Remove")
 	}
-	b.Clear()
-	if b.Len() != 0 || b.Oldest() != nil || b.Newest() != nil {
-		t.Fatal("Clear failed")
+	b.Drop(b.Len())
+	if b.Len() != 0 || len(tuples(&b)) != 0 {
+		t.Fatal("Drop of every element failed")
 	}
 }
 
@@ -169,41 +165,6 @@ func TestTimeBufferEvictionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRowBuffer(t *testing.T) {
-	b, err := NewRowBuffer(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evicted []*stream.Tuple
-	for i := 0; i < 5; i++ {
-		if ev := b.Add(at(time.Duration(i)*time.Second, "t")); ev != nil {
-			evicted = append(evicted, ev)
-		}
-	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if len(evicted) != 2 || evicted[0].TS != 0 || evicted[1].TS != stream.TS(time.Second) {
-		t.Fatalf("evicted = %v", evicted)
-	}
-	var order []stream.Timestamp
-	b.Each(func(tu *stream.Tuple) bool { order = append(order, tu.TS); return true })
-	want := []stream.Timestamp{stream.TS(2 * time.Second), stream.TS(3 * time.Second), stream.TS(4 * time.Second)}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
-func TestRowBufferZeroSizeRejected(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		if _, err := NewRowBuffer(n); !errors.Is(err, ErrBadSize) {
-			t.Errorf("NewRowBuffer(%d) err = %v, want ErrBadSize", n, err)
-		}
 	}
 }
 
@@ -299,8 +260,8 @@ func TestTimeBufferBinarySearchCut(t *testing.T) {
 			if b.Len() != len(ref) {
 				t.Fatalf("trial %d: Len = %d, want %d", trial, b.Len(), len(ref))
 			}
-			if len(ref) > 0 && b.Oldest() != ref[0] {
-				t.Fatalf("trial %d: Oldest mismatch after cut at %s", trial, cut)
+			if len(ref) > 0 && tuples(b)[0] != ref[0] {
+				t.Fatalf("trial %d: oldest mismatch after cut at %s", trial, cut)
 			}
 		}
 	}
@@ -316,8 +277,8 @@ func TestTimeBufferEvictAtDuplicateBoundary(t *testing.T) {
 	if n := b.EvictBefore(stream.TS(time.Second)); n != 1 {
 		t.Fatalf("dropped %d, want 1", n)
 	}
-	if b.Len() != 4 || b.Oldest().TS != stream.TS(time.Second) {
-		t.Fatalf("kept %d oldest %s", b.Len(), b.Oldest().TS)
+	if got := times(b); len(got) != 4 || got[0] != stream.TS(time.Second) {
+		t.Fatalf("kept %v", got)
 	}
 	if n := b.EvictBefore(stream.TS(3 * time.Second)); n != 4 {
 		t.Fatalf("dropped %d, want 4", n)
