@@ -23,8 +23,8 @@ test:
 # for a few seconds per target, so every decoder of outside input — snapshot
 # bodies, journal records and segments, wire frames, MVCC table sections,
 # matcher state, query operator state, query text through parser, planner
-# and expression compiler — sees fresh hostile input on every run. -fuzz
-# takes one target per run.
+# and expression compiler, EPC codes and patterns — sees fresh hostile input
+# on every run. -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 5s ./internal/esl
 	$(GO) test -run '^$$' -fuzz '^FuzzOpStateLoad$$' -fuzztime 5s ./internal/esl
@@ -34,6 +34,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzTableLoad$$' -fuzztime 5s ./internal/db
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherLoad$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEPC$$' -fuzztime 5s ./internal/epc
 
 # Fault-injection soak: 1M events through the serial and sharded engines
 # with disorder, duplication, corruption, late tuples, and injected UDF

@@ -22,21 +22,41 @@ type Code struct {
 // Parse splits a dotted EPC code, accepting the "urn:epc:id:" URI prefix.
 // Codes must have at least two non-empty segments.
 func Parse(s string) (Code, error) {
-	s = strings.TrimPrefix(s, "urn:epc:id:sgtin:")
-	s = strings.TrimPrefix(s, "urn:epc:id:")
+	s, err := dotted(s)
+	if err != nil {
+		return Code{}, err
+	}
+	return Code{Segments: strings.Split(s, ".")}, nil
+}
+
+// dotted trims the URI prefix from a code and checks what Parse requires of
+// the dotted rest without splitting it, so the extractors read segments in
+// place and allocate nothing for a well-formed code.
+func dotted(s string) (string, error) {
+	s = trimURI(s)
 	if s == "" {
-		return Code{}, fmt.Errorf("epc: empty code")
+		return "", fmt.Errorf("epc: empty code")
 	}
-	segs := strings.Split(s, ".")
-	if len(segs) < 2 {
-		return Code{}, fmt.Errorf("epc: code %q needs at least 2 dotted segments", s)
+	if strings.IndexByte(s, '.') < 0 {
+		return "", fmt.Errorf("epc: code %q needs at least 2 dotted segments", s)
 	}
-	for i, seg := range segs {
+	rest := s
+	for i := 0; ; i++ {
+		seg, tail, more := strings.Cut(rest, ".")
 		if seg == "" {
-			return Code{}, fmt.Errorf("epc: code %q has empty segment %d", s, i)
+			return "", fmt.Errorf("epc: code %q has empty segment %d", s, i)
 		}
+		if !more {
+			return s, nil
+		}
+		rest = tail
 	}
-	return Code{Segments: segs}, nil
+}
+
+// trimURI drops the EPC identity URI prefix a code may carry.
+func trimURI(s string) string {
+	s = strings.TrimPrefix(s, "urn:epc:id:sgtin:")
+	return strings.TrimPrefix(s, "urn:epc:id:")
 }
 
 // Format builds the canonical three-field code used throughout the paper.
@@ -77,33 +97,37 @@ func (c Code) SerialInt() (int64, bool) {
 // error for malformed codes or non-numeric serials, which the query layer
 // surfaces as NULL.
 func ExtractSerial(code string) (int64, error) {
-	c, err := Parse(code)
+	s, err := dotted(code)
 	if err != nil {
 		return 0, err
 	}
-	n, ok := c.SerialInt()
-	if !ok {
-		return 0, fmt.Errorf("epc: serial %q of code %q is not numeric", c.Serial(), code)
+	serial := s[strings.LastIndexByte(s, '.')+1:]
+	n, err := strconv.ParseInt(serial, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("epc: serial %q of code %q is not numeric", serial, code)
 	}
 	return n, nil
 }
 
 // ExtractCompany returns the company segment of a dotted EPC string.
 func ExtractCompany(code string) (string, error) {
-	c, err := Parse(code)
+	s, err := dotted(code)
 	if err != nil {
 		return "", err
 	}
-	return c.Company(), nil
+	company, _, _ := strings.Cut(s, ".")
+	return company, nil
 }
 
 // ExtractProduct returns the product segment of a dotted EPC string.
 func ExtractProduct(code string) (string, error) {
-	c, err := Parse(code)
+	s, err := dotted(code)
 	if err != nil {
 		return "", err
 	}
-	return c.Product(), nil
+	_, rest, _ := strings.Cut(s, ".")
+	product, _, _ := strings.Cut(rest, ".")
+	return product, nil
 }
 
 // segMatcher matches one dotted segment of a pattern.
@@ -172,22 +196,20 @@ func CompilePattern(pat string) (*Pattern, error) {
 func (p *Pattern) String() string { return p.src }
 
 // Match reports whether the dotted code string matches the pattern.
-// Malformed codes simply do not match.
+// Malformed codes simply do not match. It walks the code in place, so a
+// call allocates nothing.
 func (p *Pattern) Match(code string) bool {
-	c, err := Parse(code)
-	if err != nil {
-		return false
+	s := trimURI(code)
+	if len(p.segs) < 2 {
+		return false // a code has at least two segments
 	}
-	return p.MatchCode(c)
-}
-
-// MatchCode reports whether a parsed code matches the pattern.
-func (p *Pattern) MatchCode(c Code) bool {
-	if len(c.Segments) != len(p.segs) {
-		return false
-	}
+	last := len(p.segs) - 1
 	for i, m := range p.segs {
-		seg := c.Segments[i]
+		seg, rest, more := strings.Cut(s, ".")
+		if seg == "" || more != (i < last) {
+			return false
+		}
+		s = rest
 		switch m.kind {
 		case segStar:
 			// any segment
@@ -196,11 +218,31 @@ func (p *Pattern) MatchCode(c Code) bool {
 				return false
 			}
 		case segRange:
-			n, err := strconv.ParseInt(seg, 10, 64)
-			if err != nil || n < m.lo || n > m.hi {
+			n, ok := parseDecimal(seg)
+			if !ok || n < m.lo || n > m.hi {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// parseDecimal is strconv.ParseInt(s, 10, 64) with the syntax checked
+// first, so a non-numeric segment is refused without the error value
+// ParseInt allocates.
+func parseDecimal(s string) (int64, bool) {
+	digits := s
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseInt(s, 10, 64) // fails only on overflow now
+	return n, err == nil
 }

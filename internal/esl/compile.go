@@ -5,9 +5,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/core"
-	"repro/internal/epc"
 	"repro/internal/stream"
 )
 
@@ -26,7 +26,9 @@ import (
 // first — to a (depth, slot, position) triple, so evaluation never looks a
 // name up. An unknown column or qualifier is a registration error; functions
 // stay resolved per call, so a UDF re-registered after a query still takes
-// effect.
+// effect. A function's entry may bind a call site's literal arguments at
+// registration (epc_match compiles a constant pattern once); that prepared
+// form runs only while the name still resolves to that entry.
 //
 // A frame is one evaluation's bindings: a value row per slot (a tuple's
 // values, a table row, or nil for an unbound step, which reads as NULLs),
@@ -523,8 +525,11 @@ func compileBetween(n *Between, sc *scope) (evalFn, error) {
 }
 
 // compileCall compiles an aggregate call site the scope's frames answer, or
-// a scalar function call. Scalar functions resolve by name on every call; a
-// constant epc_match pattern must compile at registration.
+// a scalar function call. Scalar functions resolve by name on every call.
+// When the entry the name resolves to at registration prepares this call
+// site's literal arguments, a call runs the prepared form while the name
+// still resolves to that entry, and the generic path once a registration
+// replaced it.
 func compileCall(n *Call, sc *scope) (evalFn, error) {
 	for s, depth := sc, 0; s != nil; s, depth = s.parent, depth+1 {
 		if idx, ok := s.aggs[n]; ok {
@@ -538,22 +543,13 @@ func compileCall(n *Call, sc *scope) (evalFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.EqualFold(n.Name, "epc_match") && len(n.Args) == 2 {
-		if lit, ok := n.Args[1].(*Literal); ok {
-			if pat, isStr := lit.Val.AsString(); isStr {
-				if _, err := epc.CompilePattern(pat); err != nil {
-					return nil, fmt.Errorf("esl: epc_match pattern: %v", err)
-				}
-			}
-		}
-	}
 	reg := sc.funcs
 	if reg == nil {
 		reg = builtinFuncs
 	}
 	name, upper := n.Name, strings.ToUpper(n.Name)
-	return func(f *frame) (stream.Value, error) {
-		fn, ok := reg.funcs[upper]
+	generic := func(f *frame) (stream.Value, error) {
+		ent, ok := reg.funcs[upper]
 		if !ok {
 			return stream.Null, fmt.Errorf("esl: unknown function %s", name)
 		}
@@ -561,11 +557,45 @@ func compileCall(n *Call, sc *scope) (evalFn, error) {
 		if err != nil {
 			return stream.Null, err
 		}
-		v, err := fn(vals)
+		v, err := ent.fn(vals)
 		if err != nil {
 			// Scalar UDF failures yield NULL (malformed EPC codes etc.), so a
 			// single bad tag does not kill a continuous query.
 			return stream.Null, nil
+		}
+		return v, nil
+	}
+	ent := reg.funcs[upper]
+	if ent == nil || ent.prepare == nil {
+		return generic, nil
+	}
+	lits := make([]*stream.Value, len(n.Args))
+	var free []int
+	for i, a := range n.Args {
+		if lit, ok := a.(*Literal); ok {
+			lits[i] = &lit.Val
+		} else {
+			free = append(free, i)
+		}
+	}
+	bound, err := ent.prepare(lits)
+	if err != nil {
+		return nil, err
+	}
+	if bound == nil || len(free) != 1 {
+		return generic, nil
+	}
+	arg := args[free[0]]
+	return func(f *frame) (stream.Value, error) {
+		if reg.funcs[upper] != ent {
+			return generic(f)
+		}
+		v, err := arg(f)
+		if err != nil {
+			return stream.Null, err
+		}
+		if v, err = bound(v); err != nil {
+			return stream.Null, nil // as on the generic path
 		}
 		return v, nil
 	}, nil
@@ -876,23 +906,28 @@ func arith(op string, l, r stream.Value) (stream.Value, error) {
 	return stream.Null, fmt.Errorf("esl: unknown arithmetic op %q", op)
 }
 
-// likeMatch implements SQL LIKE: % matches any run, _ one character.
+// likeMatch implements SQL LIKE: % matches any run, _ one character (one
+// UTF-8 rune; a byte that starts no valid rune counts as one character).
+// A % in the pattern is always the wildcard, also where the text has one.
 func likeMatch(s, pat string) bool {
 	// Iterative two-pointer matcher with backtracking on the last %.
 	si, pi := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(pat) && pat[pi] == '%':
 			star = pi
 			mark = si
 			pi++
+		case pi < len(pat) && pat[pi] == '_':
+			si += runeLen(s[si:])
+			pi++
+		case pi < len(pat) && pat[pi] == s[si]:
+			si++
+			pi++
 		case star >= 0:
 			pi = star + 1
-			mark++
+			mark += runeLen(s[mark:])
 			si = mark
 		default:
 			return false
@@ -902,6 +937,16 @@ func likeMatch(s, pat string) bool {
 		pi++
 	}
 	return pi == len(pat)
+}
+
+// runeLen is the byte length of the rune s starts with, 1 for ASCII
+// without decoding.
+func runeLen(s string) int {
+	if s[0] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s)
+	return n
 }
 
 // ---- canonicalization ------------------------------------------------------

@@ -130,6 +130,28 @@ func TestLikeMatching(t *testing.T) {
 	}
 }
 
+// LIKE's _ stands for one character, however many UTF-8 bytes encode it,
+// and a % in the pattern is the wildcard even where the text holds a %.
+func TestLikeMatchesCharacters(t *testing.T) {
+	cases := []struct {
+		s, pat string
+		want   bool
+	}{
+		{"é", "_", true},
+		{"aé", "a_", true},
+		{"é", "__", false},
+		{"aéb", "%_b", true},
+		{"€x", "%__x", false},
+		{"%abc", "%", true},
+		{"%abc", "%c", true},
+	}
+	for _, c := range cases {
+		if got := likeMatch(c.s, c.pat); got != c.want {
+			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.pat, got, c.want)
+		}
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	sch := stream.MustSchema("s", stream.Field{Name: "a"}, stream.Field{Name: "tagtime"})
 	tu := stream.MustTuple(sch, stream.TS(10*time.Second), stream.Int(1), stream.Null)
