@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test fuzz-smoke chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
+.PHONY: ci fmt-check vet build test fuzz-smoke chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test experiments
 
 ci: fmt-check vet build test fuzz-smoke chaos-soak recover-soak cluster-soak failover-soak spec-soak bench-smoke bench-test
 
@@ -100,6 +100,15 @@ spec-soak:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 50x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/...
+
+# Every table in EXPERIMENTS.md: the §3.1.1 walkthrough, the paper's
+# examples against simulator ground truth (fails on a disagreement), and
+# the PERF-A/B/C timings. `go test` holds the shapes and counts themselves
+# (cmd/eslev goldens, paper_test.go); this prints the numbers for the doc.
+experiments:
+	$(GO) run ./cmd/eslev demo modes
+	$(GO) run ./cmd/eslev demo examples
+	$(GO) test -run '^$$' -bench 'ModeBlowup|SeqVsJoinBaseline|EslevVsRceda' -benchmem .
 
 # The end-to-end benchmark's own tests (metric list in sync with
 # BENCHMARK.json, generator determinism, the -selfcheck run). bench/ is a

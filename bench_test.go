@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/esl"
-	"repro/internal/rceda"
 	"repro/internal/rfid"
 	"repro/internal/sqljoin"
 	"repro/internal/stream"
@@ -252,17 +251,6 @@ func BenchmarkExample8Theft(b *testing.B) {
 
 // ---- MODES: the core matcher on the walkthrough workload -----------------------
 
-var qcSchemas = func() map[string]*stream.Schema {
-	m := map[string]*stream.Schema{}
-	for _, n := range []string{"C1", "C2", "C3", "C4"} {
-		m[n] = stream.MustSchema(n,
-			stream.Field{Name: "readerid"},
-			stream.Field{Name: "tagid"},
-			stream.Field{Name: "tagtime"})
-	}
-	return m
-}()
-
 // walkthroughGen yields the §3.1.1 history shape — two C1, one C2, two C3,
 // one C2, one C4 per round — with strictly increasing timestamps forever.
 type walkthroughGen struct {
@@ -276,7 +264,7 @@ func (g *walkthroughGen) next() *stream.Tuple {
 	s := walkthroughOrder[g.i%len(walkthroughOrder)]
 	g.i++
 	g.at = g.at.Add(time.Second)
-	return stream.MustTuple(qcSchemas[s], g.at, stream.Str(s), stream.Str("x"), stream.Null)
+	return qcTuple(s, g.at)
 }
 
 func BenchmarkPairingModes(b *testing.B) {
@@ -308,42 +296,17 @@ func BenchmarkPairingModes(b *testing.B) {
 
 // ---- PERF-B: UNRESTRICTED match blowup vs per-step fan-in ----------------------
 
+// The shape (blowupDef, blowupGen) and its event counts are in paper_test.go.
 func BenchmarkModeBlowup(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
 		for _, mode := range []core.Mode{core.ModeUnrestricted, core.ModeRecent, core.ModeChronicle} {
 			b.Run(fmt.Sprintf("fanin=%d/%s", k, mode), func(b *testing.B) {
-				def := core.Def{Steps: []core.Step{{Alias: "C1"}, {Alias: "C2"}, {Alias: "C3"}}, Mode: mode}
-				def.Window = &core.WindowAnchor{Span: time.Hour, Step: 2}
-				m := core.MustMatcher(def)
-				// Each round: k C1s, k C2s, then one C3 (the terminal),
-				// followed by a gap that expires the window. Generated
-				// lazily so timestamps stay monotone for any b.N.
-				at := stream.TS(0)
-				pos := 0
-				roundLen := 2*k + 1
-				nextTuple := func() *stream.Tuple {
-					var name string
-					switch {
-					case pos < k:
-						name = "C1"
-					case pos < 2*k:
-						name = "C2"
-					default:
-						name = "C3"
-					}
-					at = at.Add(time.Second)
-					tu := stream.MustTuple(qcSchemas[name], at, stream.Str(name), stream.Str("x"), stream.Null)
-					pos++
-					if pos == roundLen {
-						pos = 0
-						at = at.Add(2 * time.Hour) // expire the window between rounds
-					}
-					return tu
-				}
+				m := core.MustMatcher(blowupDef(mode))
+				g := &blowupGen{k: k}
 				events := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tu := nextTuple()
+					tu := g.next()
 					ms, err := m.Push(tu, tu.Schema.Name())
 					if err != nil {
 						b.Fatal(err)
@@ -359,30 +322,19 @@ func BenchmarkModeBlowup(b *testing.B) {
 
 // ---- PERF-A: windowed/moded SEQ vs the footnote-3 full-history join ------------
 
+// The shape (windowedRecentDef, seqJoinGen) and its state bounds are in
+// paper_test.go. The windowed matcher's cost does not depend on how much
+// history has passed, so one op is one tuple of the stream. The join's
+// cost grows with its history, so each size is its own sub-benchmark and
+// one op is one terminal arrival against the history of the first n
+// tuples.
 func BenchmarkSeqVsJoinBaseline(b *testing.B) {
-	// Alternating C1, C2, C3 arrivals (every C3 triggers evaluation) with
-	// strictly increasing timestamps for any b.N.
-	mkGen := func() func() *stream.Tuple {
-		at := stream.TS(0)
-		i := 0
-		return func() *stream.Tuple {
-			s := []string{"C1", "C2", "C3"}[i%3]
-			i++
-			at = at.Add(time.Second)
-			return stream.MustTuple(qcSchemas[s], at, stream.Str(s), stream.Str("x"), stream.Null)
-		}
-	}
 	b.Run("eslev-windowed-recent", func(b *testing.B) {
-		def := core.Def{
-			Steps:  []core.Step{{Alias: "C1"}, {Alias: "C2"}, {Alias: "C3"}},
-			Mode:   core.ModeRecent,
-			Window: &core.WindowAnchor{Span: 10 * time.Second, Step: 2},
-		}
-		m := core.MustMatcher(def)
-		gen := mkGen()
+		m := core.MustMatcher(windowedRecentDef())
+		g := &seqJoinGen{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tu := gen()
+			tu := g.next()
 			if _, err := m.Push(tu, tu.Schema.Name()); err != nil {
 				b.Fatal(err)
 			}
@@ -390,53 +342,49 @@ func BenchmarkSeqVsJoinBaseline(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(m.StateSize()), "state")
 	})
-	b.Run("join-full-history", func(b *testing.B) {
-		j, err := sqljoin.New("C1", "C2", "C3")
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The join baseline keeps the ever-growing full history, as
-		// footnote 3 implies — cost per tuple grows with b.N. Cap the
-		// retained history growth by restarting the evaluator every 4096
-		// tuples so the benchmark terminates; the cmd/experiments series
-		// measures the uncapped growth explicitly.
-		gen := mkGen()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%4096 == 0 && i > 0 {
-				b.StopTimer()
-				j, _ = sqljoin.New("C1", "C2", "C3")
-				b.StartTimer()
+	for _, n := range []int{1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("join-full-history/n=%d", n), func(b *testing.B) {
+			j, err := sqljoin.New("C1", "C2", "C3")
+			if err != nil {
+				b.Fatal(err)
 			}
-			tu := gen()
-			j.Push(tu.Schema.Name(), tu)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(j.StateSize()), "state")
-	})
+			// A terminal arrival is evaluated and not kept, so the history
+			// is the first n tuples' C1s and C2s; leaving the C3s out of
+			// the fill skips their evaluations, not any state.
+			g := &seqJoinGen{}
+			for i := 0; i < n; i++ {
+				if tu := g.next(); tu.Schema.Name() != "C3" {
+					j.Push(tu.Schema.Name(), tu)
+				}
+			}
+			terminal := g.next()
+			for terminal.Schema.Name() != "C3" {
+				terminal = g.next()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j.Push("C3", terminal)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(j.StateSize()), "state")
+		})
+	}
 }
 
 // ---- PERF-C: ESL-EV vs the RCEDA-style graph engine ----------------------------
 
+// The shape (containmentDef, rcedaContainment) and its detection counts
+// are in paper_test.go.
 func BenchmarkEslevVsRceda(b *testing.B) {
 	trace, _ := rfid.PackingLine(rfid.PackingConfig{Cases: 2000, Seed: 9})
 	b.Run("eslev-chronicle-star", func(b *testing.B) {
-		def := core.Def{
-			Steps: []core.Step{
-				{Alias: "R1", Star: true, MaxGap: time.Second},
-				{Alias: "R2"},
-			},
-			Mode:        core.ModeChronicle,
-			ExpireAfter: 10 * time.Second,
-		}
-		m := core.MustMatcher(def)
+		m := core.MustMatcher(containmentDef())
 		f := newFeeder(trace)
 		events := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r, at := f.next()
-			tu := stream.MustTuple(qcSchemas["C1"], at, stream.Str(r.ReaderID), stream.Str(r.TagID), stream.Null)
-			ms, err := m.Push(tu, r.Stream)
+			ms, err := m.Push(packingTuple(r, at), r.Stream)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -448,25 +396,28 @@ func BenchmarkEslevVsRceda(b *testing.B) {
 		b.ReportMetric(float64(m.StateSize()), "state")
 	})
 	b.Run("rceda-graph", func(b *testing.B) {
-		// RCEDA has no star operator: the closest graph is SEQ(R1, R2)
-		// under chronicle consumption, which pairs ONE product with the
-		// case and cannot express the repetition or the gap constraint.
-		eng := rceda.NewEngine()
-		r1 := eng.Primitive("R1", nil)
-		r2 := eng.Primitive("R2", nil)
-		seq := eng.Seq(r1, r2, rceda.Chronicle)
+		// The graph engine never purges, so its cost per reading grows with
+		// everything it has seen. Each pass of the trace starts on a fresh
+		// engine, which keeps ns/op a property of the trace rather than of
+		// b.N; state is what a pass leaves behind.
 		events := 0
-		eng.AddRule(&rceda.Rule{Node: seq, Action: func(*rceda.Instance) { events++ }})
+		eng := rcedaContainment(b, &events)
+		state := 0
 		f := newFeeder(trace)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r, at := f.next()
-			tu := stream.MustTuple(qcSchemas["C1"], at, stream.Str(r.ReaderID), stream.Str(r.TagID), stream.Null)
-			eng.Push(r.Stream, tu)
+			eng.Push(r.Stream, packingTuple(r, at))
+			if f.i == 0 {
+				b.StopTimer()
+				state = eng.StateSize()
+				eng = rcedaContainment(b, &events)
+				b.StartTimer()
+			}
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(events)/float64(b.N), "events/op")
-		b.ReportMetric(float64(eng.StateSize()), "state")
+		b.ReportMetric(float64(max(state, eng.StateSize())), "state")
 	})
 }
 

@@ -5,7 +5,8 @@
 // Usage:
 //
 //	eslev demo modes                 reproduce the §3.1.1 walkthrough
-//	eslev demo examples              run paper examples 1-8 on simulated data
+//	eslev demo examples              check the paper's examples against simulator
+//	                                 ground truth (exits 1 on a disagreement)
 //	eslev run [-shards N] [-stats] [-slack d] [-checkpoint-dir d]
 //	          [-checkpoint-every N] [-restore] [-cpuprofile f] [-memprofile f]
 //	          [-trace f] script.esl [s=f.csv]
@@ -85,7 +86,7 @@ func main() {
 		case "modes":
 			err = demoModes(os.Stdout)
 		case "examples":
-			err = demoExamples()
+			err = demoExamples(os.Stdout)
 		default:
 			usage()
 		}
@@ -201,7 +202,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   eslev demo modes                 reproduce the paper's §3.1.1 walkthrough
-  eslev demo examples              run the paper's examples on simulated data
+  eslev demo examples              check the paper's examples against simulator
+                                   ground truth (exits 1 on a disagreement)
   eslev run [-shards N] [-stats] [-slack d]
             [-checkpoint-dir d] [-checkpoint-every N] [-restore]
             [-query "SELECT ..."] [-as-of "LSN n" | -as-of "30 SECONDS"]
@@ -407,111 +409,176 @@ func tupleOn(streamName string, at time.Duration) (*eslev.Tuple, error) {
 	return eslev.NewTuple(s, eslev.TS(at), eslev.Str(streamName), eslev.Str("x"), eslev.Null)
 }
 
-// demoExamples runs the paper's example queries over simulated workloads,
-// printing a short summary per example.
-func demoExamples() error {
-	fmt.Println("== Example 1: duplicate filtering ==")
-	base := eslev.UniformReadings("readings", 300, 15, 2*time.Second, 1)
-	noisy := eslev.NoiseModel{DupProb: 0.4, DupSpread: 700 * time.Millisecond}.Apply(base, 2)
-	e := eslev.New()
-	if _, err := e.Exec(`
+// demoExamples runs the paper's example queries over simulated workloads and
+// reconciles each with the simulator's ground truth, writing one markdown
+// table row per example. It returns an error naming every example whose
+// detections disagree with the ground truth.
+func demoExamples(w io.Writer) error {
+	fmt.Fprintln(w, "| Exp | Scenario | Ground truth | Detected | Agree |")
+	fmt.Fprintln(w, "|-----|----------|--------------|----------|-------|")
+	var disagree []string
+	row := func(exp, scenario, truth, detected string, agree bool) {
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %v |\n", exp, scenario, truth, detected, agree)
+		if !agree {
+			disagree = append(disagree, exp)
+		}
+	}
+	// newEngine declares the streams and registers query, if any, counting
+	// its rows into onRow.
+	newEngine := func(ddl, query string, onRow func(eslev.Row)) (*eslev.Engine, error) {
+		e := eslev.New()
+		if _, err := e.Exec(ddl); err != nil {
+			return nil, err
+		}
+		if query != "" {
+			if _, err := e.RegisterQuery("q", query, onRow); err != nil {
+				return nil, err
+			}
+		}
+		return e, nil
+	}
+
+	// EX1: no two kept readings of one tag at one reader lie within 1 s.
+	base := eslev.UniformReadings("readings", 4000, 40, 500*time.Millisecond, 1)
+	noisy := eslev.NoiseModel{DupProb: 0.5, DupSpread: 600 * time.Millisecond}.Apply(base, 2)
+	e, err := newEngine(`
 		CREATE STREAM readings(reader_id, tag_id, read_time);
 		CREATE STREAM cleaned_readings(reader_id, tag_id, read_time);
 		INSERT INTO cleaned_readings
 		SELECT * FROM readings AS r1
 		WHERE NOT EXISTS
 		  (SELECT * FROM TABLE( readings OVER (RANGE 1 SECONDS PRECEDING CURRENT)) AS r2
-		   WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);`); err != nil {
+		   WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);`, "", nil)
+	if err != nil {
 		return err
 	}
-	kept := 0
-	e.Subscribe("cleaned_readings", func(*eslev.Tuple) { kept++ })
+	kept, residual := 0, 0
+	last := map[string]eslev.Timestamp{}
+	if err := e.Subscribe("cleaned_readings", func(t *eslev.Tuple) {
+		kept++
+		key := t.Field("reader_id").String() + "|" + t.Field("tag_id").String()
+		if prev, ok := last[key]; ok && t.TS.Sub(prev) < time.Second {
+			residual++
+		}
+		last[key] = t.TS
+	}); err != nil {
+		return err
+	}
 	if err := noisy.Feed(e.PushTuple); err != nil {
 		return err
 	}
-	fmt.Printf("  %d raw readings (%d clean + duplicates) -> %d after dedup\n\n", noisy.Len(), base.Len(), kept)
+	row("EX1", fmt.Sprintf("dedup: %d raw (%d unique + dups)", noisy.Len(), base.Len()),
+		"0 dup pairs <1s apart", fmt.Sprintf("%d kept, %d residual dups", kept, residual), residual == 0)
 
-	fmt.Println("== Example 6/7: containment on the packing line ==")
-	trace, truth := eslev.PackingLine(eslev.PackingConfig{Cases: 20, Seed: 4, LateCaseEvery: 5})
-	e2 := eslev.New()
-	if _, err := e2.Exec(`
-		CREATE STREAM R1(readerid, tagid, tagtime);
-		CREATE STREAM R2(readerid, tagid, tagtime);`); err != nil {
+	// EX6: one detection per item that passed all four checks.
+	qtrace, qtruth := eslev.QualityLine(eslev.QualityConfig{Items: 500, DropRate: 0.2, Seed: 4})
+	detected := 0
+	e, err = newEngine(`
+		CREATE STREAM C1(readerid, tagid, tagtime);
+		CREATE STREAM C2(readerid, tagid, tagtime);
+		CREATE STREAM C3(readerid, tagid, tagtime);
+		CREATE STREAM C4(readerid, tagid, tagtime);`, `
+		SELECT C1.tagid FROM C1, C2, C3, C4
+		WHERE SEQ(C1, C2, C3, C4)
+		AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid AND C1.tagid=C4.tagid`,
+		func(eslev.Row) { detected++ })
+	if err != nil {
 		return err
 	}
-	found := 0
-	if _, err := e2.RegisterQuery("c", `
-		SELECT FIRST(R1*).tagtime, COUNT(R1*), R2.tagid, R2.tagtime
-		FROM R1, R2
+	if err := qtrace.Feed(e.PushTuple); err != nil {
+		return err
+	}
+	completed := 0
+	for _, it := range qtruth {
+		if it.Completed {
+			completed++
+		}
+	}
+	row("EX6", fmt.Sprintf("quality line: %d items, 20%% drop", len(qtruth)),
+		fmt.Sprintf("%d completions", completed), strconv.Itoa(detected), completed == detected)
+
+	// EX7: one containment per on-time case, grouping all of its items.
+	ptrace, ptruth := eslev.PackingLine(eslev.PackingConfig{Cases: 400, Seed: 5, LateCaseEvery: 7})
+	cases, items := 0, 0
+	e, err = newEngine(`
+		CREATE STREAM R1(readerid, tagid, tagtime);
+		CREATE STREAM R2(readerid, tagid, tagtime);`, `
+		SELECT COUNT(R1*), R2.tagid FROM R1, R2
 		WHERE SEQ(R1*, R2) MODE CHRONICLE
 		AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
 		AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS`,
-		func(eslev.Row) { found++ }); err != nil {
+		func(r eslev.Row) {
+			cases++
+			n, _ := r.Get("count_R1").AsInt()
+			items += int(n)
+		})
+	if err != nil {
 		return err
 	}
-	if err := trace.Feed(e2.PushTuple); err != nil {
+	if err := ptrace.Feed(e.PushTuple); err != nil {
 		return err
 	}
-	onTime := 0
-	for _, c := range truth {
+	wantCases, wantItems := 0, 0
+	for _, c := range ptruth {
 		if !c.LateCase && !c.Missed {
-			onTime++
+			wantCases++
+			wantItems += len(c.Items)
 		}
 	}
-	fmt.Printf("  %d cases staged (%d on time) -> %d containments detected\n\n", len(truth), onTime, found)
+	row("EX7", fmt.Sprintf("packing: %d cases (1/7 late)", len(ptruth)),
+		fmt.Sprintf("%d on-time cases, %d items", wantCases, wantItems),
+		fmt.Sprintf("%d cases, %d items", cases, items), cases == wantCases && items == wantItems)
 
-	fmt.Println("== Example 5: clinic workflow violations ==")
-	ctrace, ctruth := eslev.ClinicWorkflow(eslev.ClinicConfig{Tests: 15, WrongOrderEvery: 5, StallEvery: 4, Seed: 6})
-	e3 := eslev.New()
-	if _, err := e3.Exec(`
+	// EX5: at least one alert per test run out of order or stalled.
+	ctrace, ctruth := eslev.ClinicWorkflow(eslev.ClinicConfig{
+		Tests: 200, Staff: []string{"a", "b", "c"}, WrongOrderEvery: 5, StallEvery: 4, Seed: 6})
+	alerts := 0
+	e, err = newEngine(`
 		CREATE STREAM A1(readerid, tagid, tagtime);
 		CREATE STREAM A2(readerid, tagid, tagtime);
-		CREATE STREAM A3(readerid, tagid, tagtime);`); err != nil {
+		CREATE STREAM A3(readerid, tagid, tagtime);`, `
+		SELECT exception.level FROM A1, A2, A3
+		WHERE EXCEPTION_SEQ(A1, A2, A3) OVER [1 HOURS FOLLOWING A1]
+		AND A1.tagid = A2.tagid AND A1.tagid = A3.tagid`,
+		func(eslev.Row) { alerts++ })
+	if err != nil {
 		return err
 	}
-	alerts := 0
-	if _, err := e3.RegisterQuery("w", `
-		SELECT exception.level, exception.reason FROM A1, A2, A3
-		WHERE EXCEPTION_SEQ(A1, A2, A3) OVER [1 HOURS FOLLOWING A1]`,
-		func(eslev.Row) { alerts++ }); err != nil {
+	if err := ctrace.Feed(e.PushTuple); err != nil {
 		return err
 	}
-	if err := ctrace.Feed(e3.PushTuple); err != nil {
+	if err := e.Heartbeat(e.Now().Add(2 * time.Hour)); err != nil {
 		return err
 	}
-	if err := e3.Heartbeat(e3.Now().Add(2 * time.Hour)); err != nil {
-		return err
-	}
-	bad := 0
+	violating := 0
 	for _, tst := range ctruth {
 		if tst.WrongOrder || tst.Stalled {
-			bad++
+			violating++
 		}
 	}
-	fmt.Printf("  %d tests (%d violating) -> %d alerts\n\n", len(ctruth), bad, alerts)
+	row("EX5", fmt.Sprintf("clinic: %d tests", len(ctruth)), fmt.Sprintf("%d violating tests", violating),
+		fmt.Sprintf("%d alerts (>= 1 per violation)", alerts), alerts >= violating)
 
-	fmt.Println("== Example 8: door security ==")
-	dtrace, dtruth := eslev.DoorTraffic(eslev.DoorConfig{Events: 25, TheftEvery: 5, Seed: 8})
-	e4 := eslev.New()
-	if _, err := e4.Exec(`CREATE STREAM tag_readings(tagid, tagtype, tagtime);`); err != nil {
-		return err
-	}
+	// EX8: one alert per item carried out with no person in the minute
+	// around it.
+	dtrace, dtruth := eslev.DoorTraffic(eslev.DoorConfig{Events: 300, TheftEvery: 6, Seed: 7})
 	thefts := 0
-	if _, err := e4.RegisterQuery("t", `
+	e, err = newEngine(`CREATE STREAM tag_readings(tagid, tagtype, tagtime);`, `
 		SELECT item.tagid FROM tag_readings AS item
 		WHERE item.tagtype = 'item' AND NOT EXISTS
 		  (SELECT * FROM tag_readings AS person
 		   OVER [1 MINUTES PRECEDING AND FOLLOWING item]
 		   WHERE person.tagtype = 'person')`,
-		func(eslev.Row) { thefts++ }); err != nil {
+		func(eslev.Row) { thefts++ })
+	if err != nil {
 		return err
 	}
 	for _, tu := range dtrace.DoorTuples("tag_readings") {
-		if err := e4.PushTuple("tag_readings", tu); err != nil {
+		if err := e.PushTuple("tag_readings", tu); err != nil {
 			return err
 		}
 	}
-	if err := e4.Heartbeat(e4.Now().Add(5 * time.Minute)); err != nil {
+	if err := e.Heartbeat(e.Now().Add(time.Hour)); err != nil {
 		return err
 	}
 	staged := 0
@@ -520,7 +587,12 @@ func demoExamples() error {
 			staged++
 		}
 	}
-	fmt.Printf("  %d passages (%d thefts staged) -> %d alerts\n", len(dtruth), staged, thefts)
+	row("EX8", fmt.Sprintf("door: %d passages", len(dtruth)), fmt.Sprintf("%d thefts staged", staged),
+		fmt.Sprintf("%d alerts", thefts), staged == thefts)
+
+	if len(disagree) > 0 {
+		return fmt.Errorf("examples disagree with ground truth: %s", strings.Join(disagree, ", "))
+	}
 	return nil
 }
 

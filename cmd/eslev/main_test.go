@@ -31,6 +31,26 @@ func TestDemoModesGolden(t *testing.T) {
 	}
 }
 
+// The paper's examples reconciled against simulator ground truth: every row
+// must agree, and the counts are pinned byte for byte. Regenerate the golden
+// only for an intended change, with
+// `go run ./cmd/eslev demo examples > cmd/eslev/testdata/demo_examples.golden`.
+func TestDemoExamplesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/demo_examples.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		var got bytes.Buffer
+		if err := demoExamples(&got); err != nil {
+			t.Fatalf("run %d: %v\n%s", run, err, got.String())
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("run %d differs from testdata/demo_examples.golden:\n%s", run, got.String())
+		}
+	}
+}
+
 // `eslev explain` output for every shipped script, byte for byte. Regenerate
 // a golden only for an intended plan change, with
 // `go run ./cmd/eslev explain scripts/<name>.esl > cmd/eslev/testdata/explain_<name>.golden`.

@@ -12,26 +12,10 @@ import (
 	"strings"
 )
 
-// Code is a parsed EPC tag code. The paper's examples use the three-field
-// dotted form "company.productcode.serialnumber"; Segments preserves any
-// additional dotted fields so deeper ALE patterns also work.
-type Code struct {
-	Segments []string
-}
-
-// Parse splits a dotted EPC code, accepting the "urn:epc:id:" URI prefix.
-// Codes must have at least two non-empty segments.
-func Parse(s string) (Code, error) {
-	s, err := dotted(s)
-	if err != nil {
-		return Code{}, err
-	}
-	return Code{Segments: strings.Split(s, ".")}, nil
-}
-
-// dotted trims the URI prefix from a code and checks what Parse requires of
-// the dotted rest without splitting it, so the extractors read segments in
-// place and allocate nothing for a well-formed code.
+// dotted trims the URI prefix from a code and checks that the dotted rest
+// has at least two segments, none empty, without splitting it, so the
+// extractors read segments in place and allocate nothing for a well-formed
+// code.
 func dotted(s string) (string, error) {
 	s = trimURI(s)
 	if s == "" {
@@ -62,34 +46,6 @@ func trimURI(s string) string {
 // Format builds the canonical three-field code used throughout the paper.
 func Format(company, product, serial int64) string {
 	return fmt.Sprintf("%d.%d.%d", company, product, serial)
-}
-
-// String renders the code in dotted form.
-func (c Code) String() string { return strings.Join(c.Segments, ".") }
-
-// URI renders the code as an EPC identity URI.
-func (c Code) URI() string { return "urn:epc:id:sgtin:" + c.String() }
-
-// Company returns the first (company manager) segment.
-func (c Code) Company() string { return c.Segments[0] }
-
-// Product returns the second (product/object-class) segment, or "".
-func (c Code) Product() string {
-	if len(c.Segments) < 2 {
-		return ""
-	}
-	return c.Segments[1]
-}
-
-// Serial returns the final segment, which by EPC convention is the serial
-// number.
-func (c Code) Serial() string { return c.Segments[len(c.Segments)-1] }
-
-// SerialInt returns the serial number as an integer; ok is false when the
-// serial is not numeric.
-func (c Code) SerialInt() (int64, bool) {
-	n, err := strconv.ParseInt(c.Serial(), 10, 64)
-	return n, err == nil
 }
 
 // ExtractSerial is the paper's extract_serial UDF: pull the serial-number

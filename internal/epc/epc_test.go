@@ -1,53 +1,58 @@
 package epc
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
 
+// parts reads a code through the three extractors, the package's only
+// code readers.
+func parts(code string) (company, product string, serial int64, err error) {
+	if company, err = ExtractCompany(code); err != nil {
+		return
+	}
+	if product, err = ExtractProduct(code); err != nil {
+		return
+	}
+	serial, err = ExtractSerial(code)
+	return
+}
+
 func TestParse(t *testing.T) {
-	c, err := Parse("20.1234.5678")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Company() != "20" || c.Product() != "1234" || c.Serial() != "5678" {
-		t.Fatalf("parsed segments wrong: %v", c.Segments)
-	}
-	if n, ok := c.SerialInt(); !ok || n != 5678 {
-		t.Errorf("SerialInt = %d, %v", n, ok)
-	}
-	if c.String() != "20.1234.5678" {
-		t.Errorf("String = %q", c.String())
-	}
-	if c.URI() != "urn:epc:id:sgtin:20.1234.5678" {
-		t.Errorf("URI = %q", c.URI())
+	for _, code := range []string{"20.1234.5678", "urn:epc:id:sgtin:20.1234.5678"} {
+		co, prod, n, err := parts(code)
+		if err != nil || co != "20" || prod != "1234" || n != 5678 {
+			t.Errorf("%q parsed as %q, %q, %d, %v", code, co, prod, n, err)
+		}
 	}
 }
 
 func TestParseURIPrefix(t *testing.T) {
-	c, err := Parse("urn:epc:id:sgtin:20.7.9")
-	if err != nil || c.Company() != "20" {
-		t.Fatalf("URI parse: %v, %v", c, err)
+	if co, err := ExtractCompany("urn:epc:id:sgtin:20.7.9"); err != nil || co != "20" {
+		t.Fatalf("URI parse: %q, %v", co, err)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{"", "solo", "a..b", ".a.b", "a.b."} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) should fail", bad)
+		if _, err := ExtractCompany(bad); err == nil {
+			t.Errorf("ExtractCompany(%q) should fail", bad)
+		}
+		if _, err := ExtractProduct(bad); err == nil {
+			t.Errorf("ExtractProduct(%q) should fail", bad)
+		}
+		if _, err := ExtractSerial(bad); err == nil {
+			t.Errorf("ExtractSerial(%q) should fail", bad)
 		}
 	}
 }
 
 func TestFormatRoundTrip(t *testing.T) {
 	f := func(company, product, serial uint16) bool {
-		s := Format(int64(company), int64(product), int64(serial))
-		c, err := Parse(s)
-		if err != nil {
-			return false
-		}
-		n, ok := c.SerialInt()
-		return ok && n == int64(serial) && c.String() == s
+		co, prod, n, err := parts(Format(int64(company), int64(product), int64(serial)))
+		return err == nil && co == strconv.Itoa(int(company)) &&
+			prod == strconv.Itoa(int(product)) && n == int64(serial)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

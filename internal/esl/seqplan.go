@@ -97,6 +97,26 @@ func buildPredClosure(nslots, nsteps int, predsByStep [][]stepConjunct, upTo int
 // compileEventQuery plans a SELECT whose WHERE contains a SEQ-family
 // operator.
 func (e *Engine) compileEventQuery(sel *Select, se *SeqExpr, q *Query) (queryOp, map[string][]string, error) {
+	// A match projects straight to one row: no output stage dedups, limits,
+	// groups or aggregates those rows, so refuse the clauses that would ask
+	// for it instead of ignoring them. Star aggregates over a run
+	// (COUNT(R1*), FIRST/LAST(R1*)) are per-match and stay legal.
+	clause := ""
+	switch calls := e.aggregateCalls(sel); {
+	case sel.Distinct:
+		clause = "DISTINCT"
+	case sel.Limit >= 0:
+		clause = "LIMIT"
+	case len(sel.GroupBy) > 0:
+		clause = "GROUP BY"
+	case sel.Having != nil:
+		clause = "HAVING"
+	case len(calls) > 0:
+		clause = "aggregate " + strings.ToUpper(calls[0].Name)
+	}
+	if clause != "" {
+		return nil, nil, fmt.Errorf("esl: %s is not supported on %s queries; a match emits one row (star aggregates such as COUNT(R1*) apply)", clause, se.Kind)
+	}
 	op := &eventOp{e: e, q: q, sel: sel, kindName: se.Kind}
 
 	// Map FROM aliases to stream schemas; every operator argument must be

@@ -1,6 +1,7 @@
 package esl
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -283,5 +284,28 @@ func TestEventQueryProjectionWithArithmetic(t *testing.T) {
 	}
 	if n, _ := r.Get("double_count").AsInt(); n != 4 {
 		t.Errorf("double_count = %v", r.Get("double_count"))
+	}
+}
+
+// A SEQ-family match projects straight to one row, so the row clauses that
+// need an output stage are refused at registration, naming the clause,
+// rather than ignored (DISTINCT and LIMIT used to emit every match, and a
+// plain aggregate failed on every push).
+func TestEventQueryRejectsRowClauses(t *testing.T) {
+	for _, tc := range []struct{ clause, sql string }{
+		{"DISTINCT", `SELECT DISTINCT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) MODE UNRESTRICTED`},
+		{"LIMIT", `SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) MODE UNRESTRICTED LIMIT 1`},
+		{"GROUP BY", `SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) MODE UNRESTRICTED GROUP BY R2.tagid`},
+		{"HAVING", `SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) HAVING R2.tagid = 'zz'`},
+		{"aggregate COUNT", `SELECT R2.tagid, count(*) FROM R1, R2 WHERE SEQ(R1, R2)`},
+	} {
+		t.Run(tc.clause, func(t *testing.T) {
+			e := New()
+			declareContainment(t, e)
+			_, err := e.RegisterQuery("x", tc.sql, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.clause) {
+				t.Fatalf("register %s: err = %v, want a rejection naming %s", tc.sql, err, tc.clause)
+			}
+		})
 	}
 }
