@@ -34,6 +34,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzTableLoad$$' -fuzztime 5s ./internal/db
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherLoad$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPushBatchAt$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEPC$$' -fuzztime 5s ./internal/epc
 
 # Fault-injection soak: 1M events through the serial and sharded engines

@@ -529,18 +529,37 @@ func demoExamples(w io.Writer) error {
 		fmt.Sprintf("%d on-time cases, %d items", wantCases, wantItems),
 		fmt.Sprintf("%d cases, %d items", cases, items), cases == wantCases && items == wantItems)
 
-	// EX5: at least one alert per test run out of order or stalled.
+	// EX5: every wrong-order test breaks on a wrong tuple, every stalled
+	// test expires, and no clean test raises anything. Tests run one after
+	// another, so an alert belongs to the last test started at or before
+	// it, and must carry that test's staff tag.
 	ctrace, ctruth := eslev.ClinicWorkflow(eslev.ClinicConfig{
 		Tests: 200, Staff: []string{"a", "b", "c"}, WrongOrderEvery: 5, StallEvery: 4, Seed: 6})
-	alerts := 0
+	implied := make([]bool, len(ctruth)) // the test raised the alert its class implies
+	alerts, stray := 0, 0                // stray: on a clean test, or on no test at all
 	e, err = newEngine(`
 		CREATE STREAM A1(readerid, tagid, tagtime);
 		CREATE STREAM A2(readerid, tagid, tagtime);
 		CREATE STREAM A3(readerid, tagid, tagtime);`, `
-		SELECT exception.level FROM A1, A2, A3
+		SELECT exception.reason, A1.tagid FROM A1, A2, A3
 		WHERE EXCEPTION_SEQ(A1, A2, A3) OVER [1 HOURS FOLLOWING A1]
 		AND A1.tagid = A2.tagid AND A1.tagid = A3.tagid`,
-		func(eslev.Row) { alerts++ })
+		func(r eslev.Row) {
+			alerts++
+			i := sort.Search(len(ctruth), func(i int) bool { return ctruth[i].Start > r.TS }) - 1
+			tag, _ := r.Get("tagid").AsString()
+			if i < 0 || ctruth[i].Staff != tag || !(ctruth[i].WrongOrder || ctruth[i].Stalled) {
+				stray++
+				return
+			}
+			want := "WINDOW_EXPIRED"
+			if ctruth[i].WrongOrder {
+				want = "WRONG_TUPLE"
+			}
+			if reason, _ := r.Get("reason").AsString(); reason == want {
+				implied[i] = true
+			}
+		})
 	if err != nil {
 		return err
 	}
@@ -550,14 +569,25 @@ func demoExamples(w io.Writer) error {
 	if err := e.Heartbeat(e.Now().Add(2 * time.Hour)); err != nil {
 		return err
 	}
-	violating := 0
-	for _, tst := range ctruth {
-		if tst.WrongOrder || tst.Stalled {
-			violating++
+	wrong, stalled, broke, expired := 0, 0, 0, 0
+	for i, tst := range ctruth {
+		switch {
+		case tst.WrongOrder:
+			wrong++
+			if implied[i] {
+				broke++
+			}
+		case tst.Stalled:
+			stalled++
+			if implied[i] {
+				expired++
+			}
 		}
 	}
-	row("EX5", fmt.Sprintf("clinic: %d tests", len(ctruth)), fmt.Sprintf("%d violating tests", violating),
-		fmt.Sprintf("%d alerts (>= 1 per violation)", alerts), alerts >= violating)
+	row("EX5", fmt.Sprintf("clinic: %d tests", len(ctruth)),
+		fmt.Sprintf("%d wrong-order, %d stalled tests", wrong, stalled),
+		fmt.Sprintf("%d alerts: %d broke, %d expired, %d stray", alerts, broke, expired, stray),
+		broke == wrong && expired == stalled && stray == 0)
 
 	// EX8: one alert per item carried out with no person in the minute
 	// around it.

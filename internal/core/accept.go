@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/stream"
@@ -114,35 +115,15 @@ type AcceptSet struct {
 // Len returns the member count.
 func (s *AcceptSet) Len() int { return len(s.members) }
 
-// Sole returns the only member when exactly one is registered, else nil.
-// Callers batching a single member's emissions use it to run the admission
-// test directly, skipping per-match attribution.
-func (s *AcceptSet) Sole() *Acceptor {
-	if len(s.members) != 1 {
-		return nil
-	}
-	return &s.members[0]
-}
-
-// Accepts is the member's full admission test for a completed match ending
-// in final tuple t.
-func (a *Acceptor) Accepts(t *stream.Tuple, m *Match) bool { return a.accepts(t, m) }
-
-// Members returns the acceptor IDs in insertion order.
-func (s *AcceptSet) Members() []int {
-	ids := make([]int, len(s.members))
-	for i := range s.members {
-		ids[i] = s.members[i].ID
-	}
-	return ids
-}
-
-// Add inserts a member. IDs must be unique and increase over the life of
-// the set so acceptance order tracks registration order.
+// Add appends a member and indexes it alone. IDs must increase over the
+// life of the set, so acceptance order tracks registration order; a
+// non-increasing ID is a caller bug and panics.
 func (s *AcceptSet) Add(a Acceptor) {
+	if n := len(s.members); n > 0 && a.ID <= s.members[n-1].ID {
+		panic(fmt.Sprintf("core: AcceptSet.Add: ID %d does not follow %d", a.ID, s.members[n-1].ID))
+	}
 	s.members = append(s.members, a)
-	sort.SliceStable(s.members, func(i, j int) bool { return s.members[i].ID < s.members[j].ID })
-	s.rebuild()
+	s.index(len(s.members) - 1)
 }
 
 // SetMinSeq re-points a member's registration fence (snapshot restore: the
@@ -174,37 +155,38 @@ func (s *AcceptSet) rebuild() {
 	s.cols = s.cols[:0]
 	s.checked = s.checked[:0]
 	for i := range s.members {
-		a := &s.members[i]
-		if a.EqPos < 0 {
-			s.checked = append(s.checked, i)
-			continue
-		}
-		var col *acceptCol
-		for ci := range s.cols {
-			if s.cols[ci].pos == a.EqPos {
-				col = &s.cols[ci]
-				break
-			}
-		}
-		if col == nil {
-			s.cols = append(s.cols, acceptCol{pos: a.EqPos, entries: map[uint64][]acceptEntry{}})
-			col = &s.cols[len(s.cols)-1]
-		}
-		h := a.EqVal.Hash()
-		bucket := col.entries[h]
-		found := false
-		for bi := range bucket {
-			if bucket[bi].val.Equal(a.EqVal) {
-				bucket[bi].ids = append(bucket[bi].ids, i)
-				found = true
-				break
-			}
-		}
-		if !found {
-			bucket = append(bucket, acceptEntry{val: a.EqVal, ids: []int{i}})
-		}
-		col.entries[h] = bucket
+		s.index(i)
 	}
+}
+
+// index files member i under its equality's column and value, or on the
+// always-checked list when it has none.
+func (s *AcceptSet) index(i int) {
+	a := &s.members[i]
+	if a.EqPos < 0 {
+		s.checked = append(s.checked, i)
+		return
+	}
+	var col *acceptCol
+	for ci := range s.cols {
+		if s.cols[ci].pos == a.EqPos {
+			col = &s.cols[ci]
+			break
+		}
+	}
+	if col == nil {
+		s.cols = append(s.cols, acceptCol{pos: a.EqPos, entries: map[uint64][]acceptEntry{}})
+		col = &s.cols[len(s.cols)-1]
+	}
+	h := a.EqVal.Hash()
+	bucket := col.entries[h]
+	for bi := range bucket {
+		if bucket[bi].val.Equal(a.EqVal) {
+			bucket[bi].ids = append(bucket[bi].ids, i)
+			return
+		}
+	}
+	col.entries[h] = append(bucket, acceptEntry{val: a.EqVal, ids: []int{i}})
 }
 
 // probe appends the indexes of indexed members whose equality admits t.

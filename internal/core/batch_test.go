@@ -11,7 +11,7 @@ import (
 
 // batchFeed drives a matcher through the batch path: consecutive
 // same-stream tuples are grouped into runs of at most batch tuples and
-// pushed via Resolve/PushBatch, mirroring the engine's dispatch.
+// pushed via Resolve/PushBatchAt, mirroring the engine's dispatch.
 func batchFeed(t *testing.T, m *Matcher, batch int, tuples []*stream.Tuple) []*Match {
 	t.Helper()
 	resolved := map[string]*Resolved{}
@@ -28,7 +28,7 @@ func batchFeed(t *testing.T, m *Matcher, batch int, tuples []*stream.Tuple) []*M
 			r = m.Resolve(name)
 			resolved[name] = r
 		}
-		bms, err := m.PushBatch(r, tuples[i:j])
+		bms, err := m.PushBatchAt(r, tuples[i:j], nil)
 		if err != nil {
 			panic(err)
 		}
@@ -63,7 +63,7 @@ func keyed(def Def) Def {
 	return def
 }
 
-// TestPushBatchMatchesSerial cross-checks the key-grouped batch path
+// TestPushBatchMatchesSerial cross-checks the batch path
 // against tuple-at-a-time Push: same matches, same emission order, for
 // every pairing mode, keyed and unkeyed, windowed and not, at batch sizes
 // spanning the degenerate and the amortizing.
@@ -158,7 +158,7 @@ func TestPushBatchSelfSequence(t *testing.T) {
 			if j > len(tuples) {
 				j = len(tuples)
 			}
-			bms, err := batched.PushBatch(r, tuples[i:j])
+			bms, err := batched.PushBatchAt(r, tuples[i:j], nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -217,16 +217,6 @@ func (d *Def) Validate() error {
 // Partitioned reports whether matching state is split by key.
 func (d *Def) Partitioned() bool { return len(d.Steps) > 0 && d.Steps[0].Key != nil }
 
-// StepIndex returns the index of the step with the given alias.
-func (d *Def) StepIndex(alias string) (int, bool) {
-	for i, s := range d.Steps {
-		if s.Alias == alias {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Match is one detected event: for each step, the group of tuples bound to
 // it (singletons for non-star steps).
 type Match struct {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -63,49 +62,27 @@ type Matcher struct {
 	pushRes  Resolved
 
 	// clock is the event time the matcher has observed — pushed tuples and
-	// Advance calls alike. Engines evict lazily against the clock as it
-	// stood BEFORE the tuple being pushed: that reproduces, exactly, the
-	// serial interleaving "push tuple, then advance to its timestamp" that
-	// per-item ingestion performs, no matter how pushes are batched. The
-	// ordering is observable: with star steps, eviction decides whether a
-	// step-0 tuple is absorbed into a stale open run or starts a fresh one.
+	// Advance calls alike. Every push first advances to the clock as it
+	// stood BEFORE the tuple (raised to the caller's horizon, see
+	// PushBatchAt): the partition the tuple touches evicts to it and an
+	// exception matcher fires the timers due by it. That reproduces, exactly,
+	// the serial interleaving "push tuple, then advance to its timestamp"
+	// that per-item ingestion performs, no matter how pushes are batched.
+	// The ordering is observable: with star steps, eviction decides whether
+	// a step-0 tuple is absorbed into a stale open run or starts a fresh one.
 	clock stream.Timestamp
 
-	// Scratch storage reused across Push/PushBatch calls so the steady-state
-	// matching path allocates nothing. A Matcher is not safe for concurrent
-	// use (the engine serializes access), so plain fields suffice.
+	// Scratch storage reused across pushes so the steady-state matching
+	// path allocates nothing. A Matcher is not safe for concurrent use (the
+	// engine serializes access), so plain fields suffice.
 	stepScratch []int
-	remScratch  []int
 	sameScratch []int
-	stepArena   []int
-	touched     []*partition
-	emitScratch []batchEmit
 	outScratch  []BatchMatch
 }
 
 type partition struct {
 	key stream.Value
 	eng engine
-	// pending queues this partition's share of a PushBatch run; ord
-	// reconstructs the serial emission order across partitions.
-	pending []pendingPush
-}
-
-// pendingPush is one deferred engine.push within a PushBatch: the tuple, its
-// qualifying step indexes (a range into the batch's step arena), and the
-// global visit order the serial path would have used.
-type pendingPush struct {
-	ord    int
-	index  int    // position of the tuple in the pushed run
-	lo, hi int    // steps arena range
-	mask   uint64 // the same step range as a bitmask
-}
-
-// batchEmit collects the matches of one deferred push for re-sorting.
-type batchEmit struct {
-	ord     int
-	index   int
-	matches []*Match
 }
 
 // NewMatcher validates the pattern and builds a matcher.
@@ -182,9 +159,6 @@ func (m *Matcher) Push(t *stream.Tuple, aliases ...string) ([]*Match, error) {
 type Resolved struct {
 	aliases []string
 	cands   []int
-	// mask is the candidate set as a step bitmask, before per-tuple
-	// filtering (bit i set ⇔ i ∈ cands).
-	mask uint64
 }
 
 // maxResolved bounds Resolve's cache: a caller cycling through more alias
@@ -210,12 +184,11 @@ func (m *Matcher) Resolve(aliases ...string) *Resolved {
 
 // resolve refills r's candidates for aliases, reusing its storage.
 func (r *Resolved) resolve(def *Def, aliases []string) {
-	r.cands, r.mask = r.cands[:0], 0
+	r.cands = r.cands[:0]
 	for i := len(def.Steps) - 1; i >= 0; i-- {
 		for _, a := range aliases {
 			if def.Steps[i].Alias == a {
 				r.cands = append(r.cands, i)
-				r.mask |= 1 << uint(i)
 			}
 		}
 	}
@@ -227,9 +200,22 @@ func (r *Resolved) Steps() int { return len(r.cands) }
 // PushResolved is Push with the alias resolution precomputed; the
 // steady-state path allocates nothing.
 func (m *Matcher) PushResolved(r *Resolved, t *stream.Tuple) ([]*Match, error) {
+	return m.pushAt(r, t, m.observe(t.TS))
+}
+
+// pushAt pushes t after advancing to its horizon pre: an exception matcher
+// first fires the timers due by pre, and pushSteps evicts the partitions t
+// touches to pre.
+func (m *Matcher) pushAt(r *Resolved, t *stream.Tuple, pre stream.Timestamp) ([]*Match, error) {
+	if m.exceptions {
+		m.fire(pre)
+	}
 	steps, mask := m.filterSteps(r, t, m.stepScratch[:0])
 	m.stepScratch = steps
-	return m.pushSteps(steps, mask, t, m.observe(t.TS))
+	// A tuple with no qualifying steps is invisible to the pattern:
+	// pushSteps skips it. Without that, CONSECUTIVE would treat it as a
+	// visible non-extending arrival and break the active run.
+	return m.pushSteps(steps, mask, t, pre)
 }
 
 // filterSteps applies the per-tuple step filters to a resolution, appending
@@ -247,9 +233,9 @@ func (m *Matcher) filterSteps(r *Resolved, t *stream.Tuple, dst []int) ([]int, u
 	return dst, mask
 }
 
-// pushSteps feeds one tuple with its qualifying steps to the right
-// partition engines, first evicting to the horizon pre; scratch storage is
-// reused for the key grouping.
+// pushSteps feeds one tuple with its qualifying steps to the partition
+// engines they key it to, each first evicted to the horizon pre. It
+// reorders steps in place.
 func (m *Matcher) pushSteps(steps []int, mask uint64, t *stream.Tuple, pre stream.Timestamp) ([]*Match, error) {
 	if len(steps) == 0 {
 		return nil, nil
@@ -258,12 +244,25 @@ func (m *Matcher) pushSteps(steps []int, mask uint64, t *stream.Tuple, pre strea
 		m.single.advance(pre)
 		return m.single.push(steps, mask, t)
 	}
-	// Partitioned: push each group of qualifying steps sharing a key.
+	// Partitioned: split off the steps whose key for t equals rem[0]'s to
+	// the tail rem[n:] (order within both halves preserved) and push them
+	// as one group, until no step remains.
 	var out []*Match
-	rem := append(m.remScratch[:0], steps...)
-	m.remScratch = rem
-	for len(rem) > 0 {
-		key, n, sameMask := m.nextKeyGroup(rem, t)
+	for rem := steps; len(rem) > 0; {
+		key := m.def.Steps[rem[0]].Key(t)
+		same := append(m.sameScratch[:0], rem[0])
+		sameMask, n := uint64(1)<<uint(rem[0]), 0
+		for _, si := range rem[1:] {
+			if m.def.Steps[si].Key(t).Equal(key) {
+				same = append(same, si)
+				sameMask |= 1 << uint(si)
+			} else {
+				rem[n] = si
+				n++
+			}
+		}
+		copy(rem[n:], same)
+		m.sameScratch = same
 		p := m.partitionFor(key)
 		p.eng.advance(pre)
 		matches, err := p.eng.push(rem[n:], sameMask, t)
@@ -280,27 +279,6 @@ func (m *Matcher) pushSteps(steps []int, mask uint64, t *stream.Tuple, pre strea
 	return out, nil
 }
 
-// nextKeyGroup splits off the steps of rem whose key for t equals rem[0]'s:
-// it moves them to the tail rem[n:] (order within both halves preserved)
-// and returns the key, n and the tail as a step bitmask.
-func (m *Matcher) nextKeyGroup(rem []int, t *stream.Tuple) (key stream.Value, n int, mask uint64) {
-	key = m.def.Steps[rem[0]].Key(t)
-	same := append(m.sameScratch[:0], rem[0])
-	mask = 1 << uint(rem[0])
-	for _, si := range rem[1:] {
-		if m.def.Steps[si].Key(t).Equal(key) {
-			same = append(same, si)
-			mask |= 1 << uint(si)
-		} else {
-			rem[n] = si
-			n++
-		}
-	}
-	copy(rem[n:], same)
-	m.sameScratch = same
-	return key, n, mask
-}
-
 // observe folds a pushed tuple's timestamp into the matcher clock and
 // returns the clock as it stood before the tuple — the eviction horizon
 // serial push-then-advance ingestion would have applied by now.
@@ -312,126 +290,42 @@ func (m *Matcher) observe(ts stream.Timestamp) stream.Timestamp {
 	return pre
 }
 
-// BatchMatch is one completed match from PushBatch, tagged with the index
-// of the tuple in the pushed run that triggered it.
+// BatchMatch is one completed match from PushBatchAt, tagged with the
+// index of the tuple in the pushed run that triggered it.
 type BatchMatch struct {
 	Index int
 	Match *Match
 }
 
-// PushBatch feeds a run of in-order tuples under one resolution. For a
-// partitioned pattern the run is first grouped by partition key, so each
-// partition's state is visited once per batch instead of once per tuple;
-// partitions are independent, so per-partition processing in arrival order
-// reproduces the serial match set, and the returned matches are re-ordered
-// to the exact serial emission order (by triggering tuple, then by the
-// serial key-visit order within a tuple).
-func (m *Matcher) PushBatch(r *Resolved, run []*stream.Tuple) ([]BatchMatch, error) {
-	return m.PushBatchAt(r, run, nil)
-}
-
-// PushBatchAt is PushBatch with explicit eviction horizons: prev, when
-// non-nil, is parallel to run and prev[i] holds the timestamp of the tuple
-// that immediately preceded run[i] in the full joint history. Callers that
-// drop tuples from a run before pushing (guarded routing) pass the horizons
-// so eviction still tracks every arrival, exactly as serial per-item
-// ingestion would. The returned slice is reused by the next PushBatch or
-// PushBatchAt call.
-//
-// An exception matcher pushes the run tuple by tuple, so its exceptions
-// are raised in arrival order: an Exception carries no batch index that
-// would let the caller restore that order after grouping by partition.
-func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Timestamp) (out []BatchMatch, err error) {
+// PushBatchAt feeds a run of in-order tuples under one resolution, tuple by
+// tuple, exactly as PushResolved would. prev, when non-nil, is parallel to
+// run and prev[i] holds the timestamp of the tuple that immediately
+// preceded run[i] in the full joint history: callers that drop tuples from
+// a run before pushing (guarded routing) pass it so each tuple's horizon —
+// the clock before it, raised to prev[i] — still tracks every arrival, as
+// serial push-then-advance ingestion of the full history would. Matches
+// come back in emission order; exceptions wait for TakeExceptions. The
+// returned slice is reused by the next PushBatchAt call.
+func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Timestamp) ([]BatchMatch, error) {
 	clear(m.outScratch)
-	out = m.outScratch[:0]
-	defer func() { m.outScratch = out }()
-	if !m.def.Partitioned() || m.exceptions {
-		for i, t := range run {
-			pre := m.observe(t.TS)
-			if len(prev) > 0 && prev[i] > pre {
-				pre = prev[i]
-			}
-			steps, mask := m.filterSteps(r, t, m.stepScratch[:0])
-			m.stepScratch = steps
-			// A tuple with no qualifying steps is invisible to the pattern:
-			// pushSteps skips it. Without that, CONSECUTIVE would treat it as
-			// a visible non-extending arrival and break the active run.
-			matches, err := m.pushSteps(steps, mask, t, pre)
-			for _, match := range matches {
-				out = append(out, BatchMatch{Index: i, Match: match})
-			}
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-	// Pass 1: resolve steps and group by partition, preserving per-tuple
-	// key-visit order in ord.
-	entryClock := m.clock
-	arena := m.stepArena[:0]
-	touched := m.touched[:0]
-	ord := 0
+	out := m.outScratch[:0]
+	var err error
 	for i, t := range run {
-		lo := len(arena)
-		arena, _ = m.filterSteps(r, t, arena)
-		rem := arena[lo:]
-		for len(rem) > 0 {
-			key, n, sameMask := m.nextKeyGroup(rem, t)
-			p := m.partitionFor(key)
-			if len(p.pending) == 0 {
-				touched = append(touched, p)
-			}
-			p.pending = append(p.pending, pendingPush{ord: ord, index: i, lo: lo + n, hi: lo + len(rem), mask: sameMask})
-			ord++
-			rem = rem[:n]
+		pre := m.observe(t.TS)
+		if len(prev) > 0 && prev[i] > pre {
+			pre = prev[i]
+		}
+		var matches []*Match
+		matches, err = m.pushAt(r, t, pre)
+		for _, match := range matches {
+			out = append(out, BatchMatch{Index: i, Match: match})
+		}
+		if err != nil {
+			break
 		}
 	}
-	m.stepArena = arena
-	if n := len(run); n > 0 {
-		m.observe(run[n-1].TS)
-	}
-	// Pass 2: drain each touched partition in arrival order, first evicting
-	// to the serial clock horizon — the previous tuple's timestamp — so
-	// state at each push matches the per-item interleaving exactly.
-	emits := m.emitScratch[:0]
-	var pushErr error
-	for _, p := range touched {
-		for _, pp := range p.pending {
-			pre := entryClock
-			if pp.index > 0 {
-				if ts := run[pp.index-1].TS; ts > pre {
-					pre = ts
-				}
-			}
-			if len(prev) > 0 && prev[pp.index] > pre {
-				pre = prev[pp.index]
-			}
-			p.eng.advance(pre)
-			matches, err := p.eng.push(arena[pp.lo:pp.hi], pp.mask, run[pp.index])
-			if len(matches) > 0 {
-				emits = append(emits, batchEmit{ord: pp.ord, index: pp.index, matches: matches})
-			}
-			if err != nil && pushErr == nil {
-				pushErr = err
-			}
-		}
-		p.pending = p.pending[:0]
-	}
-	m.touched = touched[:0]
-	// Pass 3: restore the serial emission order. The comparator captures
-	// nothing, so a run of one costs what PushResolved does.
-	slices.SortFunc(emits, func(a, b batchEmit) int { return cmp.Compare(a.ord, b.ord) })
-	for _, em := range emits {
-		for _, match := range em.matches {
-			out = append(out, BatchMatch{Index: em.index, Match: match})
-		}
-	}
-	for i := range emits {
-		emits[i].matches = nil
-	}
-	m.emitScratch = emits[:0]
-	return out, pushErr
+	m.outScratch = out
+	return out, err
 }
 
 func (m *Matcher) partitionFor(key stream.Value) *partition {
@@ -464,9 +358,7 @@ func (m *Matcher) Advance(ts stream.Timestamp) {
 		m.clock = ts
 	}
 	if m.exceptions {
-		for _, tm := range m.timers.PopDue(ts) {
-			tm.Payload.(*exEngine).expire(tm)
-		}
+		m.fire(ts)
 		return
 	}
 	if m.single != nil {
@@ -477,6 +369,13 @@ func (m *Matcher) Advance(ts stream.Timestamp) {
 		for _, p := range chain {
 			p.eng.advance(ts)
 		}
+	}
+}
+
+// fire expires the exception engines whose timers are due by ts.
+func (m *Matcher) fire(ts stream.Timestamp) {
+	for _, tm := range m.timers.PopDue(ts) {
+		tm.Payload.(*exEngine).expire(tm)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestPushResolvesWithoutAllocating(t *testing.T) {
 	}
 }
 
-// PushBatch on a partitioned exception matcher raises exceptions in
+// PushBatchAt on a partitioned exception matcher raises exceptions in
 // arrival order, as tuple-by-tuple Push does — not grouped by partition.
 func TestExceptionPushBatchArrivalOrder(t *testing.T) {
 	def := clinicDef(ModeConsecutive)
@@ -55,7 +55,7 @@ func TestExceptionPushBatchArrivalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PushBatch(m.Resolve("A2"), run); err != nil {
+	if _, err := m.PushBatchAt(m.Resolve("A2"), run, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []string

@@ -9,6 +9,7 @@ package esl
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -198,7 +199,7 @@ const bqEx6SQL = `
 	AND C1.tagid=C4.tagid`
 
 // TestBatchEquivExample6SEQ: the keyed SEQ of Example 6 with a callback
-// sink — a silent reader, so runs feed the NFA key-grouped.
+// sink — a silent reader, fed its runs whole.
 func TestBatchEquivExample6SEQ(t *testing.T) {
 	runBatchEquiv(t, bqScenario{
 		evts: bqQCFeed(),
@@ -436,6 +437,55 @@ func TestBatchEquivTimeSensitiveExact(t *testing.T) {
 				  (SELECT * FROM tag_readings AS person
 				   OVER [1 MINUTES PRECEDING AND FOLLOWING item]
 				   WHERE person.tagtype = 'person')`, "theft", rec)
+		},
+	})
+}
+
+// TestBatchEquivExpireAfterGuarded: guarded EXPIRE AFTER queries, star and
+// CONSECUTIVE, with callback and derived sinks, plus one unguarded star,
+// over C1/C2 traffic interleaved with a stream no query reads. A run's idle
+// expiry depends on every arrival's timestamp, the unread stream's
+// included. A guarded reader's sub-run carries those horizons (Batch.Prev);
+// an unguarded reader's run does not, so EXPIRE AFTER keeps the engine
+// time-sensitive and the unguarded star diverges at batch sizes 7 and 256
+// once it does not.
+func TestBatchEquivExpireAfterGuarded(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var evts []bqEvt
+	at := 0
+	for i := 0; i < 400; i++ {
+		at++
+		if rng.Intn(6) == 0 {
+			at += 4
+		}
+		stn := []string{"C1", "C1", "C2", "C3"}[rng.Intn(4)]
+		rid := stream.Str(fmt.Sprintf("R%d", rng.Intn(4)))
+		tag := stream.Str(fmt.Sprintf("t%d", rng.Intn(3)))
+		evts = append(evts, bqTup(stn, bqSec(at), rid, tag, stream.Time(bqSec(at))))
+		if rng.Intn(16) == 0 {
+			at++
+			evts = append(evts, bqBeat(bqSec(at)))
+		}
+	}
+	star := `SELECT FIRST(C1*).tagtime, COUNT(C1*), C2.tagtime FROM C1, C2
+		WHERE SEQ(C1*, C2) EXPIRE AFTER 4 SECONDS
+		AND C1.readerid = '%s' AND C2.readerid = '%s' AND C1.tagid = C2.tagid`
+	consecutive := `SELECT C1.tagid, C1.tagtime, C2.tagtime FROM C1, C2
+		WHERE SEQ(C1, C2) MODE CONSECUTIVE EXPIRE AFTER 4 SECONDS
+		AND C1.readerid = '%s' AND C2.readerid = '%s' AND C1.tagid = C2.tagid`
+	runBatchEquiv(t, bqScenario{
+		evts:      evts,
+		sensitive: true,
+		setup: func(t *testing.T, e *Engine, rec func(tag, line string)) {
+			bqExec(t, e, bqQCDDL)
+			bqRegister(t, e, fmt.Sprintf(star, "R0", "R1"), "star", rec)
+			bqRegister(t, e, fmt.Sprintf(consecutive, "R2", "R2"), "consecutive", rec)
+			bqRegister(t, e, `SELECT FIRST(C1*).tagtime, COUNT(C1*), C2.tagtime FROM C1, C2
+				WHERE SEQ(C1*, C2) EXPIRE AFTER 4 SECONDS AND C1.tagid = C2.tagid`, "star_unguarded", rec)
+			bqExec(t, e, "INSERT INTO star_out "+fmt.Sprintf(star, "R1", "R0"))
+			bqSubscribe(t, e, "star_out", "star_out", rec)
+			bqExec(t, e, "INSERT INTO consecutive_out "+fmt.Sprintf(consecutive, "R3", "R3"))
+			bqSubscribe(t, e, "consecutive_out", "consecutive_out", rec)
 		},
 	})
 }

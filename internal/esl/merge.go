@@ -329,54 +329,11 @@ func (op *mergedOp) pushBatch(aliases []string, b *stream.Batch) error {
 	if err != nil {
 		return err
 	}
-	if len(bms) == 0 {
-		return nil
-	}
-	if len(g.members) == 1 {
-		return e.emitSoleMemberLocked(g, b, bms)
-	}
 	for _, bm := range bms {
 		if t := b.Tuples[bm.Index]; t.TS > e.now {
 			e.now = t.TS
 		}
 		if err := g.emitMatch(e, bm.Match); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitSoleMemberLocked drains a batch's matches for a single-member group
-// behind one panic boundary instead of one per match. Equivalent to
-// per-match isolation: a projection panic quarantines the member, and a
-// quarantined member would have been skipped for every remaining match
-// anyway. Event-time updates skipped after a panic are subsumed by the
-// caller's end-of-run clock advance.
-func (e *Engine) emitSoleMemberLocked(g *mergeGroup, b *stream.Batch, bms []core.BatchMatch) (err error) {
-	mem := g.members[0]
-	acc := g.accept.Sole()
-	last := len(g.def.Steps) - 1
-	// A match completing in this push already passed the final-step filter —
-	// for a singleton group that IS the sole member's visibility test, and
-	// membership cannot change mid-push. With no residual multi-step check
-	// and no registration fence, admission is therefore already decided.
-	preAccepted := acc.Check == nil && acc.MinSeq == 0
-	var cur *stream.Tuple
-	defer func() {
-		if r := recover(); r != nil {
-			err = nil
-			e.quarantineQueryLocked(mem.ev.q, cur, r)
-		}
-	}()
-	for _, bm := range bms {
-		if t := b.Tuples[bm.Index]; t.TS > e.now {
-			e.now = t.TS
-		}
-		cur = bm.Match.Last(last)
-		if mem.ev.q.quarantined || (!preAccepted && !acc.Accepts(cur, bm.Match)) {
-			continue
-		}
-		if err := mem.ev.emitMatch(bm.Match); err != nil {
 			return err
 		}
 	}

@@ -770,60 +770,44 @@ func (op *eventOp) timeSensitive() bool {
 	return op.exceptional() || op.def.ExpireAfter > 0
 }
 
-// pushBatch feeds a run of same-stream tuples to the matcher.
+// pushBatch feeds a run of same-stream tuples to the matcher one tuple at a
+// time, each with its horizon, and emits what the tuple produced before the
+// next is pushed: derived emission can feed back into this query's own
+// inputs, and exceptions carry no batch index to restore their order by.
+// Only the alias resolution is amortized over the run.
 func (op *eventOp) pushBatch(aliases []string, b *stream.Batch) error {
 	e := op.e
 	r := op.seq.Resolve(aliases...)
-	if op.q.target != "" || op.exceptional() {
-		// Derived emission can feed back into this query's own inputs, and
-		// exceptions are raised per arrival, so keep the serial push/emit
-		// interleaving; only the alias resolution is amortized (the engine
-		// also defers its trailing advance to the run boundary).
-		for i, t := range b.Tuples {
-			if t.TS > e.now {
-				e.now = t.TS
-			}
-			if len(b.Prev) > 0 {
-				op.seq.Advance(b.Prev[i])
-			}
-			matches, err := op.seq.PushResolved(r, t)
-			if err != nil {
-				return err
-			}
-			if err := op.emitPushed(matches); err != nil {
-				return err
-			}
+	for i, t := range b.Tuples {
+		var prev []stream.Timestamp
+		if len(b.Prev) > 0 {
+			prev = b.Prev[i : i+1]
 		}
-		return nil
-	}
-	// Callback-only sink: the whole run feeds the NFA key-grouped, so each
-	// partition's state is visited once per run instead of once per tuple.
-	// The matcher returns matches in serial emission order; the clock is
-	// advanced to each trigger before its rows are emitted.
-	bms, err := op.seq.PushBatchAt(r, b.Tuples, b.Prev)
-	if err != nil {
-		return err
-	}
-	for _, bm := range bms {
-		if t := b.Tuples[bm.Index]; t.TS > e.now {
+		bms, err := op.seq.PushBatchAt(r, b.Tuples[i:i+1], prev)
+		if err != nil {
+			return err
+		}
+		if t.TS > e.now {
 			e.now = t.TS
 		}
-		if err := op.emitMatch(bm.Match); err != nil {
-			return err
+		if op.exceptional() {
+			// Completions are not rows of the exception kinds.
+			if err := op.emitExceptions(op.seq.TakeExceptions()); err != nil {
+				return err
+			}
+			continue
 		}
-	}
-	return nil
-}
-
-// emitPushed emits what one push produced: the raised exceptions for the
-// exception kinds (their completions are not rows), the matches otherwise.
-func (op *eventOp) emitPushed(matches []*core.Match) error {
-	if op.exceptional() {
-		return op.emitExceptions(op.seq.TakeExceptions())
-	}
-	for _, m := range matches {
-		if err := op.emitMatch(m); err != nil {
-			return err
+		// A derived row re-entering this query reuses bms: detach the
+		// matches before emitting.
+		var buf [4]*core.Match
+		matches := buf[:0]
+		for _, bm := range bms {
+			matches = append(matches, bm.Match)
+		}
+		for _, m := range matches {
+			if err := op.emitMatch(m); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -217,7 +217,11 @@ func (c *ClinicConfig) defaults() {
 
 // ClinicTest is ground truth for one generated test.
 type ClinicTest struct {
-	Staff      string
+	Staff string
+	// Start is the time of the test's first reading. Tests run one after
+	// another, so everything a test raises falls between its Start and the
+	// next test's.
+	Start      stream.Timestamp
 	WrongOrder bool
 	Stalled    bool
 }
@@ -233,7 +237,7 @@ func ClinicWorkflow(cfg ClinicConfig) (*Trace, []ClinicTest) {
 	var truth []ClinicTest
 	at := stream.TS(time.Minute)
 	for i := 0; i < cfg.Tests; i++ {
-		test := ClinicTest{Staff: cfg.Staff[i%len(cfg.Staff)]}
+		test := ClinicTest{Staff: cfg.Staff[i%len(cfg.Staff)], Start: at}
 		test.WrongOrder = cfg.WrongOrderEvery > 0 && (i+1)%cfg.WrongOrderEvery == 0
 		test.Stalled = !test.WrongOrder && cfg.StallEvery > 0 && (i+1)%cfg.StallEvery == 0
 		order := []int{0, 1, 2}
