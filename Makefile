@@ -24,7 +24,8 @@ test:
 # bodies, journal records and segments, wire frames, MVCC table sections,
 # matcher state, query operator state, query text through parser, planner
 # and expression compiler, EPC codes and patterns — sees fresh hostile input
-# on every run. -fuzz takes one target per run.
+# on every run, and the matcher's batch and lazy-eviction paths are held to
+# their serial and eager references. -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileQuery$$' -fuzztime 5s ./internal/esl
 	$(GO) test -run '^$$' -fuzz '^FuzzOpStateLoad$$' -fuzztime 5s ./internal/esl
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableLoad$$' -fuzztime 5s ./internal/db
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherLoad$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPushBatchAt$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLazyEviction$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEPC$$' -fuzztime 5s ./internal/epc
 
 # Fault-injection soak: 1M events through the serial and sharded engines

@@ -18,28 +18,58 @@ import (
 //     tuple extends a copy of the prefix chain of length i and replaces the
 //     stored length-i+1 chain, implementing "earlier tuples are constantly
 //     replaced by later tuples as the candidate".
+//
+// EXPIRE AFTER prunes partial matches that bound nothing for ExpireAfter
+// before the clock, as the run engine's idle test does: a RECENT chain is
+// dropped once its last tuple is idle; in the buffered modes a tuple may
+// follow a previous-step tuple only if that one was not yet idle when it
+// arrived, which its stamp (held.lo) records.
 type chainEngine struct {
 	def *Def
 	key stream.Value
 
 	// bufs[i] is the retained history for step i (UNRESTRICTED/CHRONICLE);
 	// the final step needs no history.
-	bufs []window.TimeBuffer
+	bufs []window.Store[held]
+	// at is the horizon the engine has been advanced to: the push horizon
+	// of the tuple being pushed, which EXPIRE AFTER stamps it with.
+	at stream.Timestamp
 
 	// chains[i] is the RECENT-mode chain covering steps 0..i (final step
 	// excluded: completions are emitted, not stored).
 	chains []*Match
 }
 
+// held is one buffered step tuple. Under EXPIRE AFTER, lo is its push
+// horizon less ExpireAfter: the oldest a previous-step tuple may be and
+// still precede it, since a partial idle longer had expired by its arrival.
+type held struct {
+	t  *stream.Tuple
+	lo stream.Timestamp
+}
+
+func (h held) Time() stream.Timestamp { return h.t.TS }
+
 func newChainEngine(def *Def, key stream.Value) engine {
-	e := &chainEngine{def: def, key: key}
+	e := &chainEngine{def: def, key: key, at: stream.MinTimestamp}
 	n := len(def.Steps)
 	if def.Mode == ModeRecent {
 		e.chains = make([]*Match, n-1)
 	} else {
-		e.bufs = make([]window.TimeBuffer, n-1)
+		e.bufs = make([]window.Store[held], n-1)
 	}
 	return e
+}
+
+func (e *chainEngine) rekey(key stream.Value) { e.key, e.at = key, stream.MinTimestamp }
+
+// stamped reports whether buffered tuples carry EXPIRE AFTER stamps.
+func (e *chainEngine) stamped() bool { return e.def.ExpireAfter > 0 && len(e.bufs) > 0 }
+
+// follows reports whether h may bind right after prev: under EXPIRE AFTER,
+// prev's partial must not have been idle when h arrived.
+func (e *chainEngine) follows(prev *stream.Tuple, h held) bool {
+	return e.def.ExpireAfter == 0 || prev.TS >= h.lo
 }
 
 func (e *chainEngine) push(steps []int, _ uint64, t *stream.Tuple) ([]*Match, error) {
@@ -54,7 +84,7 @@ func (e *chainEngine) push(steps []int, _ uint64, t *stream.Tuple) ([]*Match, er
 		case ModeRecent:
 			e.extendChain(si, t)
 		default:
-			if err := e.bufs[si].Add(t); err != nil {
+			if err := e.bufs[si].Add(held{t: t, lo: e.at.Add(-e.def.ExpireAfter)}); err != nil {
 				return out, err
 			}
 		}
@@ -121,7 +151,7 @@ func (e *chainEngine) complete(t *stream.Tuple) []*Match {
 			// Consume participants: each tuple forms at most one event.
 			for i := 0; i < last; i++ {
 				used := partial.Groups[i][0]
-				e.bufs[i].Remove(func(t *stream.Tuple) bool { return t == used })
+				e.bufs[i].Remove(func(h held) bool { return h.t == used })
 			}
 			return []*Match{partial}
 		}
@@ -145,11 +175,12 @@ func (e *chainEngine) searchEarliest(partial *Match, si int, t *stream.Tuple) bo
 		return windowAdmits(e.def, partial, last, t) && predAdmits(e.def, partial, last, t)
 	}
 	ok := false
-	e.bufs[si].Each(func(cand *stream.Tuple) bool {
+	e.bufs[si].Each(func(h held) bool {
+		cand := h.t
 		if si > 0 {
 			prev := partial.Last(si - 1)
-			if !prev.BeforeInOrder(cand) {
-				return true // too early; keep scanning
+			if !prev.BeforeInOrder(cand) || !e.follows(prev, h) {
+				return true // too early, or its prefix idled out; keep scanning
 			}
 		}
 		if !cand.BeforeInOrder(t) {
@@ -180,10 +211,11 @@ func (e *chainEngine) enumerate(partial *Match, si int, t *stream.Tuple, out *[]
 		}
 		return
 	}
-	e.bufs[si].Each(func(cand *stream.Tuple) bool {
+	e.bufs[si].Each(func(h held) bool {
+		cand := h.t
 		if si > 0 {
 			prev := partial.Last(si - 1)
-			if !prev.BeforeInOrder(cand) {
+			if !prev.BeforeInOrder(cand) || !e.follows(prev, h) {
 				return true
 			}
 		}
@@ -202,11 +234,37 @@ func (e *chainEngine) enumerate(partial *Match, si int, t *stream.Tuple, out *[]
 
 // advance drops the history of every step cut below now − span; a cut
 // that holds only while the anchor is unbound does not apply, since the
-// anchor may already sit in a buffer.
+// anchor may already sit in a buffer. Under EXPIRE AFTER it also drops the
+// RECENT chains idle at now, and each buffered tuple that can neither be
+// extended any more (older than now − ExpireAfter) nor precede a retained
+// next-step tuple (older than that buffer's oldest stamp).
 func (e *chainEngine) advance(now stream.Timestamp) {
+	if now > e.at {
+		e.at = now
+	}
 	hz := &e.def.hz
-	for i := hz.cutFrom; i < len(e.bufs); i++ {
-		e.bufs[i].EvictBefore(now.Add(-hz.span))
+	idle := now.Add(-e.def.ExpireAfter)
+	for i := len(e.bufs) - 1; i >= 0; i-- {
+		if i >= hz.cutFrom {
+			e.bufs[i].EvictBefore(now.Add(-hz.span))
+		}
+		if e.def.ExpireAfter > 0 {
+			cut := idle
+			if i+1 < len(e.bufs) {
+				e.bufs[i+1].Each(func(h held) bool { // the oldest stamp is the lowest
+					cut = min(cut, h.lo)
+					return false
+				})
+			}
+			e.bufs[i].EvictBefore(cut)
+		}
+	}
+	if e.def.ExpireAfter > 0 {
+		for i, c := range e.chains {
+			if c != nil && c.Last(i).TS < idle {
+				e.chains[i] = nil
+			}
+		}
 	}
 }
 

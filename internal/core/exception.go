@@ -308,6 +308,8 @@ func (e *exEngine) expire(tm *window.Timer) {
 	e.reset()
 }
 
+func (e *exEngine) rekey(key stream.Value) { e.key = key }
+
 // advance is a no-op: expiry is driven by the Matcher's timer queue, not by
 // sweeping partitions.
 func (e *exEngine) advance(stream.Timestamp) {}

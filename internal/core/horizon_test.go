@@ -70,6 +70,60 @@ func TestLoadRejectsReversedHistory(t *testing.T) {
 	}
 }
 
+// rawState counts the tuples the partitions hold as they stand, without
+// StateSize's catch-up to the last Advance: the memory eviction left.
+func rawState(m *Matcher) int {
+	n := 0
+	m.eachPartition(func(p *partition) { n += p.eng.stateSize() })
+	return n
+}
+
+// Reclamation bounds memory on a stream of fresh keys: ten horizons of one
+// C1 per key every 10 ms, advancing after each, leave exactly the partitions
+// of the keys touched within the last horizon (1 s: 101 keys), and the
+// tuples the partitions actually hold within twice that window's
+// population — for chains and runs, window- and idle-bounded alike.
+func TestReclaimFreshKeys(t *testing.T) {
+	preceding := &WindowAnchor{Span: time.Second, Step: 1}
+	following := &WindowAnchor{Span: time.Second, Step: 0, Following: true}
+	cases := []struct {
+		name   string
+		mode   Mode
+		star   bool
+		window *WindowAnchor
+		expire time.Duration
+	}{
+		{"chronicle preceding", ModeChronicle, false, preceding, 0},
+		{"unrestricted following", ModeUnrestricted, false, following, 0},
+		{"consecutive preceding", ModeConsecutive, false, preceding, 0},
+		{"star chronicle preceding", ModeChronicle, true, preceding, 0},
+		{"unrestricted expire", ModeUnrestricted, false, nil, time.Second},
+		{"recent expire", ModeRecent, false, nil, time.Second},
+		{"star recent expire", ModeRecent, true, nil, time.Second},
+	}
+	for _, c := range cases {
+		def := keyed(seqDef(c.mode, "C1", "C2"))
+		def.Steps[0].Star = c.star
+		def.Window, def.ExpireAfter = c.window, c.expire
+		m := MustMatcher(def)
+		const n = 1000 // 10 s at 10 ms
+		for i := 0; i < n; i++ {
+			tu := stream.MustTuple(qcSchema["C1"], stream.TS(time.Duration(i)*10*time.Millisecond),
+				stream.Str("C1"), stream.Int(int64(i)), stream.Null)
+			if _, err := m.Push(tu, "C1"); err != nil {
+				t.Fatal(err)
+			}
+			m.Advance(tu.TS)
+		}
+		if got := m.Partitions(); got != 101 {
+			t.Errorf("%s: %d partitions, want the 101 keys of the last second", c.name, got)
+		}
+		if got := rawState(m); got > 2*101 {
+			t.Errorf("%s: %d tuples held, want at most %d", c.name, got, 2*101)
+		}
+	}
+}
+
 // bruteWindow restates the window rule for a full binding (one tuple per
 // step): PRECEDING at k puts every earlier tuple within span before the
 // anchor; FOLLOWING at k puts every later tuple within span after it.
@@ -185,7 +239,9 @@ func TestUnrestrictedMatchesBruteForce(t *testing.T) {
 // alone, then per op one fresh key's Push and an Advance to its time.
 // Tuples are 10 ms apart, so about 101 stay live whatever K is. Op i
 // reuses key i mod K, last seen K·10 ms earlier and far outside the
-// window, so the matcher holds K partitions however long the run.
+// window: its partition has been reclaimed by then, so after the first K
+// ops the matcher holds about 101 partitions, and an op costs the same at
+// any K.
 func BenchmarkAdvanceFreshKeys(b *testing.B) {
 	for _, k := range []int{5000, 10000, 20000, 40000} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/snapshot"
 	"repro/internal/stream"
@@ -30,6 +32,9 @@ type engine interface {
 	// save/load serialize the engine's mutable state (see snapshot.go).
 	save(enc *snapshot.Encoder)
 	load(dec *snapshot.Decoder) error
+	// rekey readies an empty engine, recycled from a reclaimed partition,
+	// to match under another key.
+	rekey(key stream.Value)
 }
 
 // Matcher evaluates one SEQ-family pattern incrementally. Feed it the
@@ -44,11 +49,28 @@ type engine interface {
 // the EXCEPTION_SEQ automaton, whose active-expiration deadlines live on
 // the matcher's one timer queue and whose exceptions collect in the
 // matcher's buffer until TakeExceptions.
+//
+// SEQ partitions are evicted on touch only: pushSteps advances the
+// partition a tuple reaches to the tuple's horizon before the push, and
+// Advance visits no partition. Partitions no tuple reaches any more are
+// freed from the reclaim queue, which holds one entry per partition, due
+// when its state has surely expired.
 type Matcher struct {
 	def    Def
 	single engine
-	parts  map[uint64][]*partition // key hash -> partitions (collision chain)
+	parts  map[uint64]*partition // key hash -> partitions (collision chain)
 	nparts int
+
+	// reclaim orders the live partitions by deadline: last touch plus
+	// bound, the time after which a partition's every tuple is dead (zero:
+	// no such time, nothing queues). spare holds the shells of reclaimed
+	// partitions for reuse by fresh keys. swept is the highest Advance
+	// time: StateSize, RunCount and Save first advance every partition to
+	// it, so they read what eviction at every Advance would have left.
+	reclaim partQueue
+	bound   time.Duration
+	spare   []*partition
+	swept   stream.Timestamp
 
 	// exceptions selects exEngine partitions; timers holds their deadlines
 	// and exs the exceptions raised since the last TakeExceptions.
@@ -81,9 +103,18 @@ type Matcher struct {
 }
 
 type partition struct {
-	key stream.Value
-	eng engine
+	key  stream.Value
+	hash uint64
+	next *partition // same-hash collision chain
+	eng  engine
+	// last is the newest tuple's time, the one field a push writes; due is
+	// the partition's reclaim queue entry, at or before last + bound.
+	last, due stream.Timestamp
 }
+
+// sparePartitions caps the reclaimed shells kept for reuse, so a burst of
+// reclaims cannot pin memory forever.
+const sparePartitions = 1024
 
 // NewMatcher validates the pattern and builds a matcher.
 func NewMatcher(def Def) (*Matcher, error) {
@@ -94,10 +125,11 @@ func NewMatcher(def Def) (*Matcher, error) {
 }
 
 func newMatcher(def Def, exceptions bool) *Matcher {
-	m := &Matcher{def: def, exceptions: exceptions}
+	m := &Matcher{def: def, exceptions: exceptions, swept: stream.MinTimestamp}
 	m.def.hz = deriveHorizon(&m.def)
 	if def.Partitioned() {
-		m.parts = make(map[uint64][]*partition)
+		m.parts = make(map[uint64]*partition)
+		m.bound = reclaimBound(&m.def, exceptions)
 	} else {
 		m.single = m.newEngine(stream.Null)
 	}
@@ -125,6 +157,24 @@ func (m *Matcher) newEngine(key stream.Value) engine {
 	default:
 		return newChainEngine(&m.def, key)
 	}
+}
+
+// reclaimBound is how long after its newest tuple a partition's state is
+// surely all evicted: ExpireAfter idles out every partial, and a window
+// that cuts every step (hz.cutFrom == 0) kills every tuple span after it —
+// except RECENT chains, which window eviction leaves in place. The smaller
+// applies; zero means neither holds and the partition is never reclaimed.
+// Exception partitions keep their automaton and are never reclaimed.
+func reclaimBound(d *Def, exceptions bool) time.Duration {
+	if exceptions {
+		return 0
+	}
+	b := d.ExpireAfter
+	recentChain := d.Mode == ModeRecent && !hasStar(d)
+	if d.Window != nil && d.hz.cutFrom == 0 && !recentChain && (b == 0 || d.hz.span < b) {
+		b = d.hz.span
+	}
+	return b
 }
 
 func hasStar(def *Def) bool {
@@ -264,6 +314,7 @@ func (m *Matcher) pushSteps(steps []int, mask uint64, t *stream.Tuple, pre strea
 		copy(rem[n:], same)
 		m.sameScratch = same
 		p := m.partitionFor(key)
+		p.last = t.TS
 		p.eng.advance(pre)
 		matches, err := p.eng.push(rem[n:], sameMask, t)
 		if out == nil {
@@ -328,20 +379,44 @@ func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Ti
 	return out, err
 }
 
+// partitionFor finds key's partition, creating it — from a reclaimed
+// shell when there is one — and queueing it for reclaim if it is new.
 func (m *Matcher) partitionFor(key stream.Value) *partition {
-	if p := m.lookup(key); p != nil {
-		return p
-	}
-	p := &partition{key: key, eng: m.newEngine(key)}
 	h := key.Hash()
-	m.parts[h] = append(m.parts[h], p)
+	var tail *partition
+	for p := m.parts[h]; p != nil; p = p.next {
+		if p.key.Equal(key) {
+			return p
+		}
+		tail = p
+	}
+	var p *partition
+	if n := len(m.spare); n > 0 {
+		p = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+		p.key, p.hash, p.next = key, h, nil
+		p.eng.rekey(key)
+	} else {
+		p = &partition{key: key, hash: h, eng: m.newEngine(key)}
+	}
+	if tail == nil {
+		m.parts[h] = p
+	} else {
+		tail.next = p
+	}
 	m.nparts++
+	if m.bound > 0 {
+		p.last = m.clock
+		p.due = m.deadline(p)
+		heap.Push(&m.reclaim, p)
+	}
 	return p
 }
 
 // lookup finds key's partition without creating it.
 func (m *Matcher) lookup(key stream.Value) *partition {
-	for _, p := range m.parts[key.Hash()] {
+	for p := m.parts[key.Hash()]; p != nil; p = p.next {
 		if p.key.Equal(key) {
 			return p
 		}
@@ -349,9 +424,100 @@ func (m *Matcher) lookup(key stream.Value) *partition {
 	return nil
 }
 
+// eachPartition visits every live partition.
+func (m *Matcher) eachPartition(fn func(*partition)) {
+	for _, p := range m.parts {
+		for ; p != nil; p = p.next {
+			fn(p)
+		}
+	}
+}
+
+// deadline is the last instant at which a tuple p held at its last touch
+// can still be live: eviction at now drops what is older than now − bound,
+// so the partition is empty once advanced past its deadline.
+func (m *Matcher) deadline(p *partition) stream.Timestamp {
+	return p.last.Add(m.bound)
+}
+
+// reclaimDue pops the reclaim entries due before ts. An entry whose partition
+// was touched since it queued is pushed back at the partition's own
+// deadline; a partition due on time is advanced to ts, and, its engine
+// then empty, leaves the map for the spare shells.
+func (m *Matcher) reclaimDue(ts stream.Timestamp) {
+	for len(m.reclaim) > 0 {
+		p := m.reclaim[0]
+		if p.due >= ts {
+			return
+		}
+		if due := m.deadline(p); due >= ts {
+			p.due = due
+			heap.Fix(&m.reclaim, 0)
+			continue
+		}
+		p.eng.advance(ts)
+		if p.eng.stateSize() != 0 || p.eng.runCount() != 0 {
+			// Live state here would mean reclaimBound promised too much:
+			// keep the partition and look again one bound later.
+			p.last = ts
+			p.due = m.deadline(p)
+			heap.Fix(&m.reclaim, 0)
+			continue
+		}
+		heap.Pop(&m.reclaim)
+		m.unlink(p)
+	}
+}
+
+// unlink removes an empty partition from the map and keeps its shell.
+func (m *Matcher) unlink(p *partition) {
+	if head := m.parts[p.hash]; head == p {
+		if p.next == nil {
+			delete(m.parts, p.hash)
+		} else {
+			m.parts[p.hash] = p.next
+		}
+	} else {
+		for q := head; q != nil; q = q.next {
+			if q.next == p {
+				q.next = p.next
+				break
+			}
+		}
+	}
+	m.nparts--
+	p.key, p.next = stream.Null, nil
+	if len(m.spare) < sparePartitions {
+		m.spare = append(m.spare, p)
+	}
+}
+
+// catchUp advances every partition to the highest Advance time, for the
+// readers that visit every partition anyway.
+func (m *Matcher) catchUp() {
+	m.eachPartition(func(p *partition) { p.eng.advance(m.swept) })
+}
+
+// partQueue is the reclaim queue: a min-heap of partitions by due.
+type partQueue []*partition
+
+func (q partQueue) Len() int            { return len(q) }
+func (q partQueue) Less(i, j int) bool  { return q[i].due < q[j].due }
+func (q partQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *partQueue) Push(x interface{}) { *q = append(*q, x.(*partition)) }
+func (q *partQueue) Pop() interface{} {
+	old := *q
+	p := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return p
+}
+
 // Advance moves event time to ts (from a heartbeat or a non-participating
-// tuple), evicting expired matching state. On an exception matcher it fires
-// the due active-expiration timers instead; their exceptions wait for
+// tuple). An unpartitioned matcher evicts its state to ts; a partitioned
+// one leaves its partitions to be evicted when next touched or read, and
+// reclaims those whose state has surely expired. On an exception matcher it
+// fires the due active-expiration timers instead; their exceptions wait for
 // TakeExceptions.
 func (m *Matcher) Advance(ts stream.Timestamp) {
 	if ts > m.clock {
@@ -365,11 +531,10 @@ func (m *Matcher) Advance(ts stream.Timestamp) {
 		m.single.advance(ts)
 		return
 	}
-	for _, chain := range m.parts {
-		for _, p := range chain {
-			p.eng.advance(ts)
-		}
+	if ts > m.swept {
+		m.swept = ts
 	}
+	m.reclaimDue(ts)
 }
 
 // fire expires the exception engines whose timers are due by ts.
@@ -386,19 +551,20 @@ func (m *Matcher) StateSize() int {
 	if m.single != nil {
 		return m.single.stateSize()
 	}
+	m.catchUp()
 	n := 0
-	for _, chain := range m.parts {
-		for _, p := range chain {
-			n += p.eng.stateSize()
-		}
-	}
+	m.eachPartition(func(p *partition) { n += p.eng.stateSize() })
 	return n
 }
 
-// Partitions reports how many partitions the matcher has ever created —
-// one per distinct key seen since construction or the last Load, live state
-// or not. Partitions are never reclaimed, so on a stream of fresh keys this
-// grows without bound even when only a few keys hold live runs.
+// Partitions reports how many partitions the matcher holds: one per key
+// pushed since its partition was last reclaimed. A partition is reclaimed
+// at the first Advance after its state has surely expired — bound after
+// its newest tuple, where bound is the smaller of EXPIRE AFTER and a window
+// that cuts every step — so on a stream of fresh keys this tracks the keys
+// touched within the last bound, not every key ever seen. Patterns with
+// neither bound, RECENT chains without EXPIRE AFTER and exception matchers
+// never reclaim.
 func (m *Matcher) Partitions() int { return m.nparts }
 
 // TakeExceptions returns the EXCEPTION_SEQ exceptions raised by Push and
@@ -418,12 +584,9 @@ func (m *Matcher) RunCount() int {
 	if m.single != nil {
 		return m.single.runCount()
 	}
+	m.catchUp()
 	n := 0
-	for _, chain := range m.parts {
-		for _, p := range chain {
-			n += p.eng.runCount()
-		}
-	}
+	m.eachPartition(func(p *partition) { n += p.eng.runCount() })
 	return n
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -238,5 +239,40 @@ func TestExceptionLevelBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: an EXPIRE AFTER longer than the whole history prunes nothing,
+// so in every mode, star or not, the pattern emits exactly the matches it
+// emits without one — with the clock advanced to every arrival, so each
+// idle test runs.
+func TestExpireAfterBeyondTraceProperty(t *testing.T) {
+	aliases := []string{"C1", "C2", "C3"}
+	for _, mode := range []Mode{ModeUnrestricted, ModeRecent, ModeChronicle, ModeConsecutive} {
+		for _, star := range []bool{false, true} {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				hist, _ := randomHistory(rng, aliases, 60)
+				plain := seqDef(mode, aliases...)
+				plain.Steps[0].Star = star
+				expiring := seqDef(mode, aliases...)
+				expiring.Steps[0].Star = star
+				expiring.ExpireAfter = hist[len(hist)-1].TS.Sub(0) + time.Second
+				a, b := MustMatcher(plain), MustMatcher(expiring)
+				for _, tu := range hist {
+					x, _ := a.Push(tu, tu.Schema.Name())
+					y, _ := b.Push(tu, tu.Schema.Name())
+					if !slices.Equal(sigs(x), sigs(y)) {
+						return false
+					}
+					a.Advance(tu.TS)
+					b.Advance(tu.TS)
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+				t.Errorf("mode %v star=%v: %v", mode, star, err)
+			}
+		}
 	}
 }

@@ -55,6 +55,8 @@ func newRunEngine(def *Def, key stream.Value) engine {
 	return &runEngine{def: def, key: key, buckets: make([][]*run, 2*len(def.Steps))}
 }
 
+func (e *runEngine) rekey(key stream.Value) { e.key = key }
+
 // runPoolCap bounds the free list so a burst of evictions cannot pin
 // memory forever.
 const runPoolCap = 128
@@ -64,6 +66,7 @@ func (e *runEngine) newRun() *run {
 		r := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
+		r.m.Key = e.key // the engine may have been rekeyed since release
 		return r
 	}
 	return &run{

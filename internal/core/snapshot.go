@@ -188,11 +188,31 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 
 // --- chain engine ---
 
+// save writes the history buffers, then the RECENT chains. A stamped body
+// (EXPIRE AFTER over buffered steps) writes each tuple with its stamp and
+// leads with the chains section, which these engines always hold empty: a
+// body saved before stamps existed leads with its nonzero buffer count, so
+// it fails load's count check instead of having its tuples read as stamps.
 func (e *chainEngine) save(enc *snapshot.Encoder) {
+	stamped := e.stamped()
+	if stamped {
+		e.saveChains(enc)
+	}
 	enc.Uvarint(uint64(len(e.bufs)))
 	for i := range e.bufs {
-		e.bufs[i].Save(enc, (*snapshot.Encoder).Tuple)
+		e.bufs[i].Save(enc, func(enc *snapshot.Encoder, h held) {
+			enc.Tuple(h.t)
+			if stamped {
+				enc.TS(h.lo)
+			}
+		})
 	}
+	if !stamped {
+		e.saveChains(enc)
+	}
+}
+
+func (e *chainEngine) saveChains(enc *snapshot.Encoder) {
 	enc.Uvarint(uint64(len(e.chains)))
 	for _, c := range e.chains {
 		enc.Bool(c != nil)
@@ -203,6 +223,13 @@ func (e *chainEngine) save(enc *snapshot.Encoder) {
 }
 
 func (e *chainEngine) load(dec *snapshot.Decoder) error {
+	e.at = stream.MinTimestamp
+	stamped := e.stamped()
+	if stamped {
+		if err := e.loadChains(dec); err != nil {
+			return err
+		}
+	}
 	nb, err := dec.Len()
 	if err != nil {
 		return err
@@ -211,10 +238,24 @@ func (e *chainEngine) load(dec *snapshot.Decoder) error {
 		return snapshot.Mismatchf("chain engine has %d history buffers, snapshot has %d", len(e.bufs), nb)
 	}
 	for i := range e.bufs {
-		if err := e.bufs[i].Load(dec, window.LoadTuple); err != nil {
+		if err := e.bufs[i].Load(dec, func(dec *snapshot.Decoder) (held, error) {
+			t, err := window.LoadTuple(dec)
+			if err != nil || !stamped {
+				return held{t: t}, err
+			}
+			lo, err := dec.TS()
+			return held{t: t, lo: lo}, err
+		}); err != nil {
 			return err
 		}
 	}
+	if stamped {
+		return nil
+	}
+	return e.loadChains(dec)
+}
+
+func (e *chainEngine) loadChains(dec *snapshot.Decoder) error {
 	nc, err := dec.Len()
 	if err != nil {
 		return err
@@ -275,17 +316,20 @@ func (e *exEngine) load(dec *snapshot.Decoder) error {
 // --- Matcher ---
 
 // Save serializes the matcher's live state in one frame for every engine
-// kind: the clock, every partition's engine in deterministic (key hash,
-// collision-chain position) order so the same logical state always yields
-// the same bytes, then the live timers in schedule order as (partition
-// ordinal, deadline). Writing timers in order normalizes their schedule
-// ordinals to ranks, so Load re-arms them on a fresh queue with the same
-// same-instant firing order and a save→load→save cycle is byte-stable.
+// kind: the clock, every partition's engine — first advanced to the last
+// Advance, as eviction at every Advance would have left it — in
+// deterministic (key hash, collision-chain position) order so the same
+// logical state always yields the same bytes, then the live timers in
+// schedule order as (partition ordinal, deadline). Writing timers in order
+// normalizes their schedule ordinals to ranks, so Load re-arms them on a
+// fresh queue with the same same-instant firing order and a save→load→save
+// cycle is byte-stable. The reclaim queue is not written: Load rebuilds it.
 func (m *Matcher) Save(enc *snapshot.Encoder) {
 	enc.TS(m.clock)
 	enc.Bool(m.single == nil)
 	engs := []engine{m.single}
 	if m.single == nil {
+		m.catchUp()
 		refs := sortedPartitions(m.parts)
 		enc.Uvarint(uint64(len(refs)))
 		engs = make([]engine, len(refs))
@@ -315,15 +359,15 @@ func (m *Matcher) Save(enc *snapshot.Encoder) {
 	}
 }
 
-func sortedPartitions(parts map[uint64][]*partition) []*partition {
+func sortedPartitions(parts map[uint64]*partition) []*partition {
 	type ref struct {
 		h uint64
 		i int
 		p *partition
 	}
 	refs := make([]ref, 0, len(parts))
-	for h, chain := range parts {
-		for i, p := range chain {
+	for h, p := range parts {
+		for i := 0; p != nil; i, p = i+1, p.next {
 			refs = append(refs, ref{h: h, i: i, p: p})
 		}
 	}
@@ -344,13 +388,16 @@ func sortedPartitions(parts map[uint64][]*partition) []*partition {
 // pattern. Loading into a differently-shaped matcher (partitioning, step
 // count, mode) returns ErrStateMismatch; bytes Save never writes —
 // partitions out of order or repeated, state that does not fit the
-// pattern, a timer without a run to expire — return ErrCorrupt.
+// pattern, a timer without a run to expire — return ErrCorrupt. Every
+// restored partition queues for reclaim as if last touched at the restored
+// clock.
 func (m *Matcher) Load(dec *snapshot.Decoder) error {
 	clock, err := dec.TS()
 	if err != nil {
 		return err
 	}
 	m.clock = clock
+	m.swept = stream.MinTimestamp
 	part, err := dec.Bool()
 	if err != nil {
 		return err
@@ -370,8 +417,10 @@ func (m *Matcher) Load(dec *snapshot.Decoder) error {
 		if err != nil {
 			return err
 		}
-		m.parts = make(map[uint64][]*partition, n)
+		m.parts = make(map[uint64]*partition, n)
 		m.nparts = 0
+		clear(m.reclaim)
+		m.reclaim = m.reclaim[:0]
 		engs = make([]engine, n)
 		var prev uint64
 		for i := range engs {

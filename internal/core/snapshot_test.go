@@ -164,7 +164,8 @@ func TestTimerOrderSurvivesRestore(t *testing.T) {
 
 // fuzzShapes are the matcher shapes FuzzMatcherLoad loads into: the four
 // pairing modes × {plain, star} × {single, partitioned} over SEQ, plus the
-// CONSECUTIVE and RECENT exception automata, single and partitioned.
+// CONSECUTIVE and RECENT exception automata, single and partitioned, and a
+// partitioned UNRESTRICTED SEQ under EXPIRE AFTER (stamped chain bodies).
 type fuzzShape struct {
 	def        Def
 	exceptions bool
@@ -201,7 +202,9 @@ func fuzzShapes() []fuzzShape {
 			out = append(out, fuzzShape{def: d, exceptions: true})
 		}
 	}
-	return out
+	d := build(ModeUnrestricted, false, true)
+	d.ExpireAfter = 3 * time.Second
+	return append(out, fuzzShape{def: d})
 }
 
 func (s fuzzShape) matcher() *Matcher {

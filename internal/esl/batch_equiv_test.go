@@ -445,10 +445,9 @@ func TestBatchEquivTimeSensitiveExact(t *testing.T) {
 // CONSECUTIVE, with callback and derived sinks, plus one unguarded star,
 // over C1/C2 traffic interleaved with a stream no query reads. A run's idle
 // expiry depends on every arrival's timestamp, the unread stream's
-// included. A guarded reader's sub-run carries those horizons (Batch.Prev);
-// an unguarded reader's run does not, so EXPIRE AFTER keeps the engine
-// time-sensitive and the unguarded star diverges at batch sizes 7 and 256
-// once it does not.
+// included. Every reader's run carries those horizons (Batch.Prev), guarded
+// sub-run or whole run, so EXPIRE AFTER does not make the engine
+// time-sensitive.
 func TestBatchEquivExpireAfterGuarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var evts []bqEvt
@@ -475,7 +474,7 @@ func TestBatchEquivExpireAfterGuarded(t *testing.T) {
 		AND C1.readerid = '%s' AND C2.readerid = '%s' AND C1.tagid = C2.tagid`
 	runBatchEquiv(t, bqScenario{
 		evts:      evts,
-		sensitive: true,
+		sensitive: false,
 		setup: func(t *testing.T, e *Engine, rec func(tag, line string)) {
 			bqExec(t, e, bqQCDDL)
 			bqRegister(t, e, fmt.Sprintf(star, "R0", "R1"), "star", rec)
@@ -488,4 +487,29 @@ func TestBatchEquivExpireAfterGuarded(t *testing.T) {
 			bqSubscribe(t, e, "consecutive_out", "consecutive_out", rec)
 		},
 	})
+}
+
+// TestBatchEquivUnguardedStarHorizon: an unguarded star under a PRECEDING
+// window over C1@1, C3@10, C1@12, C2@13, where no query reads C3. Pushed one
+// by one, the advance to 10 s evicts the run C1@1 opened, so C1@12 opens a
+// fresh run and C2@13 completes it. In one PushBatch the C1@12 run is
+// delivered before any advance; it must still evict at the C3@10 horizon
+// its Batch.Prev carries, or C1@12 joins the stale run and C2@13 fails the
+// window.
+func TestBatchEquivUnguardedStarHorizon(t *testing.T) {
+	tup := func(stn string, at int) bqEvt {
+		return bqTup(stn, bqSec(at), stream.Str("R0"), stream.Str("t0"), stream.Time(bqSec(at)))
+	}
+	sc := bqScenario{
+		evts: []bqEvt{tup("C1", 1), tup("C3", 10), tup("C1", 12), tup("C2", 13)},
+		setup: func(t *testing.T, e *Engine, rec func(tag, line string)) {
+			bqExec(t, e, bqQCDDL)
+			bqRegister(t, e, `SELECT FIRST(C1*).tagtime, COUNT(C1*), C2.tagtime FROM C1, C2
+				WHERE SEQ(C1*, C2) OVER [5 SECONDS PRECEDING C2] AND C1.tagid = C2.tagid`, "star", rec)
+		},
+	}
+	if rows := bqRunSerial(t, sc)["star"]; len(rows) != 1 {
+		t.Fatalf("serial rows = %v, want the one match C1@12, C2@13", rows)
+	}
+	runBatchEquiv(t, sc)
 }

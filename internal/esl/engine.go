@@ -258,9 +258,9 @@ type queryOp interface {
 	// driving window eviction and active expiration.
 	advance(ts stream.Timestamp) error
 	// timeSensitive reports whether the op can emit output from the passage
-	// of event time alone (deferred FOLLOWING windows, exception timers,
-	// idle expiry). Such ops need event time advanced after every arrival,
-	// so deliverLocked cuts runs of one while one is registered; for all
+	// of event time alone (deferred FOLLOWING windows, exception timers).
+	// Such ops need event time advanced after every arrival, so
+	// deliverLocked cuts runs of one while one is registered; for all
 	// others, advance only trims state that bind-time checks already
 	// exclude, so it coalesces to the end of a delivery.
 	timeSensitive() bool
@@ -601,9 +601,6 @@ func (e *Engine) registerContinuous(target string, sel *Select, extraSink func(R
 		q.op = mem
 		q.reads = append([]string(nil), mem.g.q.reads...)
 		e.queries = append(e.queries, q)
-		if mem.timeSensitive() {
-			e.sensitive = true
-		}
 		return q, nil
 	}
 	for streamName, aliases := range inputs {
@@ -638,10 +635,9 @@ func (e *Engine) registerContinuous(target string, sel *Select, extraSink func(R
 
 // TimeSensitive reports whether any registered query can emit output from
 // the passage of event time alone (FOLLOWING-window deferrals, exception
-// timers, idle expiry). Such engines deliver every tuple as a run of one
-// followed by a clock advance; for the rest, runs span consecutive
-// same-stream tuples and clock and eviction work coalesce to the end of a
-// delivery.
+// timers). Such engines deliver every tuple as a run of one followed by a
+// clock advance; for the rest, runs span consecutive same-stream tuples and
+// clock and eviction work coalesce to the end of a delivery.
 func (e *Engine) TimeSensitive() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -798,8 +794,8 @@ func (e *Engine) acceptLocked(items []stream.Item) error {
 // eviction prunes expired runs BEFORE the next tuple can bind into them,
 // which changes which matches form. After a run, event time advances for
 // every query — right away when the cut rule says so, else once after the
-// last run (the matchers evict internally at each tuple's timestamp, so only
-// the trailing sweep is deferrable).
+// last run (the matchers evict internally at each tuple's horizon, so only
+// the trailing advance is deferrable).
 func (e *Engine) deliverLocked(items []stream.Item) error {
 	owed := false // a delivered run's advance is still deferred
 	for i := 0; i < len(items); {
@@ -848,11 +844,11 @@ func (e *Engine) deliverLocked(items []stream.Item) error {
 // cutLocked is the cut rule: it returns the end of the run of si's tuples
 // that starts at items[i], and whether event time must advance right after
 // it. A time-sensitive engine (TimeSensitive) takes every tuple as a run of
-// one followed by its advance, so deferred windows, exception timers and
-// idle expiry observe the clock at every arrival (§3.1.3). A stream whose
-// readers could observe each other's per-tuple interleaving (routeTable.
-// interleaved) also takes runs of one, with the advance deferred. Otherwise
-// a run spans all consecutive tuples of the stream, advance deferred.
+// one followed by its advance, so deferred windows and exception timers
+// observe the clock at every arrival (§3.1.3). A stream whose readers could
+// observe each other's per-tuple interleaving (routeTable.interleaved) also
+// takes runs of one, with the advance deferred. Otherwise a run spans all
+// consecutive tuples of the stream, advance deferred.
 func (e *Engine) cutLocked(si *streamInfo, items []stream.Item, i int) (end int, exact bool) {
 	if e.sensitive {
 		return i + 1, true
@@ -963,13 +959,20 @@ func (e *Engine) routeRunLocked(si *streamInfo, items []stream.Item) error {
 		si.history.EvictBefore(last.Add(-si.retain))
 	}
 	si.ntuples += uint64(len(items))
-	if first := items[0].Tuple.TS; first > e.now {
-		e.now = first
+	before := e.now
+	if ts := items[0].Tuple.TS; ts > e.now {
+		e.now = ts
 	}
 
+	// An unguarded reader's run carries its horizons too: before the run's
+	// first tuple the clock stood at the previous delivery's last arrival,
+	// which the reader's matcher may not have seen.
 	b := stream.GetBatch()
+	prev := before
 	for _, it := range items {
 		b.Tuples = append(b.Tuples, it.Tuple)
+		b.Prev = append(b.Prev, prev)
+		prev = it.Tuple.TS
 	}
 	var err error
 	for i := range si.readers {

@@ -345,7 +345,7 @@ func (op *mergedOp) advance(ts stream.Timestamp) error {
 	return nil
 }
 
-func (op *mergedOp) timeSensitive() bool { return op.g.def.ExpireAfter > 0 }
+func (op *mergedOp) timeSensitive() bool { return false }
 
 // memberOp is a merged member's runtime stub: the member receives no input
 // of its own (the group reader feeds the shared matcher), so pushBatch/advance
@@ -359,7 +359,7 @@ type memberOp struct {
 
 func (op *memberOp) pushBatch([]string, *stream.Batch) error { return nil }
 func (op *memberOp) advance(stream.Timestamp) error          { return nil }
-func (op *memberOp) timeSensitive() bool                     { return op.g.def.ExpireAfter > 0 }
+func (op *memberOp) timeSensitive() bool                     { return false }
 
 // The group leader reports the shared automaton's state; other members
 // report zero so sums over queries stay meaningful.

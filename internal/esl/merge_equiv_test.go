@@ -163,7 +163,7 @@ func TestMergeEquivExceptionAndTransducers(t *testing.T) {
 // still share, and everything must match the unmerged reference.
 func TestMergeEquivExpireAfter(t *testing.T) {
 	runMergeEquiv(t, bqScenario{
-		sensitive: true,
+		sensitive: false,
 		evts:      meFeed(rand.New(rand.NewSource(43)), 300),
 		setup: func(t *testing.T, e *Engine, rec func(tag, line string)) {
 			bqExec(t, e, reDDL)

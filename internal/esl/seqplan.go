@@ -762,13 +762,11 @@ func (op *eventOp) advance(ts stream.Timestamp) error {
 // matcher's exceptions rather than its completions.
 func (op *eventOp) exceptional() bool { return op.kindName != "SEQ" }
 
-// timeSensitive: exception matchers fire timers from heartbeats alone, and
-// ExpireAfter evicts idle runs whose expiry the clock must observe at every
-// arrival.
-// A plain SEQ without idle expiry only emits on arrival.
-func (op *eventOp) timeSensitive() bool {
-	return op.exceptional() || op.def.ExpireAfter > 0
-}
+// timeSensitive: exception matchers fire timers from heartbeats alone. A
+// plain SEQ only emits on arrival: its matcher evicts — EXPIRE AFTER
+// included — at each tuple's own horizon (Batch.Prev), however late the
+// clock is advanced.
+func (op *eventOp) timeSensitive() bool { return op.exceptional() }
 
 // pushBatch feeds a run of same-stream tuples to the matcher one tuple at a
 // time, each with its horizon, and emits what the tuple produced before the

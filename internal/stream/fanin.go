@@ -29,6 +29,9 @@ type FanIn[E any] struct {
 	less      func(a, b E) bool
 	at        func(E) Timestamp
 	deliver   func(E)
+	// rel is the release buffer, reused across offers: it is filled and
+	// delivered under dmu, so no other collect can overwrite it mid-delivery.
+	rel []E
 }
 
 // NewFanIn builds a fan-in over n sources. less orders one source's events
@@ -72,6 +75,7 @@ func (c *FanIn[E]) Offer(src int, events []E, wm Timestamp) {
 	for _, ev := range rel {
 		c.deliver(ev)
 	}
+	clear(rel)
 }
 
 // FlushAll releases every buffered event in merged order (used at Drain,
@@ -85,6 +89,7 @@ func (c *FanIn[E]) FlushAll() {
 	for _, ev := range rel {
 		c.deliver(ev)
 	}
+	clear(rel)
 }
 
 // Pending reports how many events are buffered awaiting release.
@@ -104,7 +109,7 @@ func (c *FanIn[E]) collectLocked(all bool) []E {
 			minWM = w
 		}
 	}
-	var rel []E
+	rel := c.rel[:0]
 	for {
 		best := -1
 		for s, q := range c.queues {
@@ -125,5 +130,6 @@ func (c *FanIn[E]) collectLocked(all bool) []E {
 		rel = append(rel, c.queues[best].Pop())
 		c.pending--
 	}
+	c.rel = rel
 	return rel
 }

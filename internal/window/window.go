@@ -69,7 +69,7 @@ func (s *Store[E]) before(ts stream.Timestamp) int {
 
 // EvictBefore drops all elements strictly before ts and returns how many
 // were dropped. One call costs O(log n + evicted), and O(1) when nothing
-// is due, the common case when a matcher advances every partition.
+// is due, the common case when a matcher evicts on every touch.
 func (s *Store[E]) EvictBefore(ts stream.Timestamp) int {
 	if s.start == len(s.items) || s.items[s.start].Time() >= ts {
 		return 0
@@ -87,8 +87,13 @@ func (s *Store[E]) Drop(n int) {
 }
 
 // compact moves the live region to the front once the dead prefix
-// dominates the backing array.
+// dominates the backing array, and rewinds an emptied store so the next
+// Add reuses the array from its start instead of growing it.
 func (s *Store[E]) compact() {
+	if s.start == len(s.items) {
+		s.items, s.start = s.items[:0], 0
+		return
+	}
 	if s.start > 64 && s.start*2 >= len(s.items) {
 		n := copy(s.items, s.items[s.start:])
 		clear(s.items[n:])
