@@ -17,7 +17,8 @@ import (
 //   - RECENT keeps exactly one chain per prefix length: an arriving step-i
 //     tuple extends a copy of the prefix chain of length i and replaces the
 //     stored length-i+1 chain, implementing "earlier tuples are constantly
-//     replaced by later tuples as the candidate".
+//     replaced by later tuples as the candidate". A chain leaves once no
+//     final tuple still to come could satisfy its window.
 //
 // EXPIRE AFTER prunes partial matches that bound nothing for ExpireAfter
 // before the clock, as the run engine's idle test does: a RECENT chain is
@@ -234,10 +235,12 @@ func (e *chainEngine) enumerate(partial *Match, si int, t *stream.Tuple, out *[]
 
 // advance drops the history of every step cut below now − span; a cut
 // that holds only while the anchor is unbound does not apply, since the
-// anchor may already sit in a buffer. Under EXPIRE AFTER it also drops the
-// RECENT chains idle at now, and each buffered tuple that can neither be
-// extended any more (older than now − ExpireAfter) nor precede a retained
-// next-step tuple (older than that buffer's oldest stamp).
+// anchor may already sit in a buffer. It drops each RECENT chain the
+// window rules out, by the run engine's level rule (a chain covering steps
+// 0..i has completed i+1). Under EXPIRE AFTER it also drops the chains
+// idle at now, and each buffered tuple that can neither be extended any
+// more (older than now − ExpireAfter) nor precede a retained next-step
+// tuple (older than that buffer's oldest stamp).
 func (e *chainEngine) advance(now stream.Timestamp) {
 	if now > e.at {
 		e.at = now
@@ -259,11 +262,9 @@ func (e *chainEngine) advance(now stream.Timestamp) {
 			e.bufs[i].EvictBefore(cut)
 		}
 	}
-	if e.def.ExpireAfter > 0 {
-		for i, c := range e.chains {
-			if c != nil && c.Last(i).TS < idle {
-				e.chains[i] = nil
-			}
+	for i, c := range e.chains {
+		if c != nil && (hz.dead(c, i+1, now) || e.def.ExpireAfter > 0 && c.Last(i).TS < idle) {
+			e.chains[i] = nil
 		}
 	}
 }

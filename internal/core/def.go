@@ -171,6 +171,24 @@ func deriveHorizon(d *Def) horizon {
 	return h
 }
 
+// dead reports whether a partial that has completed level steps, bound as
+// m, can no longer satisfy the window at ts. It dies once any tuple it
+// holds under a live cut is older than ts − span, and tuples bind in time
+// order, so the oldest such tuple decides: FIRST(0) while the anchor is
+// unbound, else the first cut step's tuple once the partial has bound it.
+func (h *horizon) dead(m *Match, level int, ts stream.Timestamp) bool {
+	var t *stream.Tuple
+	switch {
+	case level <= h.unboundTo:
+		t = m.First(0)
+	case level > h.cutFrom && h.fromLast:
+		t = m.Last(h.cutFrom)
+	case level > h.cutFrom:
+		t = m.First(h.cutFrom)
+	}
+	return t != nil && t.TS < ts.Add(-h.span)
+}
+
 // Validate checks structural soundness of the pattern.
 func (d *Def) Validate() error {
 	if len(d.Steps) == 0 {

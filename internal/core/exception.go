@@ -1,11 +1,11 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 
 	"repro/internal/snapshot"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // BreakReason classifies why a sequence failed to complete (§3.1.3's three
@@ -81,9 +81,9 @@ func (x *Exception) String() string {
 // the paper describes), while other non-extending tuples are ignored rather
 // than breaking the sequence.
 //
-// Window expiry is detected actively: deadlines are scheduled on the
-// matcher's timer queue when the anchor step binds, and Advance fires them
-// from heartbeats even when no tuple arrives.
+// Window expiry is detected actively: a deadline is armed when the anchor
+// step binds, and Advance fires it from heartbeats even when no tuple
+// arrives.
 type ExceptionMatcher struct {
 	m *Matcher
 }
@@ -179,20 +179,26 @@ func (x *ExceptionMatcher) Load(dec *snapshot.Decoder) error { return x.m.Load(d
 
 // exEngine is the exception automaton of one partition: the single
 // sequence it tracks, its completion level, and its active-expiration
-// timer on the owning Matcher's queue. Exceptions go to the Matcher's
-// buffer; push returns only completions.
+// deadline. Exceptions go to the Matcher's buffer; push returns only
+// completions.
 type exEngine struct {
-	m     *Matcher
-	key   stream.Value
-	run   *Match
-	cur   int // next step to bind; level == cur for the active run
-	timer *window.Timer
+	m   *Matcher
+	p   *partition // the engine's entry on m's reclaim queue; nil if unpartitioned
+	key stream.Value
+	run *Match
+	cur int // next step to bind; level == cur for the active run
+	// armed numbers the run's expiry among all the matcher has armed, so
+	// same-instant expiries fire in arming order; zero while none is.
+	armed  uint64
+	expiry stream.Timestamp
 }
 
 func (e *exEngine) raise(x *Exception) { e.m.exs = append(e.m.exs, x) }
 
-// push advances the automaton with an arriving tuple.
+// push advances the automaton with an arriving tuple, then files the
+// partition at its new deadline.
 func (e *exEngine) push(_ []int, mask uint64, t *stream.Tuple) ([]*Match, error) {
+	defer e.queue()
 	def := &e.m.def
 	var matches []*Match
 	if e.run == nil {
@@ -208,7 +214,7 @@ func (e *exEngine) push(_ []int, mask uint64, t *stream.Tuple) ([]*Match, error)
 	if maskHas(mask, e.cur) &&
 		windowAdmits(def, e.run, e.cur, t) && predAdmits(def, e.run, e.cur, t) {
 		e.run.Groups[e.cur] = []*stream.Tuple{t}
-		e.armTimer(e.cur, t)
+		e.arm(e.cur, t)
 		e.cur++
 		if e.cur == len(def.Steps) {
 			matches = append(matches, e.run)
@@ -262,19 +268,19 @@ func (e *exEngine) start(t *stream.Tuple, matches *[]*Match) {
 	e.run = e.emptyMatch()
 	e.run.Groups[0] = []*stream.Tuple{t}
 	e.cur = 1
-	e.armTimer(0, t)
+	e.arm(0, t)
 	if e.cur == len(e.m.def.Steps) {
 		*matches = append(*matches, e.run)
 		e.reset()
 	}
 }
 
-// armTimer schedules the active-expiration deadline when the window's
-// anchor step has just bound at position justBound (FOLLOWING windows; a
-// PRECEDING window anchored at the final step is equivalently armed from
-// the first binding, since the sequence must then finish within the span
-// of its first tuple).
-func (e *exEngine) armTimer(justBound int, t *stream.Tuple) {
+// arm sets the active-expiration deadline when the window's anchor step
+// has just bound at position justBound (FOLLOWING windows; a PRECEDING
+// window anchored at the final step is equivalently armed from the first
+// binding, since the sequence must then finish within the span of its
+// first tuple).
+func (e *exEngine) arm(justBound int, t *stream.Tuple) {
 	w := e.m.def.Window
 	if w == nil {
 		return
@@ -286,33 +292,57 @@ func (e *exEngine) armTimer(justBound int, t *stream.Tuple) {
 	default:
 		return
 	}
-	e.m.timers.Cancel(e.timer)
-	e.timer = e.m.timers.Schedule(t.TS.Add(w.Span), e)
+	e.setExpiry(t.TS.Add(w.Span))
+}
+
+// setExpiry arms the run's expiry at the instant at, ordered after every
+// expiry armed before it.
+func (e *exEngine) setExpiry(at stream.Timestamp) {
+	e.m.arms++
+	e.armed, e.expiry = e.m.arms, at
 }
 
 func (e *exEngine) reset() {
-	e.m.timers.Cancel(e.timer)
-	e.timer = nil
+	e.armed = 0
 	e.run = nil
 	e.cur = 0
 }
 
-// expire fires the engine's deadline (Matcher.Advance pops it): the active
-// partial is reported at its completion level and the automaton resets.
-func (e *exEngine) expire(tm *window.Timer) {
-	if e.timer != tm || e.run == nil {
-		return // superseded or cancelled
+// due is the run's reclaim queue key (see Matcher.deadline): the instant
+// before its expiry, which fires once a horizon reaches it, with its
+// arming ordinal; never while no expiry is armed.
+func (e *exEngine) due() (stream.Timestamp, uint64) {
+	if e.armed == 0 {
+		return stream.MaxTimestamp, 0
 	}
-	e.timer = nil
-	e.raise(&Exception{Level: e.cur, Partial: e.run, Reason: BreakWindowExpired, TS: tm.At})
-	e.reset()
+	return e.expiry.Add(-1), e.armed
+}
+
+// queue moves the partition's reclaim entry to its deadline when that is
+// earlier or orders differently among equal instants. A later deadline
+// may wait: Matcher.runDue re-files an entry popped early.
+func (e *exEngine) queue() {
+	p := e.p
+	if p == nil {
+		return
+	}
+	if due, seq := e.m.deadline(p); due < p.due || seq != p.seq {
+		p.due, p.seq = due, seq
+		heap.Fix(&e.m.reclaim, p.idx)
+	}
 }
 
 func (e *exEngine) rekey(key stream.Value) { e.key = key }
 
-// advance is a no-op: expiry is driven by the Matcher's timer queue, not by
-// sweeping partitions.
-func (e *exEngine) advance(stream.Timestamp) {}
+// advance fires the armed expiry once ts reaches it: the active partial is
+// reported at its completion level and the automaton resets.
+func (e *exEngine) advance(ts stream.Timestamp) {
+	if e.armed == 0 || e.expiry > ts {
+		return
+	}
+	e.raise(&Exception{Level: e.cur, Partial: e.run, Reason: BreakWindowExpired, TS: e.expiry})
+	e.reset()
+}
 
 func (e *exEngine) stateSize() int {
 	if e.run == nil {

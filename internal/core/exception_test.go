@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -234,6 +237,62 @@ func TestExceptionPartitioned(t *testing.T) {
 	}
 	if lv := m.CompletionLevel(stream.Str("carol")); lv != 0 {
 		t.Errorf("unknown key level = %d", lv)
+	}
+}
+
+// Expiries across partitions fire in deadline order, same-instant ones in
+// arming order, once each and never for a completed run; past the window
+// the idle partitions leave the matcher. Random starts (ties included) are
+// checked against the armed deadlines, stably sorted.
+func TestExpiryQueueOrder(t *testing.T) {
+	def := clinicDef(ModeConsecutive)
+	for i := range def.Steps {
+		def.Steps[i].Key = func(tu *stream.Tuple) stream.Value { return tu.Field("tagid") }
+	}
+	type expiry struct {
+		key string
+		at  stream.Timestamp
+	}
+	fired := func(exs []*Exception) []expiry {
+		var out []expiry
+		for _, x := range exs {
+			if x.Reason != BreakWindowExpired || x.Level != 1 {
+				t.Fatalf("exception %v, want a level-1 expiry", x)
+			}
+			out = append(out, expiry{x.Partial.Key.String(), x.TS})
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		m := MustExceptionMatcher(def)
+		var want []expiry // in arming order
+		var at time.Duration
+		for k, n := 0, 1+rng.Intn(20); k < n; k++ {
+			at += time.Duration(rng.Intn(3)) * time.Minute
+			key := fmt.Sprintf("k%d", k)
+			pushEx(t, m, mk("A1", at, key))
+			if rng.Intn(4) == 0 {
+				pushEx(t, m, mk("A2", at, key))
+				pushEx(t, m, mk("A3", at, key))
+				continue
+			}
+			want = append(want, expiry{stream.Str(key).String(), stream.TS(at + time.Hour)})
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		cut := stream.TS(at/2 + time.Hour)
+		split := sort.Search(len(want), func(i int) bool { return want[i].at > cut })
+		first := fired(m.Advance(cut))
+		rest := fired(m.Advance(stream.TS(at + 3*time.Hour)))
+		if fmt.Sprint(first) != fmt.Sprint(want[:split]) || fmt.Sprint(rest) != fmt.Sprint(want[split:]) {
+			t.Fatalf("trial %d: fired %v by %s, then %v; want %v", trial, first, cut, rest, want)
+		}
+		if exs := m.Advance(stream.TS(at + 4*time.Hour)); len(exs) != 0 {
+			t.Fatalf("trial %d: fired again: %v", trial, exs)
+		}
+		if n := m.m.Partitions(); n != 0 {
+			t.Fatalf("trial %d: %d partitions left past every window", trial, n)
+		}
 	}
 }
 

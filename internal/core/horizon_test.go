@@ -52,6 +52,52 @@ func TestFollowingWindowStarAnchorMeasuredFromLast(t *testing.T) {
 	wantSigs(t, feed(t, m, mk("R2", 9*time.Second, "p")), "t1,t4,t9")
 }
 
+// A run-engine body whose run ordinals descend within a bucket, or reach
+// the next ordinal, is corrupt: place's binary insert and mergeVisit's
+// CHRONICLE and RECENT visit orders rely on ordinals ascending in each
+// bucket, and a fresh run must not repeat one.
+func TestLoadRejectsRunOrdinals(t *testing.T) {
+	def := seqDef(ModeChronicle, "C1", "C2")
+	def.Steps[0].Star = true
+	body := func(next uint64, ords ...uint64) *snapshot.Encoder {
+		enc := snapshot.NewEncoder()
+		enc.TS(0)
+		enc.Bool(false) // unpartitioned
+		enc.Uvarint(4)  // (step, open) buckets of a two-step pattern
+		enc.Uvarint(0)
+		enc.Uvarint(uint64(len(ords))) // open C1* groups
+		for i, ord := range ords {
+			at := time.Duration(i+1) * time.Second
+			enc.Value(stream.Null)
+			enc.Uvarint(2)
+			enc.Uvarint(1)
+			enc.Tuple(mk("C1", at, "x"))
+			enc.Uvarint(0)
+			enc.Int(0) // filling step 0
+			enc.TS(stream.TS(at))
+			enc.Uvarint(ord)
+		}
+		enc.Uvarint(0)
+		enc.Uvarint(0)
+		enc.Bool(false) // no CONSECUTIVE run
+		enc.Int(len(ords))
+		enc.Uvarint(next)
+		enc.Uvarint(0) // no timers
+		return enc
+	}
+	if err := MustMatcher(def).Load(reopen(t, body(4, 1, 3))); err != nil {
+		t.Fatalf("ascending ordinals: Load = %v", err)
+	}
+	for name, enc := range map[string]*snapshot.Encoder{
+		"descending":      body(4, 3, 1),
+		"ordinal at next": body(4, 1, 4),
+	} {
+		if err := MustMatcher(def).Load(reopen(t, enc)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // A chain-history body whose timestamps decrease is corrupt: loaded as is,
 // it would break the binary search eviction relies on.
 func TestLoadRejectsReversedHistory(t *testing.T) {
@@ -82,40 +128,68 @@ func rawState(m *Matcher) int {
 // C1 per key every 10 ms, advancing after each, leave exactly the partitions
 // of the keys touched within the last horizon (1 s: 101 keys), and the
 // tuples the partitions actually hold within twice that window's
-// population — for chains and runs, window- and idle-bounded alike.
+// population — for chains and runs, window- and idle-bounded alike. An
+// exception key also gets its C2, completing its sequence: its idle
+// partition leaves within the same horizon.
 func TestReclaimFreshKeys(t *testing.T) {
 	preceding := &WindowAnchor{Span: time.Second, Step: 1}
 	following := &WindowAnchor{Span: time.Second, Step: 0, Following: true}
 	cases := []struct {
-		name   string
-		mode   Mode
-		star   bool
-		window *WindowAnchor
-		expire time.Duration
+		name       string
+		mode       Mode
+		star       bool
+		window     *WindowAnchor
+		expire     time.Duration
+		exceptions bool
 	}{
-		{"chronicle preceding", ModeChronicle, false, preceding, 0},
-		{"unrestricted following", ModeUnrestricted, false, following, 0},
-		{"consecutive preceding", ModeConsecutive, false, preceding, 0},
-		{"star chronicle preceding", ModeChronicle, true, preceding, 0},
-		{"unrestricted expire", ModeUnrestricted, false, nil, time.Second},
-		{"recent expire", ModeRecent, false, nil, time.Second},
-		{"star recent expire", ModeRecent, true, nil, time.Second},
+		{"chronicle preceding", ModeChronicle, false, preceding, 0, false},
+		{"unrestricted following", ModeUnrestricted, false, following, 0, false},
+		{"consecutive preceding", ModeConsecutive, false, preceding, 0, false},
+		{"star chronicle preceding", ModeChronicle, true, preceding, 0, false},
+		{"recent preceding", ModeRecent, false, preceding, 0, false},
+		{"unrestricted expire", ModeUnrestricted, false, nil, time.Second, false},
+		{"recent expire", ModeRecent, false, nil, time.Second, false},
+		{"star recent expire", ModeRecent, true, nil, time.Second, false},
+		{"exception consecutive following", ModeConsecutive, false, following, 0, true},
+		{"exception recent following", ModeRecent, false, following, 0, true},
 	}
 	for _, c := range cases {
 		def := keyed(seqDef(c.mode, "C1", "C2"))
 		def.Steps[0].Star = c.star
 		def.Window, def.ExpireAfter = c.window, c.expire
 		m := MustMatcher(def)
-		const n = 1000 // 10 s at 10 ms
-		for i := 0; i < n; i++ {
-			tu := stream.MustTuple(qcSchema["C1"], stream.TS(time.Duration(i)*10*time.Millisecond),
-				stream.Str("C1"), stream.Int(int64(i)), stream.Null)
-			if _, err := m.Push(tu, "C1"); err != nil {
+		if c.exceptions {
+			var err error
+			if m, err = NewExceptionSeqMatcher(def); err != nil {
 				t.Fatal(err)
 			}
-			m.Advance(tu.TS)
 		}
-		if got := m.Partitions(); got != 101 {
+		const n = 1000 // 10 s at 10 ms
+		completed := 0
+		for i := 0; i < n; i++ {
+			at := stream.TS(time.Duration(i) * 10 * time.Millisecond)
+			streams := []string{"C1"}
+			if c.exceptions {
+				streams = append(streams, "C2")
+			}
+			for _, s := range streams {
+				tu := stream.MustTuple(qcSchema[s], at, stream.Str(s), stream.Int(int64(i)), stream.Null)
+				ms, err := m.Push(tu, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				completed += len(ms)
+			}
+			m.Advance(at)
+		}
+		if c.exceptions {
+			if exs := m.TakeExceptions(); completed != n || len(exs) != 0 {
+				t.Errorf("%s: %d of %d keys completed, %d exceptions", c.name, completed, n, len(exs))
+			}
+			if got := m.Partitions(); got > 101 {
+				t.Errorf("%s: %d partitions, want at most the 101 keys of the last second", c.name, got)
+			}
+		} else if got := m.Partitions(); got != 101 {
 			t.Errorf("%s: %d partitions, want the 101 keys of the last second", c.name, got)
 		}
 		if got := rawState(m); got > 2*101 {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/snapshot"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // engine is the mode-specific matching state for one partition.
@@ -22,7 +21,8 @@ type engine interface {
 	// never a data condition.
 	push(steps []int, mask uint64, t *stream.Tuple) ([]*Match, error)
 	// advance moves event time forward (heartbeats), evicting state whose
-	// window can no longer be satisfied.
+	// window can no longer be satisfied and firing an exception expiry due
+	// by ts.
 	advance(ts stream.Timestamp)
 	// stateSize counts retained tuples, for benchmarks and tests of the
 	// paper's state-bounding claims.
@@ -46,36 +46,38 @@ type engine interface {
 // Every partition runs one engine of the matcher's kind: runEngine (star
 // patterns and CONSECUTIVE), chainEngine (plain UNRESTRICTED, RECENT and
 // CHRONICLE), or — for a matcher built by NewExceptionMatcher — exEngine,
-// the EXCEPTION_SEQ automaton, whose active-expiration deadlines live on
-// the matcher's one timer queue and whose exceptions collect in the
-// matcher's buffer until TakeExceptions.
+// the EXCEPTION_SEQ automaton, whose exceptions collect in the matcher's
+// buffer until TakeExceptions.
 //
-// SEQ partitions are evicted on touch only: pushSteps advances the
-// partition a tuple reaches to the tuple's horizon before the push, and
-// Advance visits no partition. Partitions no tuple reaches any more are
-// freed from the reclaim queue, which holds one entry per partition, due
-// when its state has surely expired.
+// Partitions are evicted on touch only: pushSteps advances the partition a
+// tuple reaches to the tuple's horizon before the push. The matcher's one
+// time queue, reclaim, holds one entry per partition, due when the
+// partition needs the clock without a tuple: an exception partition at its
+// armed expiry (Active Expiration), any partition once its state has
+// surely expired, when it is freed. Advance and every push pop what is due
+// by their horizon and visit no other partition.
 type Matcher struct {
 	def    Def
 	single engine
 	parts  map[uint64]*partition // key hash -> partitions (collision chain)
 	nparts int
 
-	// reclaim orders the live partitions by deadline: last touch plus
-	// bound, the time after which a partition's every tuple is dead (zero:
-	// no such time, nothing queues). spare holds the shells of reclaimed
-	// partitions for reuse by fresh keys. swept is the highest Advance
-	// time: StateSize, RunCount and Save first advance every partition to
-	// it, so they read what eviction at every Advance would have left.
+	// reclaim orders the live partitions by deadline; bound is how long
+	// after its last touch a partition's state is surely dead (zero:
+	// never). spare holds the shells of reclaimed partitions for reuse by
+	// fresh keys. swept is the highest Advance time: StateSize, RunCount
+	// and Save first advance every partition to it, so they read what
+	// eviction at every Advance would have left.
 	reclaim partQueue
 	bound   time.Duration
 	spare   []*partition
 	swept   stream.Timestamp
 
-	// exceptions selects exEngine partitions; timers holds their deadlines
-	// and exs the exceptions raised since the last TakeExceptions.
+	// exceptions selects exEngine partitions; arms numbers their expiries
+	// as they are armed, and exs holds the exceptions raised since the
+	// last TakeExceptions.
 	exceptions bool
-	timers     window.Timers
+	arms       uint64
 	exs        []*Exception
 
 	// resolved caches Resolve by alias content, up to maxResolved sets;
@@ -86,12 +88,13 @@ type Matcher struct {
 	// clock is the event time the matcher has observed — pushed tuples and
 	// Advance calls alike. Every push first advances to the clock as it
 	// stood BEFORE the tuple (raised to the caller's horizon, see
-	// PushBatchAt): the partition the tuple touches evicts to it and an
-	// exception matcher fires the timers due by it. That reproduces, exactly,
-	// the serial interleaving "push tuple, then advance to its timestamp"
-	// that per-item ingestion performs, no matter how pushes are batched.
-	// The ordering is observable: with star steps, eviction decides whether
-	// a step-0 tuple is absorbed into a stale open run or starts a fresh one.
+	// PushBatchAt): the partition the tuple touches evicts to it and the
+	// queue entries due by it pop, firing exception expiries. That
+	// reproduces, exactly, the serial interleaving "push tuple, then advance
+	// to its timestamp" that per-item ingestion performs, no matter how
+	// pushes are batched. The ordering is observable: with star steps,
+	// eviction decides whether a step-0 tuple is absorbed into a stale open
+	// run or starts a fresh one.
 	clock stream.Timestamp
 
 	// Scratch storage reused across pushes so the steady-state matching
@@ -107,9 +110,12 @@ type partition struct {
 	hash uint64
 	next *partition // same-hash collision chain
 	eng  engine
-	// last is the newest tuple's time, the one field a push writes; due is
-	// the partition's reclaim queue entry, at or before last + bound.
+	// last is the newest tuple's time, the one field a SEQ push writes. due
+	// and seq are the partition's reclaim queue key, at or before its
+	// deadline; idx is its position in the queue.
 	last, due stream.Timestamp
+	seq       uint64
+	idx       int
 }
 
 // sparePartitions caps the reclaimed shells kept for reuse, so a burst of
@@ -129,9 +135,9 @@ func newMatcher(def Def, exceptions bool) *Matcher {
 	m.def.hz = deriveHorizon(&m.def)
 	if def.Partitioned() {
 		m.parts = make(map[uint64]*partition)
-		m.bound = reclaimBound(&m.def, exceptions)
+		m.bound = reclaimBound(&m.def)
 	} else {
-		m.single = m.newEngine(stream.Null)
+		m.single = m.newEngine(stream.Null, nil)
 	}
 	return m
 }
@@ -145,13 +151,14 @@ func MustMatcher(def Def) *Matcher {
 	return m
 }
 
-// newEngine picks the implementation: exception matchers run the
-// exception automaton; star patterns and CONSECUTIVE mode need the run
-// engine; plain sequences in the other modes use the cheaper chain engine.
-func (m *Matcher) newEngine(key stream.Value) engine {
+// newEngine picks the implementation for partition p (nil when the
+// matcher is unpartitioned): exception matchers run the exception
+// automaton; star patterns and CONSECUTIVE mode need the run engine; plain
+// sequences in the other modes use the cheaper chain engine.
+func (m *Matcher) newEngine(key stream.Value, p *partition) engine {
 	switch {
 	case m.exceptions:
-		return &exEngine{m: m, key: key}
+		return &exEngine{m: m, p: p, key: key}
 	case m.def.Mode == ModeConsecutive || hasStar(&m.def):
 		return newRunEngine(&m.def, key)
 	default:
@@ -161,17 +168,12 @@ func (m *Matcher) newEngine(key stream.Value) engine {
 
 // reclaimBound is how long after its newest tuple a partition's state is
 // surely all evicted: ExpireAfter idles out every partial, and a window
-// that cuts every step (hz.cutFrom == 0) kills every tuple span after it —
-// except RECENT chains, which window eviction leaves in place. The smaller
-// applies; zero means neither holds and the partition is never reclaimed.
-// Exception partitions keep their automaton and are never reclaimed.
-func reclaimBound(d *Def, exceptions bool) time.Duration {
-	if exceptions {
-		return 0
-	}
+// that cuts every step (hz.cutFrom == 0) kills every tuple span after it.
+// The smaller applies; zero means neither holds and the partition is never
+// reclaimed.
+func reclaimBound(d *Def) time.Duration {
 	b := d.ExpireAfter
-	recentChain := d.Mode == ModeRecent && !hasStar(d)
-	if d.Window != nil && d.hz.cutFrom == 0 && !recentChain && (b == 0 || d.hz.span < b) {
+	if d.Window != nil && d.hz.cutFrom == 0 && (b == 0 || d.hz.span < b) {
 		b = d.hz.span
 	}
 	return b
@@ -253,13 +255,11 @@ func (m *Matcher) PushResolved(r *Resolved, t *stream.Tuple) ([]*Match, error) {
 	return m.pushAt(r, t, m.observe(t.TS))
 }
 
-// pushAt pushes t after advancing to its horizon pre: an exception matcher
-// first fires the timers due by pre, and pushSteps evicts the partitions t
-// touches to pre.
+// pushAt pushes t after advancing to its horizon pre: what is due by pre
+// runs first (runDue), and pushSteps evicts the partitions t touches to
+// pre.
 func (m *Matcher) pushAt(r *Resolved, t *stream.Tuple, pre stream.Timestamp) ([]*Match, error) {
-	if m.exceptions {
-		m.fire(pre)
-	}
+	m.runDue(pre)
 	steps, mask := m.filterSteps(r, t, m.stepScratch[:0])
 	m.stepScratch = steps
 	// A tuple with no qualifying steps is invisible to the pattern:
@@ -284,14 +284,14 @@ func (m *Matcher) filterSteps(r *Resolved, t *stream.Tuple, dst []int) ([]int, u
 }
 
 // pushSteps feeds one tuple with its qualifying steps to the partition
-// engines they key it to, each first evicted to the horizon pre. It
-// reorders steps in place.
+// engines they key it to, each first evicted to the horizon pre (runDue
+// has advanced an unpartitioned engine already). It reorders steps in
+// place.
 func (m *Matcher) pushSteps(steps []int, mask uint64, t *stream.Tuple, pre stream.Timestamp) ([]*Match, error) {
 	if len(steps) == 0 {
 		return nil, nil
 	}
 	if !m.def.Partitioned() {
-		m.single.advance(pre)
 		return m.single.push(steps, mask, t)
 	}
 	// Partitioned: split off the steps whose key for t equals rem[0]'s to
@@ -380,7 +380,7 @@ func (m *Matcher) PushBatchAt(r *Resolved, run []*stream.Tuple, prev []stream.Ti
 }
 
 // partitionFor finds key's partition, creating it — from a reclaimed
-// shell when there is one — and queueing it for reclaim if it is new.
+// shell when there is one — and queueing it if it is new.
 func (m *Matcher) partitionFor(key stream.Value) *partition {
 	h := key.Hash()
 	var tail *partition
@@ -398,7 +398,8 @@ func (m *Matcher) partitionFor(key stream.Value) *partition {
 		p.key, p.hash, p.next = key, h, nil
 		p.eng.rekey(key)
 	} else {
-		p = &partition{key: key, hash: h, eng: m.newEngine(key)}
+		p = &partition{key: key, hash: h}
+		p.eng = m.newEngine(key, p)
 	}
 	if tail == nil {
 		m.parts[h] = p
@@ -406,11 +407,9 @@ func (m *Matcher) partitionFor(key stream.Value) *partition {
 		tail.next = p
 	}
 	m.nparts++
-	if m.bound > 0 {
-		p.last = m.clock
-		p.due = m.deadline(p)
-		heap.Push(&m.reclaim, p)
-	}
+	p.last = m.clock
+	p.due, p.seq = m.deadline(p)
+	heap.Push(&m.reclaim, p)
 	return p
 }
 
@@ -433,39 +432,55 @@ func (m *Matcher) eachPartition(fn func(*partition)) {
 	}
 }
 
-// deadline is the last instant at which a tuple p held at its last touch
-// can still be live: eviction at now drops what is older than now − bound,
-// so the partition is empty once advanced past its deadline.
-func (m *Matcher) deadline(p *partition) stream.Timestamp {
-	return p.last.Add(m.bound)
+// deadline is the last instant at which p needs nothing from the clock,
+// with the ordinal that orders same-instant deadlines. An exception run
+// is due just before its armed expiry and never while it waits for its
+// window's anchor (exEngine.due). Otherwise the partition is empty once
+// advanced past its last touch plus bound — eviction at now drops what is
+// older than now − bound — or never when bound is zero.
+func (m *Matcher) deadline(p *partition) (stream.Timestamp, uint64) {
+	if x, ok := p.eng.(*exEngine); ok && x.run != nil {
+		return x.due()
+	}
+	if m.bound == 0 {
+		return stream.MaxTimestamp, 0
+	}
+	return p.last.Add(m.bound), 0
 }
 
-// reclaimDue pops the reclaim entries due before ts. An entry whose partition
-// was touched since it queued is pushed back at the partition's own
-// deadline; a partition due on time is advanced to ts, and, its engine
-// then empty, leaves the map for the spare shells.
-func (m *Matcher) reclaimDue(ts stream.Timestamp) {
+// runDue advances to ts what cannot wait for a touch: the unpartitioned
+// engine, or the partitions whose queue entries are due before ts. An
+// entry queued ahead of its partition's deadline (the partition was
+// touched since) moves to that deadline. A partition due on time is
+// advanced to ts, which fires an armed expiry, and, then empty and past
+// its deadline, leaves the map for the spare shells.
+func (m *Matcher) runDue(ts stream.Timestamp) {
+	if m.single != nil {
+		m.single.advance(ts)
+		return
+	}
 	for len(m.reclaim) > 0 {
 		p := m.reclaim[0]
 		if p.due >= ts {
 			return
 		}
-		if due := m.deadline(p); due >= ts {
-			p.due = due
-			heap.Fix(&m.reclaim, 0)
-			continue
+		due, seq := m.deadline(p)
+		if due < ts {
+			p.eng.advance(ts)
+			if due, seq = m.deadline(p); due < ts {
+				if p.eng.stateSize() == 0 && p.eng.runCount() == 0 {
+					heap.Pop(&m.reclaim)
+					m.unlink(p)
+					continue
+				}
+				// Live state here would mean reclaimBound promised too
+				// much: keep the partition and look again one bound later.
+				p.last = ts
+				due, seq = m.deadline(p)
+			}
 		}
-		p.eng.advance(ts)
-		if p.eng.stateSize() != 0 || p.eng.runCount() != 0 {
-			// Live state here would mean reclaimBound promised too much:
-			// keep the partition and look again one bound later.
-			p.last = ts
-			p.due = m.deadline(p)
-			heap.Fix(&m.reclaim, 0)
-			continue
-		}
-		heap.Pop(&m.reclaim)
-		m.unlink(p)
+		p.due, p.seq = due, seq
+		heap.Fix(&m.reclaim, 0)
 	}
 }
 
@@ -498,13 +513,23 @@ func (m *Matcher) catchUp() {
 	m.eachPartition(func(p *partition) { p.eng.advance(m.swept) })
 }
 
-// partQueue is the reclaim queue: a min-heap of partitions by due.
+// partQueue is the reclaim queue: a min-heap of partitions by (due, seq)
+// that keeps each partition's idx current.
 type partQueue []*partition
 
-func (q partQueue) Len() int            { return len(q) }
-func (q partQueue) Less(i, j int) bool  { return q[i].due < q[j].due }
-func (q partQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *partQueue) Push(x interface{}) { *q = append(*q, x.(*partition)) }
+func (q partQueue) Len() int { return len(q) }
+func (q partQueue) Less(i, j int) bool {
+	return q[i].due < q[j].due || q[i].due == q[j].due && q[i].seq < q[j].seq
+}
+func (q partQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+func (q *partQueue) Push(x interface{}) {
+	p := x.(*partition)
+	p.idx = len(*q)
+	*q = append(*q, p)
+}
 func (q *partQueue) Pop() interface{} {
 	old := *q
 	p := old[len(old)-1]
@@ -516,32 +541,17 @@ func (q *partQueue) Pop() interface{} {
 // Advance moves event time to ts (from a heartbeat or a non-participating
 // tuple). An unpartitioned matcher evicts its state to ts; a partitioned
 // one leaves its partitions to be evicted when next touched or read, and
-// reclaims those whose state has surely expired. On an exception matcher it
-// fires the due active-expiration timers instead; their exceptions wait for
-// TakeExceptions.
+// pops the queue entries due by ts: exception expiries fire (Active
+// Expiration; their exceptions wait for TakeExceptions) and partitions
+// whose state has surely expired are reclaimed.
 func (m *Matcher) Advance(ts stream.Timestamp) {
 	if ts > m.clock {
 		m.clock = ts
 	}
-	if m.exceptions {
-		m.fire(ts)
-		return
-	}
-	if m.single != nil {
-		m.single.advance(ts)
-		return
-	}
 	if ts > m.swept {
 		m.swept = ts
 	}
-	m.reclaimDue(ts)
-}
-
-// fire expires the exception engines whose timers are due by ts.
-func (m *Matcher) fire(ts stream.Timestamp) {
-	for _, tm := range m.timers.PopDue(ts) {
-		tm.Payload.(*exEngine).expire(tm)
-	}
+	m.runDue(ts)
 }
 
 // StateSize reports the number of tuples currently retained across all
@@ -559,12 +569,12 @@ func (m *Matcher) StateSize() int {
 
 // Partitions reports how many partitions the matcher holds: one per key
 // pushed since its partition was last reclaimed. A partition is reclaimed
-// at the first Advance after its state has surely expired — bound after
-// its newest tuple, where bound is the smaller of EXPIRE AFTER and a window
-// that cuts every step — so on a stream of fresh keys this tracks the keys
-// touched within the last bound, not every key ever seen. Patterns with
-// neither bound, RECENT chains without EXPIRE AFTER and exception matchers
-// never reclaim.
+// at the first Advance or push past the time its state has surely expired
+// — bound after its newest tuple, where bound is the smaller of EXPIRE
+// AFTER and a window that cuts every step; an exception partition also
+// waits for its run to end — so on a stream of fresh keys this tracks the
+// keys touched within the last bound, not every key ever seen. Patterns
+// with neither bound never reclaim.
 func (m *Matcher) Partitions() int { return m.nparts }
 
 // TakeExceptions returns the EXCEPTION_SEQ exceptions raised by Push and

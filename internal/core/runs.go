@@ -475,8 +475,8 @@ func (e *runEngine) mergeVisit(a, b []*run) []*run {
 }
 
 // advance evicts runs whose window can no longer be satisfied at event time
-// ts (see expired) and runs idle past Def.ExpireAfter. Compaction is per
-// bucket, so the ord order within each bucket is preserved.
+// ts (see horizon.dead) and runs idle past Def.ExpireAfter. Compaction is
+// per bucket, so the ord order within each bucket is preserved.
 func (e *runEngine) advance(ts stream.Timestamp) {
 	if e.def.Window == nil && e.def.ExpireAfter == 0 {
 		return
@@ -511,22 +511,9 @@ func (e *runEngine) idle(r *run, ts stream.Timestamp) bool {
 	return e.def.ExpireAfter > 0 && r.last < ts.Add(-e.def.ExpireAfter)
 }
 
-// expired reports whether r's window can no longer be satisfied at ts. A
-// run dies once any tuple it holds is dead, and tuples bind in time order,
-// so the oldest tuple under a live cut decides: FIRST(0) while the anchor
-// is unbound, else the first cut step's tuple once the run has bound it.
+// expired reports whether r's window can no longer be satisfied at ts.
 func (e *runEngine) expired(r *run, ts stream.Timestamp) bool {
-	hz := &e.def.hz
-	var t *stream.Tuple
-	switch l := e.level(r); {
-	case l <= hz.unboundTo:
-		t = r.m.First(0)
-	case l > hz.cutFrom && hz.fromLast:
-		t = r.m.Last(hz.cutFrom)
-	case l > hz.cutFrom:
-		t = r.m.First(hz.cutFrom)
-	}
-	return t != nil && t.TS < ts.Add(-hz.span)
+	return e.def.hz.dead(r.m, e.level(r), ts)
 }
 
 func (e *runEngine) stateSize() int {

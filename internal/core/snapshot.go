@@ -128,6 +128,8 @@ func (e *runEngine) loadRun(dec *snapshot.Decoder) (*run, error) {
 	return &run{m: m, cur: cur, last: last, ord: ord}, nil
 }
 
+// load restores the buckets and checks the ordinals place and mergeVisit
+// rely on: ascending within each bucket, and below nextOrd.
 func (e *runEngine) load(dec *snapshot.Decoder) error {
 	nb, err := dec.Len()
 	if err != nil {
@@ -136,7 +138,7 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 	if nb != len(e.buckets) {
 		return snapshot.Mismatchf("run engine has %d buckets, snapshot has %d", len(e.buckets), nb)
 	}
-	live := 0
+	live, maxOrd := 0, uint64(0)
 	for bi := range e.buckets {
 		n, err := dec.Len()
 		if err != nil {
@@ -151,6 +153,10 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 			if r.cur != bi/2 || e.open(r) != (bi%2 == 1) {
 				return snapshot.Corruptf("run at step %d filed in bucket %d", r.cur, bi)
 			}
+			if j > 0 && r.ord < bkt[j-1].ord {
+				return snapshot.Corruptf("run ordinals descend in bucket %d", bi)
+			}
+			maxOrd = max(maxOrd, r.ord)
 			r.bkt = int32(bi)
 			r.pos = int32(j)
 			bkt = append(bkt, r)
@@ -181,6 +187,9 @@ func (e *runEngine) load(dec *snapshot.Decoder) error {
 	e.count = count
 	if e.nextOrd, err = dec.Uvarint(); err != nil {
 		return err
+	}
+	if live > 0 && maxOrd >= e.nextOrd {
+		return snapshot.Corruptf("run ordinal %d not below next ordinal %d", maxOrd, e.nextOrd)
 	}
 	e.visit = e.visit[:0]
 	return nil
@@ -281,8 +290,8 @@ func (e *chainEngine) loadChains(dec *snapshot.Decoder) error {
 
 // --- exception engine ---
 
-// save writes the tracked sequence and its level; the engine's timer is
-// written by Matcher.Save with the rest of the queue.
+// save writes the tracked sequence and its level; the engine's expiry is
+// written by Matcher.Save with every other armed one.
 func (e *exEngine) save(enc *snapshot.Encoder) {
 	enc.Bool(e.run != nil)
 	if e.run != nil {
@@ -296,7 +305,7 @@ func (e *exEngine) load(dec *snapshot.Decoder) error {
 	if err != nil {
 		return err
 	}
-	e.run, e.timer = nil, nil
+	e.run, e.armed = nil, 0
 	if hasRun {
 		if e.run, err = loadMatch(dec, len(e.m.def.Steps)); err != nil {
 			return err
@@ -319,11 +328,12 @@ func (e *exEngine) load(dec *snapshot.Decoder) error {
 // kind: the clock, every partition's engine — first advanced to the last
 // Advance, as eviction at every Advance would have left it — in
 // deterministic (key hash, collision-chain position) order so the same
-// logical state always yields the same bytes, then the live timers in
-// schedule order as (partition ordinal, deadline). Writing timers in order
-// normalizes their schedule ordinals to ranks, so Load re-arms them on a
-// fresh queue with the same same-instant firing order and a save→load→save
-// cycle is byte-stable. The reclaim queue is not written: Load rebuilds it.
+// logical state always yields the same bytes, then the armed exception
+// expiries (timers) in arming order as (partition ordinal, deadline).
+// Writing them in order normalizes their arming ordinals to ranks, so Load
+// re-arms them with the same same-instant firing order and a
+// save→load→save cycle is byte-stable. The reclaim queue is not written:
+// Load rebuilds it.
 func (m *Matcher) Save(enc *snapshot.Encoder) {
 	enc.TS(m.clock)
 	enc.Bool(m.single == nil)
@@ -343,19 +353,19 @@ func (m *Matcher) Save(enc *snapshot.Encoder) {
 	}
 	type armed struct {
 		ord int
-		tm  *window.Timer
+		x   *exEngine
 	}
 	var live []armed
 	for i, eng := range engs {
-		if x, ok := eng.(*exEngine); ok && x.timer != nil {
-			live = append(live, armed{i, x.timer})
+		if x, ok := eng.(*exEngine); ok && x.armed != 0 {
+			live = append(live, armed{i, x})
 		}
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].tm.Seq() < live[b].tm.Seq() })
+	sort.Slice(live, func(a, b int) bool { return live[a].x.armed < live[b].x.armed })
 	enc.Uvarint(uint64(len(live)))
 	for _, a := range live {
 		enc.Uvarint(uint64(a.ord))
-		enc.TS(a.tm.At)
+		enc.TS(a.x.expiry)
 	}
 }
 
@@ -389,8 +399,8 @@ func sortedPartitions(parts map[uint64]*partition) []*partition {
 // count, mode) returns ErrStateMismatch; bytes Save never writes —
 // partitions out of order or repeated, state that does not fit the
 // pattern, a timer without a run to expire — return ErrCorrupt. Every
-// restored partition queues for reclaim as if last touched at the restored
-// clock.
+// restored partition queues as if last touched at the restored clock, or
+// at its restored expiry.
 func (m *Matcher) Load(dec *snapshot.Decoder) error {
 	clock, err := dec.TS()
 	if err != nil {
@@ -405,7 +415,7 @@ func (m *Matcher) Load(dec *snapshot.Decoder) error {
 	if part != m.def.Partitioned() {
 		return snapshot.Mismatchf("matcher partitioned=%v, snapshot partitioned=%v", m.def.Partitioned(), part)
 	}
-	m.timers = window.Timers{}
+	m.arms = 0
 	m.exs = nil
 	engs := []engine{m.single}
 	if !part {
@@ -456,10 +466,11 @@ func (m *Matcher) Load(dec *snapshot.Decoder) error {
 		if ord < uint64(len(engs)) {
 			x, _ = engs[ord].(*exEngine)
 		}
-		if x == nil || x.run == nil || x.timer != nil {
+		if x == nil || x.run == nil || x.armed != 0 {
 			return snapshot.Corruptf("timer %d names partition %d, which has no run awaiting it", j, ord)
 		}
-		x.timer = m.timers.Schedule(at, x)
+		x.setExpiry(at)
+		x.queue()
 	}
 	return nil
 }

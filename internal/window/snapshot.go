@@ -48,7 +48,3 @@ func LoadTuple(dec *snapshot.Decoder) (*stream.Tuple, error) {
 	}
 	return t, err
 }
-
-// Seq exposes the timer's schedule ordinal so matchers can persist
-// same-deadline firing order across a checkpoint.
-func (tm *Timer) Seq() uint64 { return tm.seq }

@@ -1,12 +1,11 @@
 // Package window holds the time-ordered state of ESL-EV's windowed
 // operators: Store, one slice-backed buffer kept in event-time order that
-// evicts below a horizon and scans a time range, and Timers, the
-// earliest-deadline queue behind Active Expiration — windows whose expiry
-// must be detected even when no new tuple arrives (§3.1.3 of the paper).
+// evicts below a horizon and scans a time range. Active Expiration — windows
+// whose expiry must be detected even when no new tuple arrives (§3.1.3 of
+// the paper) — lives in core.Matcher's one deadline queue, not here.
 package window
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -143,102 +142,4 @@ func (s *Store[E]) Remove(match func(E) bool) bool {
 		return true
 	}
 	return false
-}
-
-// Timer is one scheduled expiration: fire At with an opaque payload.
-type Timer struct {
-	At      stream.Timestamp
-	Payload interface{}
-	seq     uint64 // schedule order, for deterministic same-instant firing
-	index   int
-	dead    bool
-}
-
-// Timers is an earliest-deadline-first queue driving Active Expiration: the
-// engine advances event time (via tuples and heartbeats) and fires every
-// timer whose deadline has passed. Same-deadline timers fire in schedule
-// order, keeping runs deterministic.
-type Timers struct {
-	h   timerHeap
-	seq uint64
-}
-
-// Schedule enqueues a timer and returns a handle for cancellation.
-func (t *Timers) Schedule(at stream.Timestamp, payload interface{}) *Timer {
-	t.seq++
-	tm := &Timer{At: at, Payload: payload, seq: t.seq}
-	heap.Push(&t.h, tm)
-	return tm
-}
-
-// Cancel deactivates a scheduled timer; it is a no-op on an already-fired
-// or already-cancelled timer.
-func (t *Timers) Cancel(tm *Timer) {
-	if tm == nil || tm.dead || tm.index < 0 {
-		return
-	}
-	tm.dead = true
-}
-
-// PopDue removes and returns all live timers with At <= now, in deadline
-// order (ties in schedule order).
-func (t *Timers) PopDue(now stream.Timestamp) []*Timer {
-	var due []*Timer
-	for t.h.Len() > 0 {
-		top := t.h[0]
-		if top.dead {
-			heap.Pop(&t.h)
-			continue
-		}
-		if top.At > now {
-			break
-		}
-		due = append(due, heap.Pop(&t.h).(*Timer))
-	}
-	return due
-}
-
-// Peek returns the next live deadline.
-func (t *Timers) Peek() (stream.Timestamp, bool) {
-	for t.h.Len() > 0 {
-		if t.h[0].dead {
-			heap.Pop(&t.h)
-			continue
-		}
-		return t.h[0].At, true
-	}
-	return 0, false
-}
-
-// Len returns the number of queued timers, including cancelled ones not yet
-// compacted away.
-func (t *Timers) Len() int { return t.h.Len() }
-
-type timerHeap []*Timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x interface{}) {
-	tm := x.(*Timer)
-	tm.index = len(*h)
-	*h = append(*h, tm)
-}
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	tm := old[n-1]
-	old[n-1] = nil
-	tm.index = -1
-	*h = old[:n-1]
-	return tm
 }

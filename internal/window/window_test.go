@@ -168,66 +168,6 @@ func TestTimeBufferEvictionInvariant(t *testing.T) {
 	}
 }
 
-func TestTimersOrderAndCancel(t *testing.T) {
-	var ts Timers
-	ts.Schedule(stream.TS(5*time.Second), "b")
-	tm1 := ts.Schedule(stream.TS(3*time.Second), "a")
-	ts.Schedule(stream.TS(9*time.Second), "c")
-	// Same deadline: schedule order.
-	ts.Schedule(stream.TS(5*time.Second), "b2")
-
-	if at, ok := ts.Peek(); !ok || at != stream.TS(3*time.Second) {
-		t.Fatalf("Peek = %v, %v", at, ok)
-	}
-	ts.Cancel(tm1)
-	due := ts.PopDue(stream.TS(6 * time.Second))
-	if len(due) != 2 || due[0].Payload != "b" || due[1].Payload != "b2" {
-		t.Fatalf("due = %v", due)
-	}
-	if due := ts.PopDue(stream.TS(6 * time.Second)); due != nil {
-		t.Fatalf("second pop should be empty, got %v", due)
-	}
-	due = ts.PopDue(stream.MaxTimestamp)
-	if len(due) != 1 || due[0].Payload != "c" {
-		t.Fatalf("final = %v", due)
-	}
-	if _, ok := ts.Peek(); ok {
-		t.Error("queue should be empty")
-	}
-	ts.Cancel(nil) // no-op
-}
-
-// Property: PopDue returns exactly the scheduled deadlines <= now, sorted.
-func TestTimersProperty(t *testing.T) {
-	f := func(deadlines []uint16, cut uint16) bool {
-		var ts Timers
-		for _, d := range deadlines {
-			ts.Schedule(stream.Timestamp(d), int(d))
-		}
-		due := ts.PopDue(stream.Timestamp(cut))
-		// Sorted and all <= cut.
-		for i, tm := range due {
-			if tm.At > stream.Timestamp(cut) {
-				return false
-			}
-			if i > 0 && due[i-1].At > tm.At {
-				return false
-			}
-		}
-		// Count matches.
-		want := 0
-		for _, d := range deadlines {
-			if d <= cut {
-				want++
-			}
-		}
-		return len(due) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestTimeBufferBinarySearchCut cross-checks the binary-searched eviction
 // cut against a reference linear scan across duplicate-heavy timelines and
 // cut positions (before, between, on, and past every retained timestamp).
